@@ -9,7 +9,6 @@ from .estimators import (
     PublicMoments,
     UnstableInversionError,
     dp_olse_baseline,
-    dp_pmt_second_moment,
     dp_pmtolse,
     olse,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "TheoryBounds",
     "UnstableInversionError",
     "dp_olse_baseline",
-    "dp_pmt_second_moment",
     "dp_pmtolse",
     "olse",
 ]

@@ -140,8 +140,9 @@ def ingest_csv(
 ) -> LabeledDataset:
     """Read a numeric CSV with a header row into a LabeledDataset.
 
-    Features are all non-response columns in header order.  Parse failures
-    report the offending row and column.
+    Features are all non-response columns in header order.  Cells that do
+    not parse as finite numbers (including nan and inf) are reported with
+    their row and column.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -173,6 +174,13 @@ def ingest_csv(
     if not rows:
         raise CsvParseError(f"{path}: no data rows")
     table = np.asarray(rows, dtype=np.float64)
+    nonfinite = np.argwhere(~np.isfinite(table))
+    if nonfinite.size:
+        i, j = nonfinite[0]
+        raise CsvParseError(
+            f"{path}: row {i + 2}, column {header[j]!r}: "
+            f"cannot parse '{table[i, j]}' as a finite number"
+        )
     features = np.delete(table, resp_idx, axis=1)
     responses = table[:, resp_idx]
     return LabeledDataset(features=features, responses=responses)

@@ -1,32 +1,33 @@
 """OLS estimators: non-private, sufficient-statistics DP baseline, and the
 public-moment-preconditioned DP variant.
 
-The DP estimators privatize the two sufficient statistics (X^T X / n and
-X^T y / n) with the Gaussian mechanism and solve the perturbed normal
-equations.  The preconditioned variant first whitens private rows by the
-public second-moment matrix, which shrinks both the truncation radius and
-the condition number of the matrix being inverted, then undoes the change
-of variables on the solved coefficients.
+Both DP estimators are one mechanism, :func:`_release`: clip rows, add
+Gaussian noise to X^T X / n and X^T y / n, and solve the noisy normal
+equations ("Analyze Gauss", Dwork, Talwar, Thakurta and Zhang, STOC 2014).
+They differ only in what they feed it.  The preconditioned variant whitens
+private rows by the public second-moment matrix, which shrinks both the
+truncation radius and the condition number of the matrix being inverted,
+and undoes the change of variables on the solved coefficients.  The baseline
+passes raw rows with radii taken from the private data's own moments.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import pmt
 from .privacy import (
     BudgetLedger,
+    NoiseScales,
     PrivacyBudget,
     compose,
-    matrix_noise_scale,
+    noise_scales,
     sample_gaussian_vector,
     sample_symmetric_gaussian,
-    vector_noise_scale,
 )
 from .spectra import (
     SingularMatrixError,
@@ -35,6 +36,7 @@ from .spectra import (
     TheoryBounds,
     diagnostics,
     inv_sqrt_clamped,
+    solve,
 )
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "EstimatorOutput",
     "UnstableInversionError",
     "olse",
-    "dp_pmt_second_moment",
     "dp_pmtolse",
     "dp_olse_baseline",
     "stability_ratio",
@@ -83,6 +84,12 @@ class LabeledDataset:
             )
         if x.shape[0] < 1 or x.shape[1] < 1:
             raise ValueError("need n >= 1 and d >= 1")
+        for name, values in (("features", x), ("responses", y[:, None])):
+            if not np.isfinite(values).all():
+                row, col = np.argwhere(~np.isfinite(values))[0]
+                raise ValueError(
+                    f"{name} must be finite: {values[row, col]} at row {row}, column {col}"
+                )
         x.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "features", x)
@@ -135,31 +142,10 @@ class EstimatorOutput:
             raise ValueError("rho_total must be zero exactly for the non-DP OLSE")
 
 
-def _solve_normal_equations(
-    second_moment: np.ndarray, cross_moment: np.ndarray
-) -> np.ndarray:
-    # symmetric-indefinite solve; the noisy matrix need not be PSD
-    return scipy.linalg.solve(second_moment, cross_moment, assume_a="sym")
-
-
-def _guard_invertible(m: SymmetricMatrix) -> SpectralDiagnostics:
-    """Spectral guard for solving against a (possibly indefinite) matrix."""
-    diag = diagnostics(m)
-    abs_eigs = np.abs(diag.eigenvalues)
-    if abs_eigs.min() <= 1e-12 * abs_eigs.max():
-        raise UnstableInversionError(
-            f"noisy second moment numerically singular: |lambda| range "
-            f"[{abs_eigs.min():.3e}, {abs_eigs.max():.3e}]",
-            post_diag=diag,
-        )
-    return diag
-
-
 def olse(data: LabeledDataset) -> EstimatorOutput:
     """Plain ordinary least squares via the normal equations."""
     x, y, n = data.features, data.responses, data.n
-    second = SymmetricMatrix(x.T @ x / n)
-    diag = diagnostics(second)
+    diag = diagnostics(SymmetricMatrix(x.T @ x / n))
     if diag.lambda_min <= 1e-12 * diag.lambda_max:
         raise SingularMatrixError(
             f"singular design: lambda_min={diag.lambda_min:.3e}, "
@@ -167,14 +153,13 @@ def olse(data: LabeledDataset) -> EstimatorOutput:
             lambda_min=diag.lambda_min,
             lambda_max=diag.lambda_max,
         )
-    beta = _solve_normal_equations(second.entries, x.T @ y / n)
     norms = np.linalg.norm(x, axis=1)
     no_trunc = pmt.TruncationReport(total=n, truncated=0, max_norm_seen=float(norms.max()))
     resp_report = pmt.TruncationReport(
         total=n, truncated=0, max_norm_seen=float(np.abs(y).max())
     )
     return EstimatorOutput(
-        beta=beta,
+        beta=solve(diag, x.T @ y / n),
         method=Method.OLSE,
         rho_total=0.0,
         feature_truncation=no_trunc,
@@ -185,25 +170,58 @@ def olse(data: LabeledDataset) -> EstimatorOutput:
     )
 
 
-def dp_pmt_second_moment(
-    samples: np.ndarray,
-    public_moment: SymmetricMatrix,
-    eta: float,
+def _release(
+    features: np.ndarray,
+    responses: np.ndarray,
+    r_x: float,
+    r_y: float,
+    method: Method,
     budget: PrivacyBudget,
     rng: np.random.Generator,
-    zero_noise: bool = False,
-):
-    """Privatized second moment of preconditioned, truncated samples.
+    zero_noise: bool,
+) -> EstimatorOutput:
+    """The Gaussian sufficient-statistics mechanism both DP estimators share.
 
-    Returns (noisy second-moment matrix, truncation report).  Spends rho.
+    Clips feature rows to r_x and responses to r_y, releases X^T X / n and
+    X^T y / n with the noise of :func:`noise_scales` (rho each, matrix noise
+    drawn first), and solves the noisy normal equations through the
+    eigenpairs of the spectral guard.  ``zero_noise`` forces both scales to
+    zero; it is a test hook and must never be set on a privacy-claiming path.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    n, d = samples.shape
-    clipped, report = pmt.pmt_pipeline(samples, public_moment, eta)
-    stat = clipped.T @ clipped / n
-    sigma = 0.0 if zero_noise else matrix_noise_scale(d, n, eta, budget)
-    noise = sample_symmetric_gaussian(d, sigma, rng)
-    return SymmetricMatrix(stat + noise.entries), report
+    n, d = features.shape
+    if n <= d:
+        raise ValueError(f"need n > d private samples, got n={n}, d={d}")
+    x, feat_report = pmt.clip_rows(features, r_x)
+    y, resp_report = pmt.clip_rows(responses[:, None], r_y)
+    second = SymmetricMatrix(x.T @ x / n)
+    cross = x.T @ y[:, 0] / n
+    pre_diag = diagnostics(second)
+
+    scales = NoiseScales(0.0, 0.0) if zero_noise else noise_scales(r_x, r_y, n, budget)
+    noise_mat = sample_symmetric_gaussian(d, scales.sigma1, rng)
+    noise_vec = sample_gaussian_vector(d, scales.sigma2, rng)
+    post_diag = diagnostics(SymmetricMatrix(second.entries + noise_mat.entries))
+    abs_eigs = np.abs(post_diag.eigenvalues)
+    if abs_eigs.min() <= 1e-12 * abs_eigs.max():
+        raise UnstableInversionError(
+            f"noisy second moment numerically singular: |lambda| range "
+            f"[{abs_eigs.min():.3e}, {abs_eigs.max():.3e}]",
+            post_diag=post_diag,
+        )
+
+    ledger = compose(BudgetLedger(), "second_moment", budget.rho)
+    ledger = compose(ledger, "cross_moment", budget.rho)
+    return EstimatorOutput(
+        beta=solve(post_diag, cross + noise_vec),
+        method=method,
+        rho_total=ledger.total,
+        feature_truncation=feat_report,
+        response_truncation=resp_report,
+        pre_diag=pre_diag,
+        post_diag=post_diag,
+        clamp_count=0,
+        ledger=ledger,
+    )
 
 
 def dp_pmtolse(
@@ -217,60 +235,28 @@ def dp_pmtolse(
     """DP least squares with public-moment preconditioning.
 
     Whitens features by the public feature moment and rescales responses by
-    the public response moment, clips both, privatizes the two sufficient
-    statistics (rho each, 2 rho total), solves the noisy normal equations in
-    the whitened coordinates, and maps the solution back.
-
-    ``zero_noise`` is a test hook that forces both noise scales to zero; it
-    must never be set on a privacy-claiming path.
+    the public response moment, releases the two sufficient statistics with
+    radii sqrt(d (1 + ln(2n/eta))) and sqrt(1 + ln(2n/eta)) (rho each, 2 rho
+    total), and maps the whitened solution back.  See :func:`_release` for
+    ``zero_noise``.
     """
-    if public.n_pub <= data.d:
+    n, d = data.n, data.d
+    r_x, r_y = pmt.truncation_radius(d, n, eta), pmt.truncation_radius(1, n, eta)
+    if public.n_pub <= d:
         raise ValueError(
-            f"need n_pub > d for the preconditioner, got n_pub={public.n_pub}, d={data.d}"
+            f"need n_pub > d for the preconditioner, got n_pub={public.n_pub}, d={d}"
         )
-    if data.n <= data.d:
-        raise ValueError(f"need n > d private samples, got n={data.n}, d={data.d}")
     if public.response_moment <= 0:
         raise ValueError("response_moment must be positive to rescale responses")
-    n, d = data.n, data.d
-    rho = budget_per_stat.rho
 
     pre, clamp_count = inv_sqrt_clamped(public.feature_moment)
-    feat_policy = pmt.TruncationPolicy(dim=d, n=n, eta=eta)
-    a_tilde, feat_report = pmt.truncate(pmt.transform(data.features, pre), feat_policy)
-
-    resp_policy = pmt.scalar_policy(n, eta)
-    y_scaled = (data.responses / public.response_moment)[:, None]
-    y_tilde, resp_report = pmt.truncate(y_scaled, resp_policy)
-    y_tilde = y_tilde[:, 0]
-
-    second = SymmetricMatrix(a_tilde.T @ a_tilde / n)
-    cross = a_tilde.T @ y_tilde / n
-    pre_diag = diagnostics(second)
-
-    sigma1 = 0.0 if zero_noise else matrix_noise_scale(d, n, eta, budget_per_stat)
-    sigma2 = 0.0 if zero_noise else vector_noise_scale(d, n, eta, budget_per_stat)
-    noise_mat = sample_symmetric_gaussian(d, sigma1, rng)
-    noise_vec = sample_gaussian_vector(d, sigma2, rng)
-
-    noisy_second = SymmetricMatrix(second.entries + noise_mat.entries)
-    post_diag = _guard_invertible(noisy_second)
-    beta_tilde = _solve_normal_equations(noisy_second.entries, cross + noise_vec)
-    beta = public.response_moment * (pre.entries @ beta_tilde)
-
-    ledger = compose(BudgetLedger(), "second_moment", rho)
-    ledger = compose(ledger, "cross_moment", rho)
-    return EstimatorOutput(
-        beta=beta,
-        method=Method.DP_PMTOLSE,
-        rho_total=ledger.total,
-        feature_truncation=feat_report,
-        response_truncation=resp_report,
-        pre_diag=pre_diag,
-        post_diag=post_diag,
-        clamp_count=clamp_count,
-        ledger=ledger,
+    out = _release(
+        pmt.transform(data.features, pre),
+        data.responses / public.response_moment,
+        r_x, r_y, Method.DP_PMTOLSE, budget_per_stat, rng, zero_noise,
     )
+    beta = public.response_moment * (pre.entries @ out.beta)
+    return replace(out, beta=beta, clamp_count=clamp_count)
 
 
 def dp_olse_baseline(
@@ -282,61 +268,25 @@ def dp_olse_baseline(
 ) -> EstimatorOutput:
     """Private-data-only DP least squares baseline.
 
-    Truncation radii and noise scales are driven by the trace of the raw
-    private second moment and the raw response second moment; both are
-    computed from the untruncated private data without privatization, which
-    is this baseline's known caveat (recorded in ``notes``).
+    Releases the raw rows' sufficient statistics with radii
+    R_x^2 = tr + d ln(2n/eta) and R_y^2 = sigma_y^2 + ln(2n/eta), where tr and
+    sigma_y^2 are the mean squared feature-row norm and response of the
+    untruncated private data, computed without privatization.  That is this
+    baseline's known caveat, recorded in ``notes``.
     """
-    if data.n <= data.d:
-        raise ValueError(f"need n > d private samples, got n={data.n}, d={data.d}")
     n, d = data.n, data.d
-    rho = budget_per_stat.rho
-    log_term = math.log(2.0 * n / eta)
-    if not (0.0 < eta < 1.0):
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
-
+    log_term = pmt.truncation_radius(1, n, eta) ** 2 - 1.0  # ln(2n/eta), eta checked
     trace_a = float(np.sum(data.features**2)) / n
     sigma_a_sq = float(np.mean(data.responses**2))
-    feat_radius = math.sqrt(trace_a + d * log_term)
-    resp_radius = math.sqrt(sigma_a_sq + log_term)
-
-    a_clip, feat_report = pmt.clip_rows(data.features, feat_radius)
-    y_clip, resp_report = pmt.clip_rows(data.responses[:, None], resp_radius)
-    y_clip = y_clip[:, 0]
-
-    second = SymmetricMatrix(a_clip.T @ a_clip / n)
-    cross = a_clip.T @ y_clip / n
-    pre_diag = diagnostics(second)
-
-    if zero_noise:
-        sigma1 = sigma2 = 0.0
-    else:
-        sigma1 = 2.0 * (trace_a + d * log_term) / (math.sqrt(2.0 * rho) * n)
-        sigma2 = (
-            2.0
-            * math.sqrt((trace_a + d * log_term) * (sigma_a_sq + log_term))
-            / (math.sqrt(2.0 * rho) * n)
-        )
-    noise_mat = sample_symmetric_gaussian(d, sigma1, rng)
-    noise_vec = sample_gaussian_vector(d, sigma2, rng)
-
-    noisy_second = SymmetricMatrix(second.entries + noise_mat.entries)
-    post_diag = _guard_invertible(noisy_second)
-    beta = _solve_normal_equations(noisy_second.entries, cross + noise_vec)
-
-    ledger = compose(BudgetLedger(), "second_moment", rho)
-    ledger = compose(ledger, "cross_moment", rho)
-    return EstimatorOutput(
-        beta=beta,
-        method=Method.DP_OLSE,
-        rho_total=ledger.total,
-        feature_truncation=feat_report,
-        response_truncation=resp_report,
-        pre_diag=pre_diag,
-        post_diag=post_diag,
-        clamp_count=0,
-        ledger=ledger,
-        notes=("truncation radii derived from unprivatized private moments",),
+    out = _release(
+        data.features,
+        data.responses,
+        math.sqrt(trace_a + d * log_term),
+        math.sqrt(sigma_a_sq + log_term),
+        Method.DP_OLSE, budget_per_stat, rng, zero_noise,
+    )
+    return replace(
+        out, notes=("truncation radii derived from unprivatized private moments",)
     )
 
 

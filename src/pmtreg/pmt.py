@@ -13,39 +13,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import SymmetricMatrix, inv_sqrt
+from .spectra import SymmetricMatrix
 
 __all__ = [
-    "TruncationPolicy",
     "TruncationReport",
+    "truncation_radius",
     "transform",
-    "truncate",
-    "scalar_policy",
-    "pmt_pipeline",
+    "clip_rows",
 ]
 
 
 def truncation_radius(d: int, n: int, eta: float) -> float:
+    """Clip radius sqrt(d (1 + ln(2n/eta))) for n rows in dimension d.
+
+    d = 1 gives the response radius.  This is where both DP estimators
+    validate eta, so a bad eta fails the same way on either path.
+    """
+    if d < 1 or n < 1:
+        raise ValueError(f"d and n must be positive, got d={d}, n={n}")
+    if not (0.0 < eta < 1.0):
+        raise ValueError(f"eta must lie in (0, 1), got {eta}")
     return math.sqrt(d * (1.0 + math.log(2.0 * n / eta)))
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Norm-clipping policy: radius sqrt(d (1 + ln(2n/eta)))."""
-
-    dim: int
-    n: int
-    eta: float
-
-    def __post_init__(self):
-        if self.dim < 1 or self.n < 1:
-            raise ValueError("dim and n must be positive")
-        if not (0.0 < self.eta < 1.0):
-            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-
-    @property
-    def radius(self) -> float:
-        return truncation_radius(self.dim, self.n, self.eta)
 
 
 @dataclass(frozen=True)
@@ -101,33 +89,3 @@ def clip_rows(samples: np.ndarray, radius: float):
         max_norm_seen=float(norms.max(initial=0.0)),
     )
     return out, report
-
-
-def truncate(samples: np.ndarray, policy: TruncationPolicy):
-    """Clip rows against the policy radius; see :func:`clip_rows`."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[1] != policy.dim:
-        raise ValueError(
-            f"expected an n x {policy.dim} matrix, got shape {samples.shape}"
-        )
-    return clip_rows(samples, policy.radius)
-
-
-def scalar_policy(n: int, eta: float) -> TruncationPolicy:
-    """The d = 1 policy used for response values."""
-    return TruncationPolicy(dim=1, n=n, eta=eta)
-
-
-def pmt_pipeline(samples: np.ndarray, public_moment: SymmetricMatrix, eta: float):
-    """Whiten by the public moment's inverse square root, then clip.
-
-    Equivalent to truncate(transform(samples, inv_sqrt(public_moment)),
-    TruncationPolicy(d, n, eta)).
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2:
-        raise ValueError(f"expected an n x d sample matrix, got shape {samples.shape}")
-    n, d = samples.shape
-    pre = inv_sqrt(public_moment)
-    policy = TruncationPolicy(dim=d, n=n, eta=eta)
-    return truncate(transform(samples, pre), policy)

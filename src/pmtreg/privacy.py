@@ -12,7 +12,7 @@ every mechanism is a pure function of (parameters, stream state).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,7 @@ __all__ = [
     "NoiseScales",
     "BudgetLedger",
     "zcdp_to_dp",
-    "matrix_noise_scale",
-    "vector_noise_scale",
+    "noise_scales",
     "sample_symmetric_gaussian",
     "sample_gaussian_vector",
     "compose",
@@ -84,30 +83,18 @@ def zcdp_to_dp(budget: PrivacyBudget, delta: float) -> DpGuarantee:
     return DpGuarantee(epsilon=eps, delta=delta)
 
 
-def _check_scale_args(d: int, n: int, eta: float):
-    if d < 1 or n < 1:
-        raise ValueError("d and n must be positive integers")
-    if not (0.0 < eta < 1.0):
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+def noise_scales(r_x: float, r_y: float, n: int, budget: PrivacyBudget) -> NoiseScales:
+    """Noise stds for the clipped sufficient statistics X^T X / n and X^T y / n.
 
-
-def matrix_noise_scale(d: int, n: int, eta: float, budget: PrivacyBudget) -> float:
-    """Per-entry std for privatizing the truncated second-moment matrix.
-
-    The Frobenius sensitivity of the truncated statistic is
-    2 d (1 + ln(2n/eta)) / n, giving sigma = Delta / sqrt(2 rho).
+    With every row clipped to ||x|| <= r_x and |y| <= r_y, replacing one row
+    moves X^T X / n by at most (||x||^2 + ||x'||^2) / n <= 2 r_x^2 / n in
+    Frobenius norm and X^T y / n by at most 2 r_x r_y / n in L2 norm.  Each
+    statistic gets sigma = Delta / sqrt(2 rho), so the pair costs 2 rho.  The
+    matrix noise is drawn on the upper triangle only, whose L2 sensitivity is
+    at most the Frobenius one.
     """
-    _check_scale_args(d, n, eta)
-    return 2.0 * d * (1.0 + math.log(2.0 * n / eta)) / (math.sqrt(2.0 * budget.rho) * n)
-
-
-def vector_noise_scale(d: int, n: int, eta: float, budget: PrivacyBudget) -> float:
-    """Per-coordinate std for privatizing the truncated cross moment."""
-    _check_scale_args(d, n, eta)
-    return (
-        2.0 * math.sqrt(d) * (1.0 + math.log(2.0 * n / eta))
-        / (math.sqrt(2.0 * budget.rho) * n)
-    )
+    scale = n * math.sqrt(2.0 * budget.rho)
+    return NoiseScales(sigma1=2.0 * r_x * r_x / scale, sigma2=2.0 * r_x * r_y / scale)
 
 
 def sample_symmetric_gaussian(

@@ -8,7 +8,7 @@ derived from the spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +19,11 @@ __all__ = [
     "SingularMatrixError",
     "InsufficientPublicDataError",
     "eig_sym",
-    "inv_sqrt",
     "inv_sqrt_clamped",
     "sqrt_sym",
     "diagnostics",
+    "solve",
     "theory_bracket",
-    "stable_inverse",
 ]
 
 
@@ -41,18 +40,12 @@ class InsufficientPublicDataError(ValueError):
     """Raised when the public sample count does not exceed the dimension."""
 
 
-def _mirror_upper(a: np.ndarray) -> np.ndarray:
-    # Copy the upper triangle onto the lower one so entries match bit-exactly.
-    out = np.triu(a) + np.triu(a, k=1).T
-    return out
-
-
 @dataclass(frozen=True)
 class SymmetricMatrix:
     """A d x d real symmetric matrix, symmetrized on construction.
 
-    The input is replaced by (M + M^T)/2 and then the upper triangle is
-    mirrored so that entries[i, j] == entries[j, i] bit-exactly.
+    The input is replaced by (M + M^T)/2, which is symmetric bit-exactly
+    because float addition commutes.
     """
 
     entries: np.ndarray
@@ -63,7 +56,7 @@ class SymmetricMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        a = _mirror_upper((a + a.T) / 2.0)
+        a = (a + a.T) / 2.0
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
@@ -86,10 +79,13 @@ class SpectralDiagnostics:
 
     ``avg_cond`` is the averaged condition number: the mean of
     lambda_i / lambda_min over the spectrum.  When lambda_min <= 0 both
-    condition numbers are reported as +inf.
+    condition numbers are reported as +inf.  The eigenvectors (columns,
+    matching ``eigenvalues``) are kept so :func:`solve` needs no second
+    factorization.
     """
 
     eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     trace: float
     avg_trace: float
     lambda_min: float
@@ -131,12 +127,12 @@ def eig_sym(m: SymmetricMatrix):
     return lam, vec
 
 
-def inv_sqrt_clamped(m: SymmetricMatrix, floor: float | None = None):
+def inv_sqrt_clamped(m: SymmetricMatrix):
     """Inverse square root with eigenvalue clamping.
 
-    Eigenvalues below ``floor`` (default 1e-10 * lambda_max) are clamped up
-    to it before taking lambda^{-1/2}; the number of clamped eigenvalues is
-    returned so callers can record it in provenance.
+    Eigenvalues below 1e-10 * lambda_max are clamped up to it before taking
+    lambda^{-1/2}; the number of clamped eigenvalues is returned so callers
+    can record it in provenance.
 
     Returns:
         (SymmetricMatrix, clamped_count)
@@ -149,19 +145,11 @@ def inv_sqrt_clamped(m: SymmetricMatrix, floor: float | None = None):
             lambda_min=float(lam[0]),
             lambda_max=float(lam_max),
         )
-    if floor is None:
-        floor = 1e-10 * lam_max
-    if floor <= 0:
-        raise ValueError("floor must be positive")
+    floor = 1e-10 * lam_max
     clamped = int(np.sum(lam < floor))
     lam_eff = np.maximum(lam, floor)
     out = (vec * lam_eff ** -0.5) @ vec.T
     return SymmetricMatrix(out), clamped
-
-
-def inv_sqrt(m: SymmetricMatrix, floor: float | None = None) -> SymmetricMatrix:
-    """Inverse matrix square root; see :func:`inv_sqrt_clamped`."""
-    return inv_sqrt_clamped(m, floor)[0]
 
 
 def sqrt_sym(m: SymmetricMatrix) -> SymmetricMatrix:
@@ -179,7 +167,7 @@ def sqrt_sym(m: SymmetricMatrix) -> SymmetricMatrix:
 
 def diagnostics(m: SymmetricMatrix) -> SpectralDiagnostics:
     """Eigenvalue-based conditioning summary of a symmetric matrix."""
-    lam, _ = eig_sym(m)
+    lam, vec = eig_sym(m)
     d = m.dim
     lam_min = float(lam[0])
     lam_max = float(lam[-1])
@@ -192,6 +180,7 @@ def diagnostics(m: SymmetricMatrix) -> SpectralDiagnostics:
         avg_cond = np.inf
     return SpectralDiagnostics(
         eigenvalues=lam,
+        eigenvectors=vec,
         trace=trace,
         avg_trace=trace / d,
         lambda_min=lam_min,
@@ -199,6 +188,16 @@ def diagnostics(m: SymmetricMatrix) -> SpectralDiagnostics:
         cond=cond,
         avg_cond=avg_cond,
     )
+
+
+def solve(diag: SpectralDiagnostics, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x = rhs through M's eigenpairs: x = (V / lambda) @ (V^T rhs).
+
+    M need not be positive definite; callers guard against eigenvalues near
+    zero before solving.  ``rhs`` may be a vector or a matrix of columns.
+    """
+    vec = diag.eigenvectors
+    return (vec / diag.eigenvalues) @ (vec.T @ rhs)
 
 
 def theory_bracket(d: int, n_pub: int, eta: float) -> TheoryBounds:
@@ -218,22 +217,3 @@ def theory_bracket(d: int, n_pub: int, eta: float) -> TheoryBounds:
     denom = np.sqrt(n_pub) - slack
     upper = n_pub / denom**2 if denom > 0 else np.inf
     return TheoryBounds(lower_L=float(lower), upper_U=float(upper), n_pub=n_pub, eta=eta)
-
-
-def stable_inverse(m: SymmetricMatrix) -> SymmetricMatrix:
-    """Inverse of an SPD matrix through its eigendecomposition.
-
-    Never forms cofactors; raises SingularMatrixError (carrying both extreme
-    eigenvalues) when lambda_min <= 1e-12 * lambda_max.
-    """
-    lam, vec = eig_sym(m)
-    lam_min, lam_max = float(lam[0]), float(lam[-1])
-    if lam_min <= 1e-12 * lam_max or lam_min <= 0:
-        raise SingularMatrixError(
-            f"matrix numerically singular: lambda_min={lam_min:.3e}, "
-            f"lambda_max={lam_max:.3e}",
-            lambda_min=lam_min,
-            lambda_max=lam_max,
-        )
-    out = (vec / lam) @ vec.T
-    return SymmetricMatrix(out)

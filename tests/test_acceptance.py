@@ -28,7 +28,6 @@ from pmtreg.estimators import (
     Method,
     PublicMoments,
     dp_olse_baseline,
-    dp_pmt_second_moment,
     dp_pmtolse,
     olse,
 )
@@ -38,10 +37,10 @@ from pmtreg.harness import (
     SyntheticSource,
     run_grid,
 )
-from pmtreg.pmt import pmt_pipeline
+from pmtreg.pmt import truncation_radius
 from pmtreg.privacy import (
     PrivacyBudget,
-    matrix_noise_scale,
+    noise_scales,
     sample_symmetric_gaussian,
     zcdp_to_dp,
 )
@@ -49,9 +48,9 @@ from pmtreg.spectra import (
     SingularMatrixError,
     SymmetricMatrix,
     diagnostics,
-    inv_sqrt,
+    inv_sqrt_clamped,
+    solve,
     sqrt_sym,
-    stable_inverse,
 )
 
 WINE_PATH = os.environ.get("PMTREG_WINE_CSV", "data/winequality-white.csv")
@@ -115,7 +114,8 @@ def test_criterion_2_noise_calibration():
     """Sampled second-moment noise has the advertised scale, and the matrix
     is exactly symmetric."""
     start = time.monotonic()
-    sigma = matrix_noise_scale(10, 1000, 0.05, PrivacyBudget(2.0))
+    r_x, r_y = truncation_radius(10, 1000, 0.05), truncation_radius(1, 1000, 0.05)
+    sigma = noise_scales(r_x, r_y, 1000, PrivacyBudget(2.0)).sigma1
     rng = np.random.default_rng(7)
     entries = []
     draws = 0
@@ -172,8 +172,10 @@ def test_criterion_4_no_truncation():
         trial_spec = spec.with_coefficients(rng.standard_normal(10))
         public = generate(trial_spec, 40, rng)
         private = generate(trial_spec, 2000, rng)
-        pm = public_moments(public)
-        _, report = pmt_pipeline(private.features, pm.feature_moment, eta)
+        out = dp_pmtolse(
+            private, public_moments(public), eta, PrivacyBudget(2.0), rng, zero_noise=True
+        )
+        report = out.feature_truncation
         fracs.append(report.fraction)
         zero_count += report.truncated == 0
     mean_frac = float(np.mean(fracs))
@@ -200,12 +202,11 @@ def test_criterion_5_conditioning_improvement():
             trial_spec = spec.with_coefficients(np.zeros(10))
             public = generate(trial_spec, n_pub, rng)
             private = generate(trial_spec, 2000, rng)
-            pm = public_moments(public)
-            moment, _ = dp_pmt_second_moment(
-                private.features, pm.feature_moment, 0.05,
+            out = dp_pmtolse(
+                private, public_moments(public), 0.05,
                 PrivacyBudget(2.0), rng, zero_noise=True,
             )
-            conds.append(diagnostics(moment).avg_cond)
+            conds.append(out.pre_diag.avg_cond)
         medians[n_pub] = float(np.median(conds))
     ok = medians[40] <= 3.5 and medians[135] <= 2.5
     _report(
@@ -278,11 +279,10 @@ def test_criterion_7_wine_regime():
     pm = public_moments(
         split(dataset, SplitSpec(n_pub=n_pub, n_priv=n_priv, seed=0))[0]
     )
-    moment, _ = dp_pmt_second_moment(
-        x, pm.feature_moment, 0.05, PrivacyBudget(5.0),
+    transformed_cond = dp_pmtolse(
+        private_probe, pm, 0.05, PrivacyBudget(5.0),
         np.random.default_rng(0), zero_noise=True,
-    )
-    transformed_cond = diagnostics(moment).avg_cond
+    ).pre_diag.avg_cond
 
     from pmtreg.harness import DatasetSource
 
@@ -322,13 +322,13 @@ def test_criterion_8_spectral_oracle():
         d = int(rng.integers(1, 51))
         m = _random_spd(rng, d, max_cond=1e6)
         root = sqrt_sym(m)
-        inv_root = inv_sqrt(m)
-        inv = stable_inverse(m)
+        inv_root, _ = inv_sqrt_clamped(m)
         eye = np.eye(d)
+        inv = solve(diagnostics(m), eye)
         norm_m = np.linalg.norm(m.entries)
         checks = [
             np.linalg.norm(root.entries @ root.entries - m.entries) / norm_m,
-            np.linalg.norm(m.entries @ inv.entries - eye) / math.sqrt(d),
+            np.linalg.norm(m.entries @ inv - eye) / math.sqrt(d),
             np.linalg.norm(
                 inv_root.entries @ m.entries @ inv_root.entries - eye
             ) / math.sqrt(d),
@@ -342,7 +342,7 @@ def test_criterion_8_spectral_oracle():
     hand_inv = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
     closed = max(
         float(np.abs(sqrt_sym(m2).entries - hand_sqrt).max()),
-        float(np.abs(stable_inverse(m2).entries - hand_inv).max()),
+        float(np.abs(solve(diagnostics(m2), np.eye(2)) - hand_inv).max()),
     )
     elapsed = time.monotonic() - start
     ok = worst <= 1e-8 and closed <= 1e-12 and elapsed < 30.0

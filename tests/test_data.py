@@ -134,6 +134,12 @@ class TestIngestCsv:
         with pytest.raises(CsvParseError, match=r"row 3.*'a'.*'oops'"):
             ingest_csv(p)
 
+    def test_non_finite_cell_names_row_and_column(self, tmp_path):
+        for cell, shown in (("nan", "nan"), ("inf", "inf"), ("-Infinity", "-inf")):
+            p = self._write(tmp_path, f"a;quality\n1;2\n3;{cell}\n")
+            with pytest.raises(CsvParseError, match=rf"row 3, column 'quality'.*'{shown}'"):
+                ingest_csv(p)
+
     def test_ragged_row(self, tmp_path):
         p = self._write(tmp_path, "a;quality\n1;2;3\n")
         with pytest.raises(CsvParseError, match="row 2"):

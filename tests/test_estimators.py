@@ -13,13 +13,25 @@ from pmtreg.estimators import (
     PublicMoments,
     UnstableInversionError,
     dp_olse_baseline,
-    dp_pmt_second_moment,
     dp_pmtolse,
     olse,
     stability_ratio,
 )
-from pmtreg.privacy import PrivacyBudget, matrix_noise_scale, sample_symmetric_gaussian
-from pmtreg.spectra import SingularMatrixError, SymmetricMatrix, theory_bracket
+from pmtreg.pmt import clip_rows, transform, truncation_radius
+from pmtreg.privacy import (
+    PrivacyBudget,
+    noise_scales,
+    sample_gaussian_vector,
+    sample_symmetric_gaussian,
+)
+from pmtreg.spectra import (
+    SingularMatrixError,
+    SymmetricMatrix,
+    diagnostics,
+    inv_sqrt_clamped,
+    solve,
+    theory_bracket,
+)
 
 BUDGET = PrivacyBudget(2.0)
 
@@ -28,6 +40,38 @@ def small_public(d, sigma_b=1.0):
     return PublicMoments(
         feature_moment=SymmetricMatrix.identity(d), response_moment=sigma_b, n_pub=4 * d
     )
+
+
+class TestLabeledDataset:
+    def test_rejects_non_finite_features(self):
+        with pytest.raises(ValueError, match=r"features.*inf.*row 0, column 0"):
+            LabeledDataset([[np.inf]], [np.nan])
+
+    def test_rejects_non_finite_responses(self):
+        x = np.ones((4, 2))
+        x[3, 1] = 2.0
+        with pytest.raises(ValueError, match=r"responses.*nan.*row 2"):
+            LabeledDataset(x, [1.0, 2.0, np.nan, -np.inf])
+
+    def test_names_first_bad_cell(self):
+        x = np.zeros((3, 3))
+        x[1, 2] = np.nan
+        x[2, 0] = np.inf
+        with pytest.raises(ValueError, match=r"features.*row 1, column 2"):
+            LabeledDataset(x, np.zeros(3))
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0, -0.1, math.nan])
+@pytest.mark.parametrize("method", [Method.DP_PMTOLSE, Method.DP_OLSE])
+def test_bad_eta_rejected_by_both_estimators(method, eta, rng):
+    data = LabeledDataset(
+        features=rng.standard_normal((20, 3)), responses=rng.standard_normal(20)
+    )
+    with pytest.raises(ValueError, match="eta"):
+        if method is Method.DP_PMTOLSE:
+            dp_pmtolse(data, small_public(3), eta, BUDGET, rng)
+        else:
+            dp_olse_baseline(data, eta, BUDGET, rng)
 
 
 class TestOlse:
@@ -64,38 +108,54 @@ class TestOlse:
             olse(LabeledDataset(features=x, responses=np.ones(5)))
 
 
+def rebuild(diag):
+    """The matrix a SpectralDiagnostics was computed from, V diag(lambda) V^T."""
+    return (diag.eigenvectors * diag.eigenvalues) @ diag.eigenvectors.T
+
+
 class TestDpSecondMoment:
     def test_zero_noise_outer_products(self, rng):
-        samples = np.eye(2)
-        out, _ = dp_pmt_second_moment(
-            samples, SymmetricMatrix.identity(2), 0.05, BUDGET, rng, zero_noise=True
+        # rows e1, e2, e1 + e2: the mean outer product is [[2, 1], [1, 2]] / 3
+        data = LabeledDataset(
+            features=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), responses=np.ones(3)
         )
-        assert np.allclose(out.entries, np.eye(2) / 2.0, atol=1e-12)
+        out = dp_pmtolse(data, small_public(2), 0.05, BUDGET, rng, zero_noise=True)
+        expected = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
+        assert np.allclose(rebuild(out.pre_diag), expected, atol=1e-12)
 
     def test_mechanism_additivity(self, rng):
-        samples = np.random.default_rng(3).standard_normal((100, 4))
-        noisefree, _ = dp_pmt_second_moment(
-            samples, SymmetricMatrix.identity(4), 0.05, BUDGET,
-            np.random.default_rng(9), zero_noise=True,
-        )
-        noisy, _ = dp_pmt_second_moment(
-            samples, SymmetricMatrix.identity(4), 0.05, BUDGET, np.random.default_rng(9)
-        )
-        sigma = matrix_noise_scale(4, 100, 0.05, BUDGET)
-        expected_noise = sample_symmetric_gaussian(4, sigma, np.random.default_rng(9))
-        assert np.allclose(
-            noisy.entries - noisefree.entries, expected_noise.entries, atol=1e-12
+        # replay: the same-seeded stream gives
+        # beta = pre sigma_B solve(S + W, c + w) on the clipped statistics
+        x = np.random.default_rng(3).standard_normal((100, 4))
+        y = np.random.default_rng(4).standard_normal(100)
+        moment = random_spd(rng, 4, max_cond=50.0)
+        public = PublicMoments(feature_moment=moment, response_moment=1.7, n_pub=20)
+        out = dp_pmtolse(
+            LabeledDataset(features=x, responses=y), public, 0.05, BUDGET,
+            np.random.default_rng(9),
         )
 
+        pre, _ = inv_sqrt_clamped(moment)
+        r_x, r_y = truncation_radius(4, 100, 0.05), truncation_radius(1, 100, 0.05)
+        a, _ = clip_rows(transform(x, pre), r_x)
+        b, _ = clip_rows((y / 1.7)[:, None], r_y)
+        scales = noise_scales(r_x, r_y, 100, BUDGET)
+        replay = np.random.default_rng(9)
+        w_mat = sample_symmetric_gaussian(4, scales.sigma1, replay)
+        w_vec = sample_gaussian_vector(4, scales.sigma2, replay)
+        noisy = SymmetricMatrix(a.T @ a / 100 + w_mat.entries)
+        beta_tilde = solve(diagnostics(noisy), a.T @ b[:, 0] / 100 + w_vec)
+        assert np.array_equal(out.beta, 1.7 * (pre.entries @ beta_tilde))
+
     def test_noise_std_matches_scale(self):
+        # all-zero rows: the noisy second moment is the noise matrix itself
         draws = []
         rng = np.random.default_rng(17)
-        samples = np.zeros((1000, 10))
+        data = LabeledDataset(features=np.zeros((1000, 10)), responses=np.zeros(1000))
+        public = small_public(10)
         for _ in range(300):
-            out, _ = dp_pmt_second_moment(
-                samples, SymmetricMatrix.identity(10), 0.05, BUDGET, rng
-            )
-            draws.extend(out.entries[np.triu_indices(10, k=1)])
+            out = dp_pmtolse(data, public, 0.05, BUDGET, rng)
+            draws.extend(rebuild(out.post_diag)[np.triu_indices(10, k=1)])
         assert np.std(draws, ddof=1) == pytest.approx(0.11596635, rel=0.05)
 
 
@@ -179,9 +239,11 @@ class TestDpOlseBaseline:
         assert np.linalg.norm(out.beta - ref) <= 1e-8 * np.linalg.norm(ref)
 
     def test_sigma1_formula(self):
-        # Tr = 10, d = 10, n = 1000, rho = 2, eta = 0.05
+        # Tr = 10, d = 10, n = 1000, rho = 2, eta = 0.05, sigma_y^2 = 1
         trace, d, n, rho, eta = 10.0, 10, 1000, 2.0, 0.05
-        sigma1 = 2.0 * (trace + d * math.log(2 * n / eta)) / (math.sqrt(2 * rho) * n)
+        r_x = math.sqrt(trace + d * math.log(2 * n / eta))
+        r_y = math.sqrt(1.0 + math.log(2 * n / eta))
+        sigma1 = noise_scales(r_x, r_y, n, PrivacyBudget(rho)).sigma1
         assert sigma1 == pytest.approx((10.0 + 10.0 * math.log(40000.0)) / 1000.0, rel=1e-12)
         assert sigma1 == pytest.approx(0.1159663, rel=1e-4)
 

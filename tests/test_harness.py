@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,3 +231,21 @@ class TestCli:
         assert main(args + ["--out", str(a)]) == EXIT_OK
         assert main(args + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command", ["real", "diagnose"])
+    def test_non_finite_cell_exits_2_naming_cell(self, command, tmp_path, capsys):
+        p = tmp_path / "toy.csv"
+        p.write_text("a;b;quality\n1;2;3\n4;nan;6\n7;8;9\n")
+        args = [command, "--data", str(p)]
+        if command == "real":
+            args += ["--out", str(tmp_path / "never.csv")]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{p}: row 3, column 'b': cannot parse 'nan'" in err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, pmtreg.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -7,44 +7,43 @@ from hypothesis import strategies as st
 
 from conftest import random_spd
 from pmtreg.data import default_synthetic, generate, public_moments
-from pmtreg.pmt import (
-    TruncationPolicy,
-    pmt_pipeline,
-    scalar_policy,
-    transform,
-    truncate,
-)
-from pmtreg.spectra import SymmetricMatrix, inv_sqrt
+from pmtreg.estimators import LabeledDataset, PublicMoments, dp_pmtolse
+from pmtreg.pmt import clip_rows, transform, truncation_radius
+from pmtreg.privacy import PrivacyBudget
+from pmtreg.spectra import SymmetricMatrix, inv_sqrt_clamped
+
+
+def inv_sqrt(m):
+    return inv_sqrt_clamped(m)[0]
 
 
 class TestPolicy:
     def test_radius_frozen(self):
         # sqrt(10 * (1 + ln 4000))
-        policy = TruncationPolicy(dim=10, n=100, eta=0.05)
+        radius = truncation_radius(10, 100, 0.05)
         expected = math.sqrt(10.0 * (1.0 + math.log(4000.0)))
-        assert policy.radius == pytest.approx(expected, rel=1e-12)
-        assert policy.radius == pytest.approx(9.640565, rel=1e-6)
+        assert radius == pytest.approx(expected, rel=1e-12)
+        assert radius == pytest.approx(9.640565, rel=1e-6)
 
     def test_scalar_policy_frozen(self):
-        policy = scalar_policy(100, 0.05)
-        assert policy.dim == 1
-        assert policy.radius == pytest.approx(math.sqrt(1.0 + math.log(4000.0)), rel=1e-12)
-        assert policy.radius == pytest.approx(3.048614, rel=1e-6)
+        radius = truncation_radius(1, 100, 0.05)
+        assert radius == pytest.approx(math.sqrt(1.0 + math.log(4000.0)), rel=1e-12)
+        assert radius == pytest.approx(3.048614, rel=1e-6)
 
     def test_scalar_is_full_over_sqrt_d(self):
         for d in (1, 3, 10):
-            full = TruncationPolicy(dim=d, n=77, eta=0.2)
-            assert scalar_policy(77, 0.2).radius == pytest.approx(
-                full.radius / math.sqrt(d), rel=1e-12
+            assert truncation_radius(1, 77, 0.2) == pytest.approx(
+                truncation_radius(d, 77, 0.2) / math.sqrt(d), rel=1e-12
             )
 
     def test_eta_near_one_limit(self):
-        policy = scalar_policy(1, 1.0 - 1e-12)
-        assert policy.radius == pytest.approx(math.sqrt(1.0 + math.log(2.0)), rel=1e-9)
+        radius = truncation_radius(1, 1, 1.0 - 1e-12)
+        assert radius == pytest.approx(math.sqrt(1.0 + math.log(2.0)), rel=1e-9)
 
     def test_invalid_eta(self):
-        with pytest.raises(ValueError):
-            TruncationPolicy(dim=2, n=10, eta=1.5)
+        for d, n, eta in [(2, 10, 1.5), (2, 10, 0.0), (2, 10, math.nan), (0, 10, 0.05), (2, 0, 0.05)]:
+            with pytest.raises(ValueError):
+                truncation_radius(d, n, eta)
 
 
 class TestTransform:
@@ -79,41 +78,41 @@ class TestTransform:
 
 class TestTruncate:
     def test_clip_to_radius(self):
-        policy = TruncationPolicy(dim=10, n=100, eta=0.05)
+        radius = truncation_radius(10, 100, 0.05)
         samples = np.zeros((1, 10))
         samples[0, 0] = 20.0
-        out, report = truncate(samples, policy)
-        assert out[0, 0] == pytest.approx(policy.radius, rel=1e-12)
+        out, report = clip_rows(samples, radius)
+        assert out[0, 0] == pytest.approx(radius, rel=1e-12)
         assert report.truncated == 1
         assert report.max_norm_seen == pytest.approx(20.0)
 
     def test_inside_untouched_bit_exact(self, rng):
-        policy = TruncationPolicy(dim=3, n=50, eta=0.05)
+        radius = truncation_radius(3, 50, 0.05)
         samples = rng.standard_normal((20, 3)) * 0.1
-        out, report = truncate(samples, policy)
+        out, report = clip_rows(samples, radius)
         assert np.array_equal(out, samples)
         assert report.truncated == 0
 
     def test_all_zero(self):
-        policy = TruncationPolicy(dim=4, n=10, eta=0.05)
-        out, report = truncate(np.zeros((5, 4)), policy)
+        radius = truncation_radius(4, 10, 0.05)
+        out, report = clip_rows(np.zeros((5, 4)), radius)
         assert np.array_equal(out, np.zeros((5, 4)))
         assert report.truncated == 0
 
     def test_direction_preserved(self, rng):
-        policy = TruncationPolicy(dim=5, n=10, eta=0.05)
+        radius = truncation_radius(5, 10, 0.05)
         samples = rng.standard_normal((10, 5)) * 100.0
-        out, _ = truncate(samples, policy)
+        out, _ = clip_rows(samples, radius)
         for before, after in zip(samples, out):
             u = before / np.linalg.norm(before)
             v = after / np.linalg.norm(after)
             assert np.linalg.norm(u - v) < 1e-12
 
     def test_idempotent_up_to_rounding(self, rng):
-        policy = TruncationPolicy(dim=5, n=30, eta=0.05)
+        radius = truncation_radius(5, 30, 0.05)
         samples = rng.standard_normal((30, 5)) * 10.0
-        once, _ = truncate(samples, policy)
-        twice, report = truncate(once, policy)
+        once, _ = clip_rows(samples, radius)
+        twice, report = clip_rows(once, radius)
         # boundary rows may re-rescale by a factor within an ulp of 1
         assert np.allclose(twice, once, rtol=1e-14, atol=0.0)
         assert report.total == 30
@@ -122,34 +121,41 @@ class TestTruncate:
     @settings(max_examples=40, deadline=None)
     def test_norm_contract(self, seed, scale):
         rng = np.random.default_rng(seed)
-        policy = TruncationPolicy(dim=6, n=25, eta=0.1)
-        out, _ = truncate(rng.standard_normal((25, 6)) * scale, policy)
-        slack = 4 * np.finfo(float).eps * policy.radius
-        assert np.all(np.linalg.norm(out, axis=1) <= policy.radius + slack)
+        radius = truncation_radius(6, 25, 0.1)
+        out, _ = clip_rows(rng.standard_normal((25, 6)) * scale, radius)
+        slack = 4 * np.finfo(float).eps * radius
+        assert np.all(np.linalg.norm(out, axis=1) <= radius + slack)
 
 
 class TestPipeline:
+    """Whiten then clip, as the preconditioned estimator composes them."""
+
     def test_identity_passthrough(self, rng):
         samples = rng.standard_normal((50, 3)) * 0.2
-        out, report = pmt_pipeline(samples, SymmetricMatrix.identity(3), 0.05)
+        pre = inv_sqrt(SymmetricMatrix.identity(3))
+        out, report = clip_rows(transform(samples, pre), truncation_radius(3, 50, 0.05))
         assert np.array_equal(out, samples)
         assert report.truncated == 0
 
     def test_scalar_walkthrough(self):
         # 1x1: moment 4 -> transform 10/2 = 5; eta with radius 3 clips to 3
         eta = 2.0 * math.exp(-(3.0**2 - 1.0))  # radius sqrt(1 + ln(2/eta)) = 3
-        out, report = pmt_pipeline(np.array([[10.0]]), SymmetricMatrix([[4.0]]), eta)
+        pre = inv_sqrt(SymmetricMatrix([[4.0]]))
+        out, report = clip_rows(transform(np.array([[10.0]]), pre), truncation_radius(1, 1, eta))
         assert out[0, 0] == pytest.approx(3.0, rel=1e-12)
         assert report.truncated == 1
 
     def test_composition_equality_bit_exact(self, rng):
+        # the estimator's feature report is that of the two steps composed
         samples = rng.standard_normal((40, 4)) * 3.0
         moment = random_spd(rng, 4, max_cond=50.0)
-        via_pipeline, rep1 = pmt_pipeline(samples, moment, 0.05)
-        policy = TruncationPolicy(dim=4, n=40, eta=0.05)
-        via_steps, rep2 = truncate(transform(samples, inv_sqrt(moment)), policy)
-        assert np.array_equal(via_pipeline, via_steps)
-        assert rep1 == rep2
+        data = LabeledDataset(features=samples, responses=np.ones(40))
+        public = PublicMoments(feature_moment=moment, response_moment=1.0, n_pub=40)
+        out = dp_pmtolse(data, public, 0.05, PrivacyBudget(1.0), rng, zero_noise=True)
+        _, via_steps = clip_rows(
+            transform(samples, inv_sqrt(moment)), truncation_radius(4, 40, 0.05)
+        )
+        assert out.feature_truncation == via_steps
 
 
 def test_no_truncation_statistical():
@@ -162,7 +168,9 @@ def test_no_truncation_statistical():
         beta_spec = spec.with_coefficients(np.zeros(spec.d))
         public = generate(beta_spec, 4 * spec.d, rng)
         private = generate(beta_spec, 500, rng)
-        moments = public_moments(public)
-        _, report = pmt_pipeline(private.features, moments.feature_moment, 0.05)
+        out = dp_pmtolse(
+            private, public_moments(public), 0.05, PrivacyBudget(1.0), rng, zero_noise=True
+        )
+        report = out.feature_truncation
         truncated_counts.append(report.truncated / report.total)
     assert np.mean(truncated_counts) <= 0.05

@@ -5,16 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmtreg.pmt import clip_rows, truncation_radius
 from pmtreg.privacy import (
     BudgetLedger,
     PrivacyBudget,
     compose,
-    matrix_noise_scale,
+    noise_scales,
     sample_gaussian_vector,
     sample_symmetric_gaussian,
-    vector_noise_scale,
     zcdp_to_dp,
 )
+
+
+def pmt_scales(d, n, eta, budget):
+    """Noise scales at the preconditioned estimator's radii."""
+    return noise_scales(truncation_radius(d, n, eta), truncation_radius(1, n, eta), n, budget)
 
 
 class TestZcdpToDp:
@@ -50,26 +55,26 @@ class TestZcdpToDp:
 
 class TestNoiseScales:
     def test_matrix_scale_frozen(self):
-        sigma = matrix_noise_scale(10, 1000, 0.05, PrivacyBudget(2.0))
+        sigma = pmt_scales(10, 1000, 0.05, PrivacyBudget(2.0)).sigma1
         expected = 20.0 * (1.0 + math.log(40000.0)) / 2000.0
         assert sigma == pytest.approx(expected, rel=1e-15)
         assert sigma == pytest.approx(0.1159663, rel=1e-6)
 
     def test_matrix_scale_hand_point(self):
         # eta = 2/e^2 makes ln(2n/eta) = 2; sqrt(2 rho) = 1
-        sigma = matrix_noise_scale(1, 1, 2.0 * math.exp(-2.0), PrivacyBudget(0.5))
+        sigma = pmt_scales(1, 1, 2.0 * math.exp(-2.0), PrivacyBudget(0.5)).sigma1
         assert sigma == pytest.approx(6.0, rel=1e-12)
 
     def test_inverse_n_scaling(self):
         b = PrivacyBudget(1.0)
         assert (
-            matrix_noise_scale(10, 2 * 10**6, 0.05, b)
-            / matrix_noise_scale(10, 10**6, 0.05, b)
+            pmt_scales(10, 2 * 10**6, 0.05, b).sigma1
+            / pmt_scales(10, 10**6, 0.05, b).sigma1
             < 0.52  # halving up to the slowly growing log factor
         )
 
     def test_vector_scale_frozen(self):
-        sigma = vector_noise_scale(10, 1000, 0.05, PrivacyBudget(2.0))
+        sigma = pmt_scales(10, 1000, 0.05, PrivacyBudget(2.0)).sigma2
         expected = 2.0 * math.sqrt(10.0) * (1.0 + math.log(40000.0)) / 2000.0
         assert sigma == pytest.approx(expected, rel=1e-15)
         assert sigma == pytest.approx(0.0366718, rel=1e-5)
@@ -77,16 +82,65 @@ class TestNoiseScales:
     def test_vector_is_matrix_over_sqrt_d(self):
         b = PrivacyBudget(3.0)
         for d in (1, 4, 9):
-            ratio = matrix_noise_scale(d, 500, 0.1, b) / vector_noise_scale(d, 500, 0.1, b)
+            scales = pmt_scales(d, 500, 0.1, b)
+            ratio = scales.sigma1 / scales.sigma2
             assert ratio == pytest.approx(math.sqrt(d), rel=1e-14)
 
     def test_calibration_identity(self):
         # sigma equals (Frobenius sensitivity) / sqrt(2 rho) exactly
         d, n, eta, rho = 7, 321, 0.03, 1.7
         delta = 2.0 * d * (1.0 + math.log(2.0 * n / eta)) / n
-        assert matrix_noise_scale(d, n, eta, PrivacyBudget(rho)) == pytest.approx(
+        assert pmt_scales(d, n, eta, PrivacyBudget(rho)).sigma1 == pytest.approx(
             delta / math.sqrt(2.0 * rho), rel=1e-15
         )
+
+
+def _clipped_moments(x, y, r_x, r_y):
+    n = x.shape[0]
+    a, _ = clip_rows(x, r_x)
+    b, _ = clip_rows(y[:, None], r_y)
+    return a.T @ a / n, a.T @ b[:, 0] / n
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    baseline=st.booleans(),
+    antipodal=st.booleans(),
+    eta=st.floats(0.001, 0.5),
+    scale=st.floats(0.01, 100.0),
+    rho=st.floats(0.01, 100.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_sensitivity_within_noise_scales(seed, baseline, antipodal, eta, scale, rho):
+    # Replace one row by a point on the clip sphere; after clipping, the
+    # change in X^T X / n and X^T y / n stays within the sensitivities that
+    # noise_scales assumes (sigma * sqrt(2 rho)), for both radius sets.
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 9))
+    n = int(rng.integers(d + 1, 60))
+    x = scale * rng.standard_normal((n, d))
+    y = scale * rng.standard_normal(n)
+    if baseline:
+        # trace-based radii, held fixed across the neighbours
+        log_term = math.log(2.0 * n / eta)
+        r_x = math.sqrt(float(np.sum(x**2)) / n + d * log_term)
+        r_y = math.sqrt(float(np.mean(y**2)) + log_term)
+    else:
+        r_x, r_y = truncation_radius(d, n, eta), truncation_radius(1, n, eta)
+    i = int(rng.integers(n))
+    # antipodal replacement is the worst case for the cross moment
+    u = -x[i] if antipodal else rng.standard_normal(d)
+    x_nb, y_nb = x.copy(), y.copy()
+    x_nb[i] = r_x * u / np.linalg.norm(u)
+    y_nb[i] = r_y * (1.0 if y[i] >= 0 else -1.0)
+
+    s, c = _clipped_moments(x, y, r_x, r_y)
+    s_nb, c_nb = _clipped_moments(x_nb, y_nb, r_x, r_y)
+    scales = noise_scales(r_x, r_y, n, PrivacyBudget(rho))
+    # rows land on the sphere up to a few ulps, hence the 1e-12 slack
+    slack = 1.0 + 1e-12
+    assert np.linalg.norm(s - s_nb) <= scales.sigma1 * math.sqrt(2.0 * rho) * slack
+    assert np.linalg.norm(c - c_nb) <= scales.sigma2 * math.sqrt(2.0 * rho) * slack
 
 
 class TestSampling:

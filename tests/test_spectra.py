@@ -6,22 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd
+from pmtreg.estimators import LabeledDataset, olse
 from pmtreg.spectra import (
     InsufficientPublicDataError,
     SingularMatrixError,
     SymmetricMatrix,
     diagnostics,
     eig_sym,
-    inv_sqrt,
     inv_sqrt_clamped,
+    solve,
     sqrt_sym,
-    stable_inverse,
     theory_bracket,
 )
 
 
 def rel_frob(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def inv_sqrt(m):
+    return inv_sqrt_clamped(m)[0]
+
+
+def inverse(m):
+    """M^-1 through the production solver."""
+    return solve(diagnostics(m), np.eye(m.dim))
 
 
 class TestSymmetricMatrix:
@@ -180,21 +189,28 @@ class TestTheoryBracket:
 
 class TestStableInverse:
     def test_identity(self):
-        out = stable_inverse(SymmetricMatrix.identity(3))
-        assert np.allclose(out.entries, np.eye(3), atol=1e-12)
+        out = inverse(SymmetricMatrix.identity(3))
+        assert np.allclose(out, np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
-        out = stable_inverse(SymmetricMatrix.diag([4.0, 9.0]))
-        assert np.allclose(out.entries, np.diag([0.25, 1.0 / 9.0]), atol=1e-14)
+        out = inverse(SymmetricMatrix.diag([4.0, 9.0]))
+        assert np.allclose(out, np.diag([0.25, 1.0 / 9.0]), atol=1e-14)
 
     def test_two_by_two_hand_inverse(self):
-        out = stable_inverse(SymmetricMatrix([[2.0, 1.0], [1.0, 2.0]]))
+        out = inverse(SymmetricMatrix([[2.0, 1.0], [1.0, 2.0]]))
         expected = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
-        assert np.allclose(out.entries, expected, atol=1e-12)
+        assert np.allclose(out, expected, atol=1e-12)
+
+    def test_indefinite_vector_rhs(self):
+        # the noisy DP second moment need not be PSD: eigenvalues 3 and -1
+        m = SymmetricMatrix([[1.0, 2.0], [2.0, 1.0]])
+        assert np.allclose(solve(diagnostics(m), np.array([3.0, -1.0])), [-5.0 / 3, 7.0 / 3])
 
     def test_singular_error_carries_spectrum(self):
+        # olse guards its solve: X^T X / n = diag(1, 1e-14) is refused
+        x = math.sqrt(2.0) * np.diag([1.0, 1e-7])
         with pytest.raises(SingularMatrixError) as err:
-            stable_inverse(SymmetricMatrix.diag([1.0, 1e-14]))
+            olse(LabeledDataset(features=x, responses=np.ones(2)))
         assert err.value.lambda_min == pytest.approx(1e-14)
         assert err.value.lambda_max == pytest.approx(1.0)
 
@@ -209,5 +225,5 @@ def test_round_trip_properties(d, seed):
     w = inv_sqrt(m)
     assert np.linalg.norm(w.entries @ m.entries @ w.entries - np.eye(d)) / np.sqrt(d) < 1e-8
     # inverse square root equals inverse of the square root
-    alt = stable_inverse(root)
-    assert rel_frob(w.entries, alt.entries) < 1e-8
+    alt = inverse(root)
+    assert rel_frob(w.entries, alt) < 1e-8
