@@ -8,11 +8,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import data as data_mod
 from .data import SplitMode, default_synthetic, ingest_csv, normalize
 from .estimators import Method, UnstableInversionError
 from .harness import (
@@ -61,6 +59,24 @@ def _methods(text: str) -> tuple[Method, ...]:
     return tuple(out)
 
 
+def _sweep_args(parser, n_priv: str, n_pub: str, rho: str) -> None:
+    """The grid flags both sweeps share; each passes its own size defaults."""
+    parser.add_argument("--n-priv", default=n_priv, help="comma list")
+    parser.add_argument("--n-pub", default=n_pub, help="comma list")
+    parser.add_argument("--rho", default=rho, help="comma list")
+    parser.add_argument("--eta", type=float, default=0.05)
+    parser.add_argument("--trials", type=int, default=300)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--methods", default="DP_OLSE,DP_PMTOLSE")
+    parser.add_argument("--out", required=True)
+
+
+def _csv_args(parser, required: bool) -> None:
+    parser.add_argument("--data", required=required)
+    parser.add_argument("--delimiter", default=";")
+    parser.add_argument("--response", default="quality")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pmtreg",
@@ -70,17 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="synthetic-data sweep")
     synth.add_argument("--d", type=int, default=10)
-    synth.add_argument("--n-priv", default="3000", help="comma list")
-    synth.add_argument("--n-pub", default="20", help="comma list")
-    synth.add_argument("--rho", default="2", help="comma list")
-    synth.add_argument("--eta", type=float, default=0.05)
-    synth.add_argument("--trials", type=int, default=300)
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--methods", default="DP_OLSE,DP_PMTOLSE")
+    _sweep_args(synth, n_priv="3000", n_pub="20", rho="2")
     synth.add_argument(
         "--reference", choices=["true_beta", "nonprivate_olse"], default="true_beta"
     )
-    synth.add_argument("--out", required=True)
     synth.add_argument("--zero-noise", action="store_true", help="test hook")
     synth.add_argument("--mu-scale", type=float, default=2.0)
     synth.add_argument(
@@ -88,25 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     real = sub.add_parser("real", help="real-dataset sweep")
-    real.add_argument("--data", required=True)
-    real.add_argument("--delimiter", default=";")
-    real.add_argument("--response", default="quality")
-    real.add_argument("--n-pub", default="249", help="comma list")
-    real.add_argument("--n-priv", default="4649", help="comma list")
-    real.add_argument("--rho", default="5", help="comma list")
-    real.add_argument("--eta", type=float, default=0.05)
-    real.add_argument("--trials", type=int, default=300)
-    real.add_argument("--seed", type=int, default=0)
-    real.add_argument("--methods", default="DP_OLSE,DP_PMTOLSE")
+    _csv_args(real, required=True)
+    _sweep_args(real, n_priv="4649", n_pub="249", rho="5")
     real.add_argument("--split", choices=["random", "head"], default="random")
-    real.add_argument("--out", required=True)
 
     diag = sub.add_parser(
         "diagnose", help="print spectral diagnostics and theory bounds as JSON"
     )
-    diag.add_argument("--data", default=None)
-    diag.add_argument("--delimiter", default=";")
-    diag.add_argument("--response", default="quality")
+    _csv_args(diag, required=False)
     diag.add_argument("--d", type=int, default=10, help="synthetic dimension")
     diag.add_argument("--mu-scale", type=float, default=2.0)
     diag.add_argument("--eta", type=float, default=0.05)
@@ -115,63 +113,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _grid(args, reference: Reference, zero_noise: bool = False) -> ExperimentGrid:
+    return ExperimentGrid(
+        methods=_methods(args.methods),
+        rho_values=tuple(_float_list(args.rho)),
+        n_priv_values=tuple(_int_list(args.n_priv)),
+        n_pub_values=tuple(_int_list(args.n_pub)),
+        eta=args.eta,
+        trials=args.trials,
+        seed=args.seed,
+        reference=reference,
+        zero_noise=zero_noise,
+    )
+
+
+def _load(args):
+    """The normalized dataset named by --data, --delimiter and --response."""
+    path = Path(args.data)
+    if not path.is_file():
+        raise UsageError(f"data file not found: {path}")
+    dataset = ingest_csv(path, delimiter=args.delimiter, response_column=args.response)
+    return normalize(dataset)[0]
+
+
 def _cmd_synth(args) -> int:
     spec = default_synthetic(d=args.d, mu_scale=args.mu_scale)
     if args.psi_spec is not None:
         psi = _float_list(args.psi_spec)
         if len(psi) != args.d:
             raise UsageError(f"--psi-spec needs {args.d} values, got {len(psi)}")
-        spec = data_mod.SyntheticModelSpec(
-            d=args.d,
-            mean=np.full(args.d, args.mu_scale),
-            covariance=SymmetricMatrix.diag(psi),
-            noise_std=spec.noise_std,
-        )
-    grid = ExperimentGrid(
-        methods=_methods(args.methods),
-        rho_values=tuple(_float_list(args.rho)),
-        n_priv_values=tuple(_int_list(args.n_priv)),
-        n_pub_values=tuple(_int_list(args.n_pub)),
-        eta=args.eta,
-        trials=args.trials,
-        seed=args.seed,
-        reference=Reference(args.reference),
-        zero_noise=args.zero_noise,
-    )
-    results = run_grid(grid, SyntheticSource(spec))
-    emit_csv(results, args.out)
+        spec = replace(spec, covariance=SymmetricMatrix.diag(psi))
+    grid = _grid(args, Reference(args.reference), args.zero_noise)
+    emit_csv(run_grid(grid, SyntheticSource(spec)), args.out)
     return EXIT_OK
 
 
 def _cmd_real(args) -> int:
-    path = Path(args.data)
-    if not path.is_file():
-        raise UsageError(f"data file not found: {path}")
-    dataset = ingest_csv(path, delimiter=args.delimiter, response_column=args.response)
-    dataset, _ = normalize(dataset)
-    grid = ExperimentGrid(
-        methods=_methods(args.methods),
-        rho_values=tuple(_float_list(args.rho)),
-        n_priv_values=tuple(_int_list(args.n_priv)),
-        n_pub_values=tuple(_int_list(args.n_pub)),
-        eta=args.eta,
-        trials=args.trials,
-        seed=args.seed,
-        reference=Reference.NONPRIVATE_OLSE,
-    )
+    dataset = _load(args)
+    grid = _grid(args, Reference.NONPRIVATE_OLSE)
     mode = SplitMode.HEAD_TAIL if args.split == "head" else SplitMode.RANDOM_WITHOUT_REPLACEMENT
-    results = run_grid(grid, DatasetSource(dataset, split_mode=mode))
-    emit_csv(results, args.out)
+    emit_csv(run_grid(grid, DatasetSource(dataset, split_mode=mode)), args.out)
     return EXIT_OK
 
 
 def _cmd_diagnose(args) -> int:
     if args.data is not None:
-        path = Path(args.data)
-        if not path.is_file():
-            raise UsageError(f"data file not found: {path}")
-        dataset = ingest_csv(path, delimiter=args.delimiter, response_column=args.response)
-        dataset, _ = normalize(dataset)
+        dataset = _load(args)
         x, n = dataset.features, dataset.n
         matrix = SymmetricMatrix(x.T @ x / n)
         d = dataset.d

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -14,7 +15,6 @@ from .spectra import SymmetricMatrix, sqrt_sym
 
 __all__ = [
     "SyntheticModelSpec",
-    "SplitSpec",
     "SplitMode",
     "NormalizationRecord",
     "CsvParseError",
@@ -55,6 +55,8 @@ class SyntheticModelSpec:
         mean = np.asarray(self.mean, dtype=np.float64)
         if mean.shape != (self.d,):
             raise ValueError(f"mean must have shape ({self.d},), got {mean.shape}")
+        if not np.isfinite(mean).all():
+            raise ValueError(f"mean must be finite, got {mean[~np.isfinite(mean)][0]}")
         if self.covariance.dim != self.d:
             raise ValueError("covariance dimension does not match d")
         if self.coefficients is not None:
@@ -62,33 +64,12 @@ class SyntheticModelSpec:
             if coef.shape != (self.d,):
                 raise ValueError(f"coefficients must have shape ({self.d},)")
             object.__setattr__(self, "coefficients", coef)
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
         object.__setattr__(self, "mean", mean)
 
     def second_moment(self) -> SymmetricMatrix:
         return SymmetricMatrix(self.covariance.entries + np.outer(self.mean, self.mean))
-
-    def with_coefficients(self, beta: np.ndarray) -> "SyntheticModelSpec":
-        return SyntheticModelSpec(
-            d=self.d,
-            mean=self.mean,
-            covariance=self.covariance,
-            coefficients=beta,
-            noise_std=self.noise_std,
-        )
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    n_pub: int
-    n_priv: int
-    seed: int
-    mode: SplitMode = SplitMode.RANDOM_WITHOUT_REPLACEMENT
-
-    def __post_init__(self):
-        if self.n_pub < 1 or self.n_priv < 1:
-            raise ValueError("split sizes must be positive")
 
 
 @dataclass(frozen=True)
@@ -126,6 +107,8 @@ def default_synthetic(d: int = 10, mu_scale: float = 2.0) -> SyntheticModelSpec:
     dominant eigenvalue, so its averaged condition number lands well above
     10.  Coefficients are left unset (sampled per experiment).
     """
+    if d < 1:  # checked here: d sizes the arrays before the spec sees it
+        raise ValueError(f"d must be >= 1, got {d}")
     psi = np.geomspace(0.2, 2.0, d)
     return SyntheticModelSpec(
         d=d,
@@ -221,19 +204,25 @@ def normalize(data: LabeledDataset):
     return out, record
 
 
-def split(data: LabeledDataset, spec: SplitSpec):
+def split(
+    data: LabeledDataset,
+    n_pub: int,
+    n_priv: int,
+    seed: int,
+    mode: SplitMode = SplitMode.RANDOM_WITHOUT_REPLACEMENT,
+):
     """Deterministic disjoint public/private split; returns (public, private)."""
     n = data.n
-    if spec.n_pub + spec.n_priv > n:
-        raise ValueError(
-            f"split sizes {spec.n_pub}+{spec.n_priv} exceed dataset size {n}"
-        )
-    if spec.mode is SplitMode.HEAD_TAIL:
+    if n_pub < 1 or n_priv < 1:
+        raise ValueError(f"split sizes must be positive, got n_pub={n_pub}, n_priv={n_priv}")
+    if n_pub + n_priv > n:
+        raise ValueError(f"split sizes {n_pub}+{n_priv} exceed dataset size {n}")
+    if mode is SplitMode.HEAD_TAIL:
         idx = np.arange(n)
     else:
-        idx = np.random.default_rng(np.random.SeedSequence(spec.seed)).permutation(n)
-    pub_idx = idx[: spec.n_pub]
-    priv_idx = idx[spec.n_pub : spec.n_pub + spec.n_priv]
+        idx = np.random.default_rng(np.random.SeedSequence(seed)).permutation(n)
+    pub_idx = idx[:n_pub]
+    priv_idx = idx[n_pub : n_pub + n_priv]
     public = LabeledDataset(
         features=data.features[pub_idx], responses=data.responses[pub_idx]
     )

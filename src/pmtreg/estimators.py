@@ -187,6 +187,8 @@ def _release(
     drawn first), and solves the noisy normal equations through the
     eigenpairs of the spectral guard.  ``zero_noise`` forces both scales to
     zero; it is a test hook and must never be set on a privacy-claiming path.
+    The ledger still books rho per statistic, so the output's ``notes`` say
+    that no noise was added.
     """
     n, d = features.shape
     if n <= d:
@@ -221,6 +223,7 @@ def _release(
         post_diag=post_diag,
         clamp_count=0,
         ledger=ledger,
+        notes=("zero_noise: no noise added, no privacy guarantee",) if zero_noise else (),
     )
 
 
@@ -285,9 +288,8 @@ def dp_olse_baseline(
         math.sqrt(sigma_a_sq + log_term),
         Method.DP_OLSE, budget_per_stat, rng, zero_noise,
     )
-    return replace(
-        out, notes=("truncation radii derived from unprivatized private moments",)
-    )
+    note = "truncation radii derived from unprivatized private moments"
+    return replace(out, notes=out.notes + (note,))
 
 
 def stability_ratio(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from itertools import product
 from pathlib import Path
@@ -19,7 +19,6 @@ import numpy as np
 
 from .data import (
     SplitMode,
-    SplitSpec,
     SyntheticModelSpec,
     generate,
     public_moments,
@@ -44,23 +43,9 @@ __all__ = [
     "DatasetSource",
     "run_grid",
     "emit_csv",
-    "read_results_csv",
 ]
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
-
-CSV_HEADER = [
-    "method",
-    "rho",
-    "n_priv",
-    "n_pub",
-    "trials_ok",
-    "trials_failed",
-    "mean_err",
-    "std_err",
-    "mean_truncated_frac",
-    "mean_avg_cond_pre",
-]
 
 
 class Reference(Enum):
@@ -88,8 +73,13 @@ class ExperimentGrid:
             object.__setattr__(self, name, value)
         if any(m not in (Method.DP_OLSE, Method.DP_PMTOLSE) for m in self.methods):
             raise ValueError("grid methods must be DP_OLSE or DP_PMTOLSE")
-        if any(r <= 0 for r in self.rho_values):
-            raise ValueError("rho values must be positive")
+        bad_rho = [r for r in self.rho_values if not (math.isfinite(r) and r > 0)]
+        if bad_rho:
+            raise ValueError(f"rho values must be finite and positive, got {bad_rho[0]}")
+        for name in ("n_priv_values", "n_pub_values"):
+            smallest = min(getattr(self, name))
+            if smallest < 1:
+                raise ValueError(f"{name} must be >= 1, got {smallest}")
         if not (0.0 < self.eta < 1.0):
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.trials < 1:
@@ -113,6 +103,10 @@ class CellResult:
     std_err: float
     mean_truncated_frac: float
     mean_avg_cond_pre: float
+
+
+# The results CSV has one column per CellResult field, in field order.
+CSV_HEADER = [f.name for f in fields(CellResult)]
 
 
 @dataclass(frozen=True)
@@ -146,8 +140,8 @@ def _grid_beta(grid: ExperimentGrid, d: int) -> np.ndarray:
 
 def _validate(grid: ExperimentGrid, source):
     if isinstance(source, SyntheticSource):
-        return
-    if isinstance(source, DatasetSource):
+        d = source.spec.d
+    elif isinstance(source, DatasetSource):
         if grid.reference is Reference.TRUE_BETA:
             raise ValueError("TRUE_BETA reference requires a synthetic source")
         need = max(grid.n_pub_values) + max(grid.n_priv_values)
@@ -155,20 +149,27 @@ def _validate(grid: ExperimentGrid, source):
             raise ValueError(
                 f"largest split needs {need} rows but dataset has {source.dataset.n}"
             )
-        return
-    raise TypeError(f"unsupported source type {type(source).__name__}")
+        d = source.dataset.d
+    else:
+        raise TypeError(f"unsupported source type {type(source).__name__}")
+    # the estimators check these too, but only inside a trial, after every
+    # earlier cell has run
+    if min(grid.n_priv_values) <= d:
+        raise ValueError(f"n_priv must exceed d={d}, got {min(grid.n_priv_values)}")
+    if Method.DP_PMTOLSE in grid.methods and min(grid.n_pub_values) <= d:
+        raise ValueError(
+            f"DP_PMTOLSE needs n_pub > d={d}, got {min(grid.n_pub_values)}"
+        )
 
 
 def _run_trial(grid, source, method, rho, n_priv, n_pub, rng, beta_true):
     if isinstance(source, SyntheticSource):
-        spec = source.spec.with_coefficients(beta_true)
-        public = generate(spec, n_pub, rng)
-        private = generate(spec, n_priv, rng)
+        public = generate(source.spec, n_pub, rng)
+        private = generate(source.spec, n_priv, rng)
     else:
         split_seed = int(rng.integers(0, 2**63))
         public, private = split(
-            source.dataset,
-            SplitSpec(n_pub=n_pub, n_priv=n_priv, seed=split_seed, mode=source.split_mode),
+            source.dataset, n_pub, n_priv, split_seed, source.split_mode
         )
 
     if grid.reference is Reference.TRUE_BETA:
@@ -199,15 +200,12 @@ def run_grid(grid: ExperimentGrid, source) -> list[CellResult]:
     counted per cell and excluded from the mean/std, never silently dropped."""
     _validate(grid, source)
 
+    beta_true = None
     if isinstance(source, SyntheticSource):
-        spec = source.spec
-        beta_true = (
-            spec.coefficients
-            if spec.coefficients is not None
-            else _grid_beta(grid, spec.d)
-        )
-    else:
-        beta_true = None
+        if source.spec.coefficients is None:
+            beta = _grid_beta(grid, source.spec.d)
+            source = SyntheticSource(replace(source.spec, coefficients=beta))
+        beta_true = source.spec.coefficients
 
     results = []
     for cell_index, (method, rho, n_priv, n_pub) in enumerate(grid.cells()):
@@ -266,43 +264,4 @@ def emit_csv(results: list[CellResult], out: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for r in rows:
-            writer.writerow(
-                [
-                    r.method.value,
-                    repr(r.rho),
-                    r.n_priv,
-                    r.n_pub,
-                    r.trials_ok,
-                    r.trials_failed,
-                    repr(r.mean_err),
-                    repr(r.std_err),
-                    repr(r.mean_truncated_frac),
-                    repr(r.mean_avg_cond_pre),
-                ]
-            )
-
-
-def read_results_csv(path: str | Path) -> list[CellResult]:
-    """Re-parse a file written by emit_csv (round-trip exact)."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected header {header}")
-        for row in reader:
-            out.append(
-                CellResult(
-                    method=Method(row[0]),
-                    rho=float(row[1]),
-                    n_priv=int(row[2]),
-                    n_pub=int(row[3]),
-                    trials_ok=int(row[4]),
-                    trials_failed=int(row[5]),
-                    mean_err=float(row[6]),
-                    std_err=float(row[7]),
-                    mean_truncated_frac=float(row[8]),
-                    mean_avg_cond_pre=float(row[9]),
-                )
-            )
-    return out
+            writer.writerow([r.method.value, *(getattr(r, f) for f in CSV_HEADER[1:])])

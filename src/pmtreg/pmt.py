@@ -48,10 +48,6 @@ class TruncationReport:
         if not (0 <= self.truncated <= self.total):
             raise ValueError("truncated count out of range")
 
-    @property
-    def fraction(self) -> float:
-        return self.truncated / self.total if self.total else 0.0
-
 
 def transform(samples: np.ndarray, preconditioner_inv_sqrt: SymmetricMatrix) -> np.ndarray:
     """Apply the whitening map row-wise: row_i -> P @ row_i.

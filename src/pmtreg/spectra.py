@@ -65,10 +65,6 @@ class SymmetricMatrix:
         return self.entries.shape[0]
 
     @classmethod
-    def identity(cls, d: int) -> "SymmetricMatrix":
-        return cls(np.eye(d))
-
-    @classmethod
     def diag(cls, values) -> "SymmetricMatrix":
         return cls(np.diag(np.asarray(values, dtype=np.float64)))
 

@@ -9,13 +9,13 @@ on disk; it is skipped with an explicit reason when the file is absent.
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pmtreg.cli import EXIT_OK, main
 from pmtreg.data import (
-    SplitSpec,
     default_synthetic,
     generate,
     ingest_csv,
@@ -136,7 +136,7 @@ def test_criterion_2_noise_calibration():
 
 def test_criterion_3_budget_accounting():
     rng = np.random.default_rng(1)
-    spec = default_synthetic().with_coefficients(np.ones(10))
+    spec = replace(default_synthetic(), coefficients=np.ones(10))
     public = generate(spec, 50, rng)
     private = generate(spec, 400, rng)
     rho = 1.25
@@ -169,14 +169,14 @@ def test_criterion_4_no_truncation():
     zero_count = 0
     for trial in range(200):
         rng = np.random.default_rng(np.random.SeedSequence([4, trial]))
-        trial_spec = spec.with_coefficients(rng.standard_normal(10))
+        trial_spec = replace(spec, coefficients=rng.standard_normal(10))
         public = generate(trial_spec, 40, rng)
         private = generate(trial_spec, 2000, rng)
         out = dp_pmtolse(
             private, public_moments(public), eta, PrivacyBudget(2.0), rng, zero_noise=True
         )
         report = out.feature_truncation
-        fracs.append(report.fraction)
+        fracs.append(report.truncated / report.total)
         zero_count += report.truncated == 0
     mean_frac = float(np.mean(fracs))
     share_zero = zero_count / 200.0
@@ -199,7 +199,7 @@ def test_criterion_5_conditioning_improvement():
         conds = []
         for trial in range(100):
             rng = np.random.default_rng(np.random.SeedSequence([5, n_pub, trial]))
-            trial_spec = spec.with_coefficients(np.zeros(10))
+            trial_spec = replace(spec, coefficients=np.zeros(10))
             public = generate(trial_spec, n_pub, rng)
             private = generate(trial_spec, 2000, rng)
             out = dp_pmtolse(
@@ -271,13 +271,13 @@ def test_criterion_7_wine_regime():
     n_pub, n_priv = 249, 4649
 
     # raw (normalized) private second moment must be badly conditioned
-    _, private_probe = split(dataset, SplitSpec(n_pub=n_pub, n_priv=n_priv, seed=0))
+    _, private_probe = split(dataset, n_pub, n_priv, 0)
     x = private_probe.features
     raw_cond = diagnostics(SymmetricMatrix(x.T @ x / n_priv)).avg_cond
 
     # transformed conditioning on the same probe split
     pm = public_moments(
-        split(dataset, SplitSpec(n_pub=n_pub, n_priv=n_priv, seed=0))[0]
+        split(dataset, n_pub, n_priv, 0)[0]
     )
     transformed_cond = dp_pmtolse(
         private_probe, pm, 0.05, PrivacyBudget(5.0),

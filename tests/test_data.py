@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from pmtreg.data import (
     CsvParseError,
     SplitMode,
-    SplitSpec,
     SyntheticModelSpec,
     default_synthetic,
     generate,
@@ -27,7 +27,7 @@ WINE_PATH = os.environ.get("PMTREG_WINE_CSV", "data/winequality-white.csv")
 class TestSyntheticSpec:
     def test_second_moment_formula(self):
         spec = SyntheticModelSpec(
-            d=2, mean=np.array([1.0, 2.0]), covariance=SymmetricMatrix.identity(2)
+            d=2, mean=np.array([1.0, 2.0]), covariance=SymmetricMatrix(np.eye(2))
         )
         expected = np.array([[2.0, 2.0], [2.0, 5.0]])
         assert np.array_equal(spec.second_moment().entries, expected)
@@ -35,15 +35,29 @@ class TestSyntheticSpec:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             SyntheticModelSpec(
-                d=3, mean=np.zeros(2), covariance=SymmetricMatrix.identity(3)
+                d=3, mean=np.zeros(2), covariance=SymmetricMatrix(np.eye(3))
             )
         with pytest.raises(ValueError):
             SyntheticModelSpec(
                 d=2,
                 mean=np.zeros(2),
-                covariance=SymmetricMatrix.identity(2),
+                covariance=SymmetricMatrix(np.eye(2)),
                 coefficients=np.zeros(3),
             )
+
+    @pytest.mark.parametrize(
+        "field, value", [("mean", np.nan), ("mean", np.inf), ("noise_std", np.nan)]
+    )
+    def test_non_finite_rejected_naming_value(self, field, value):
+        kwargs = dict(d=2, mean=np.zeros(2), covariance=SymmetricMatrix(np.eye(2)))
+        kwargs[field] = np.full(2, value) if field == "mean" else value
+        with pytest.raises(ValueError, match=f"{field} must be finite.*{value}"):
+            SyntheticModelSpec(**kwargs)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_default_rejects_nonpositive_d(self, d):
+        with pytest.raises(ValueError, match=f"d must be >= 1, got {d}"):
+            default_synthetic(d=d)
 
     def test_default_is_ill_conditioned(self):
         spec = default_synthetic()
@@ -66,7 +80,7 @@ class TestGenerate:
             generate(default_synthetic(), 10, rng)
 
     def test_seed_determinism(self):
-        spec = default_synthetic().with_coefficients(np.ones(10))
+        spec = replace(default_synthetic(), coefficients=np.ones(10))
         a = generate(spec, 50, np.random.default_rng(5))
         b = generate(spec, 50, np.random.default_rng(5))
         assert np.array_equal(a.features, b.features)
@@ -77,7 +91,7 @@ class TestGenerate:
         spec = SyntheticModelSpec(
             d=10,
             mean=np.zeros(10),
-            covariance=SymmetricMatrix.identity(10),
+            covariance=SymmetricMatrix(np.eye(10)),
             coefficients=beta,
             noise_std=0.0,
         )
@@ -85,7 +99,7 @@ class TestGenerate:
         assert np.allclose(olse(data).beta, beta, atol=1e-10)
 
     def test_empirical_second_moment(self):
-        spec = default_synthetic().with_coefficients(np.ones(10))
+        spec = replace(default_synthetic(), coefficients=np.ones(10))
         data = generate(spec, 200_000, np.random.default_rng(11))
         emp = data.features.T @ data.features / data.n
         target = spec.second_moment().entries
@@ -96,7 +110,7 @@ class TestGenerate:
         spec = SyntheticModelSpec(
             d=3,
             mean=np.zeros(3),
-            covariance=SymmetricMatrix.identity(3),
+            covariance=SymmetricMatrix(np.eye(3)),
             coefficients=beta,
             noise_std=0.0,
         )
@@ -212,41 +226,43 @@ class TestSplit:
 
     def test_sizes_and_disjoint(self):
         data = self._data()
-        pub, priv = split(data, SplitSpec(n_pub=30, n_priv=60, seed=9))
+        pub, priv = split(data, 30, 60, 9)
         assert pub.n == 30 and priv.n == 60
         assert set(pub.responses.tolist()).isdisjoint(priv.responses.tolist())
 
     def test_random_mode_deterministic(self):
         data = self._data()
-        spec = SplitSpec(n_pub=20, n_priv=70, seed=123)
-        a = split(data, spec)
-        b = split(data, spec)
+        a = split(data, 20, 70, 123)
+        b = split(data, 20, 70, 123)
         assert np.array_equal(a[0].features, b[0].features)
         assert np.array_equal(a[1].responses, b[1].responses)
 
     def test_seed_changes_assignment(self):
         data = self._data()
-        a = split(data, SplitSpec(n_pub=20, n_priv=70, seed=1))
-        b = split(data, SplitSpec(n_pub=20, n_priv=70, seed=2))
+        a = split(data, 20, 70, 1)
+        b = split(data, 20, 70, 2)
         assert not np.array_equal(a[0].responses, b[0].responses)
 
     def test_head_tail_mode(self):
         data = self._data()
-        pub, priv = split(
-            data, SplitSpec(n_pub=10, n_priv=20, seed=0, mode=SplitMode.HEAD_TAIL)
-        )
+        pub, priv = split(data, 10, 20, 0, SplitMode.HEAD_TAIL)
         assert np.array_equal(pub.responses, np.arange(10.0))
         assert np.array_equal(priv.responses, np.arange(10.0, 30.0))
 
     def test_oversized_split_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
-            split(self._data(n=50), SplitSpec(n_pub=30, n_priv=30, seed=0))
+            split(self._data(n=50), 30, 30, 0)
+
+    @pytest.mark.parametrize("n_pub, n_priv", [(0, 30), (30, 0), (-1, 30)])
+    def test_nonpositive_size_rejected(self, n_pub, n_priv):
+        with pytest.raises(ValueError, match=f"n_pub={n_pub}, n_priv={n_priv}"):
+            split(self._data(), n_pub, n_priv, 0)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_partition_property(self, seed):
         data = self._data()
-        pub, priv = split(data, SplitSpec(n_pub=40, n_priv=60, seed=seed))
+        pub, priv = split(data, 40, 60, seed)
         combined = sorted(pub.responses.tolist() + priv.responses.tolist())
         assert combined == list(map(float, range(100)))
 

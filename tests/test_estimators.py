@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ BUDGET = PrivacyBudget(2.0)
 
 def small_public(d, sigma_b=1.0):
     return PublicMoments(
-        feature_moment=SymmetricMatrix.identity(d), response_moment=sigma_b, n_pub=4 * d
+        feature_moment=SymmetricMatrix(np.eye(d)), response_moment=sigma_b, n_pub=4 * d
     )
 
 
@@ -72,6 +73,24 @@ def test_bad_eta_rejected_by_both_estimators(method, eta, rng):
             dp_pmtolse(data, small_public(3), eta, BUDGET, rng)
         else:
             dp_olse_baseline(data, eta, BUDGET, rng)
+
+
+ZERO_NOISE = "zero_noise: no noise added, no privacy guarantee"
+RADII = "truncation radii derived from unprivatized private moments"
+
+
+@pytest.mark.parametrize("zero_noise", [False, True])
+def test_notes_say_when_no_noise_was_added(zero_noise, rng):
+    # the ledger books rho either way, so the notes carry the difference
+    spec = replace(default_synthetic(), coefficients=np.ones(10))
+    public, private = generate(spec, 40, rng), generate(spec, 400, rng)
+    pmt_out = dp_pmtolse(
+        private, public_moments(public), 0.05, BUDGET, rng, zero_noise=zero_noise
+    )
+    base_out = dp_olse_baseline(private, 0.05, BUDGET, rng, zero_noise=zero_noise)
+    assert pmt_out.notes == ((ZERO_NOISE,) if zero_noise else ())
+    assert base_out.notes == ((ZERO_NOISE, RADII) if zero_noise else (RADII,))
+    assert pmt_out.rho_total == base_out.rho_total == 2 * BUDGET.rho
 
 
 class TestOlse:
@@ -161,7 +180,7 @@ class TestDpSecondMoment:
 
 class TestDpPmtolse:
     def test_affine_invariance_zero_noise(self, rng):
-        spec = default_synthetic().with_coefficients(rng.standard_normal(10))
+        spec = replace(default_synthetic(), coefficients=rng.standard_normal(10))
         public = generate(spec, 60, rng)
         private = generate(spec, 800, rng)
         ref = olse(private).beta
@@ -185,7 +204,7 @@ class TestDpPmtolse:
         assert out.beta[0] == pytest.approx(olse(data).beta[0], rel=1e-12)
 
     def test_deterministic_per_seed(self, rng):
-        spec = default_synthetic().with_coefficients(np.ones(10))
+        spec = replace(default_synthetic(), coefficients=np.ones(10))
         public = generate(spec, 50, rng)
         private = generate(spec, 300, rng)
         pm = public_moments(public)
@@ -195,7 +214,7 @@ class TestDpPmtolse:
         assert a.pre_diag.eigenvalues.tolist() == b.pre_diag.eigenvalues.tolist()
 
     def test_budget_accounting(self, rng):
-        spec = default_synthetic().with_coefficients(np.ones(10))
+        spec = replace(default_synthetic(), coefficients=np.ones(10))
         public = generate(spec, 50, rng)
         private = generate(spec, 300, rng)
         out = dp_pmtolse(private, public_moments(public), 0.05, PrivacyBudget(0.7), rng)
@@ -208,7 +227,7 @@ class TestDpPmtolse:
             features=rng.standard_normal((20, 3)), responses=rng.standard_normal(20)
         )
         public = PublicMoments(
-            feature_moment=SymmetricMatrix.identity(3), response_moment=1.0, n_pub=3
+            feature_moment=SymmetricMatrix(np.eye(3)), response_moment=1.0, n_pub=3
         )
         with pytest.raises(ValueError):
             dp_pmtolse(data, public, 0.05, BUDGET, rng)
@@ -259,7 +278,7 @@ class TestDpOlseBaseline:
         assert out.notes  # provenance caveat recorded
 
     def test_budget_accounting(self, rng):
-        spec = default_synthetic().with_coefficients(np.ones(10))
+        spec = replace(default_synthetic(), coefficients=np.ones(10))
         private = generate(spec, 300, rng)
         out = dp_olse_baseline(private, 0.05, PrivacyBudget(5.0), rng)
         assert out.rho_total == 10.0

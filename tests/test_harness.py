@@ -1,3 +1,7 @@
+import argparse
+import csv
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,19 +11,43 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmtreg.cli import EXIT_OK, EXIT_USAGE, main
+from dataclasses import replace
+
+from pmtreg import harness
+from pmtreg.cli import EXIT_OK, EXIT_USAGE, build_parser, main
 from pmtreg.data import default_synthetic
-from pmtreg.estimators import Method
+from pmtreg.estimators import LabeledDataset, Method
 from pmtreg.harness import (
-    CSV_HEADER,
     CellResult,
     ExperimentGrid,
     Reference,
     SyntheticSource,
     emit_csv,
-    read_results_csv,
     run_grid,
 )
+from pmtreg.spectra import SymmetricMatrix
+
+REPO = Path(__file__).resolve().parents[1]
+
+# The results CSV columns, written out so a change to CellResult shows here.
+COLUMNS = [
+    "method", "rho", "n_priv", "n_pub", "trials_ok", "trials_failed",
+    "mean_err", "std_err", "mean_truncated_frac", "mean_avg_cond_pre",
+]
+
+
+def read_rows(path):
+    """The CSV's data rows, each parsed back into a CellResult."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == COLUMNS
+    return [
+        CellResult(
+            Method(r[0]), float(r[1]), int(r[2]), int(r[3]), int(r[4]), int(r[5]),
+            *map(float, r[6:]),
+        )
+        for r in rows
+    ]
 
 
 def small_grid(**overrides):
@@ -55,6 +83,21 @@ class TestExperimentGrid:
             small_grid(methods=(Method.OLSE,))
 
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (dict(rho_values=(float("nan"),)), "got nan"),
+            (dict(rho_values=(2.0, float("inf"))), "got inf"),
+            (dict(rho_values=(0.0,)), "got 0.0"),
+            (dict(n_priv_values=(400, 0)), "n_priv_values must be >= 1, got 0"),
+            (dict(n_pub_values=(-3,)), "n_pub_values must be >= 1, got -3"),
+        ],
+    )
+    def test_bad_value_named(self, overrides, named):
+        with pytest.raises(ValueError, match=named):
+            small_grid(**overrides)
+
+
 class TestRunGrid:
     def test_zero_noise_recovers_truth(self):
         # the baseline still clips (its radii bind on this spec), so only the
@@ -83,13 +126,12 @@ class TestRunGrid:
 
     def test_fixed_coefficients_respected(self):
         from pmtreg.data import SyntheticModelSpec
-        from pmtreg.spectra import SymmetricMatrix
 
         beta = np.arange(1.0, 11.0)
         spec = SyntheticModelSpec(
             d=10,
             mean=np.zeros(10),
-            covariance=SymmetricMatrix.identity(10),
+            covariance=SymmetricMatrix(np.eye(10)),
             coefficients=beta,
             noise_std=0.0,
         )
@@ -132,14 +174,14 @@ class TestEmitCsv:
         out = tmp_path / "r.csv"
         emit_csv(self._results(), out)
         lines = out.read_text().splitlines()
-        assert lines[0] == ",".join(CSV_HEADER)
+        assert lines[0] == ",".join(COLUMNS)
         assert len(lines) == 3  # header + 2 cells
 
     def test_round_trip_exact(self, tmp_path):
         out = tmp_path / "r.csv"
         results = self._results()
         emit_csv(results, out)
-        back = read_results_csv(out)
+        back = read_rows(out)
         assert sorted(results, key=lambda r: r.method.value) == back
 
     def test_sorted_output(self, tmp_path):
@@ -152,7 +194,7 @@ class TestEmitCsv:
         out = tmp_path / "r.csv"
         emit_csv(rows, out)
         keys = [
-            (r.method, r.rho, r.n_priv) for r in read_results_csv(out)
+            (r.method, r.rho, r.n_priv) for r in read_rows(out)
         ]
         assert keys == [
             (Method.DP_OLSE, 2.0, 100),
@@ -166,7 +208,193 @@ class TestEmitCsv:
             emit_csv([], tmp_path / "r.csv")
 
 
+def write_toy_csv(path, n=300, delimiter=";", response="quality", seed=4):
+    """Three features and a response placed second, so column order matters."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3)) * [1.0, 3.0, 0.5] + [0.0, 1.0, 2.0]
+    y = x @ np.array([1.0, -0.5, 2.0]) + 0.1 * rng.standard_normal(n)
+    lines = [delimiter.join(["a", response, "b", "c"])]
+    for row, v in zip(x, y):
+        lines.append(delimiter.join(f"{c:.6f}" for c in (row[0], v, row[1], row[2])))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def count_trials(monkeypatch):
+    calls = []
+    real = harness._run_trial
+
+    def counted(*args):
+        calls.append(args[2:6])
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_run_trial", counted)
+    return calls
+
+
+# Every option of each subcommand, written out so that any change to the CLI
+# surface shows here: option -> (default, choices, required, type, nargs).
+CLI_SURFACE = {
+    "synth": {
+        "--d": (10, None, False, int, None),
+        "--n-priv": ("3000", None, False, None, None),
+        "--n-pub": ("20", None, False, None, None),
+        "--rho": ("2", None, False, None, None),
+        "--eta": (0.05, None, False, float, None),
+        "--trials": (300, None, False, int, None),
+        "--seed": (0, None, False, int, None),
+        "--methods": ("DP_OLSE,DP_PMTOLSE", None, False, None, None),
+        "--reference": ("true_beta", ["true_beta", "nonprivate_olse"], False, None, None),
+        "--out": (None, None, True, None, None),
+        "--zero-noise": (False, None, False, None, 0),
+        "--mu-scale": (2.0, None, False, float, None),
+        "--psi-spec": (None, None, False, None, None),
+    },
+    "real": {
+        "--data": (None, None, True, None, None),
+        "--delimiter": (";", None, False, None, None),
+        "--response": ("quality", None, False, None, None),
+        "--n-pub": ("249", None, False, None, None),
+        "--n-priv": ("4649", None, False, None, None),
+        "--rho": ("5", None, False, None, None),
+        "--eta": (0.05, None, False, float, None),
+        "--trials": (300, None, False, int, None),
+        "--seed": (0, None, False, int, None),
+        "--methods": ("DP_OLSE,DP_PMTOLSE", None, False, None, None),
+        "--split": ("random", ["random", "head"], False, None, None),
+        "--out": (None, None, True, None, None),
+    },
+    "diagnose": {
+        "--data": (None, None, False, None, None),
+        "--delimiter": (";", None, False, None, None),
+        "--response": ("quality", None, False, None, None),
+        "--d": (10, None, False, int, None),
+        "--mu-scale": (2.0, None, False, float, None),
+        "--eta": (0.05, None, False, float, None),
+        "--n-pub": (None, None, False, int, None),
+    },
+}
+
+
 class TestCli:
+    def test_parser_surface(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(CLI_SURFACE)
+        for command, expected in CLI_SURFACE.items():
+            surface = {
+                a.option_strings[-1]: (a.default, a.choices, a.required, a.type, a.nargs)
+                for a in sub.choices[command]._actions
+                if "--help" not in a.option_strings
+            }
+            assert surface == expected, command
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["synth", "--n-pub", "5"], "DP_PMTOLSE needs n_pub > d=10, got 5"),
+            (["synth", "--n-priv", "3000,10"], "n_priv must exceed d=10, got 10"),
+            (["synth", "--n-priv", "0"], "n_priv_values must be >= 1, got 0"),
+            (
+                ["synth", "--n-pub", "0", "--methods", "DP_OLSE"],
+                "n_pub_values must be >= 1, got 0",
+            ),
+            (["real", "--n-pub", "3", "--n-priv", "100"], "n_pub > d=3, got 3"),
+            (["synth", "--rho", "nan"], "rho values must be finite and positive, got nan"),
+            (["synth", "--rho", "2,inf"], "rho values must be finite and positive, got inf"),
+            (["synth", "--d", "0"], "d must be >= 1, got 0"),
+            (["synth", "--mu-scale", "nan"], "mean must be finite, got nan"),
+            (["diagnose", "--d", "0"], "d must be >= 1, got 0"),
+            (["diagnose", "--mu-scale", "inf"], "mean must be finite, got inf"),
+        ],
+    )
+    def test_bad_grid_exits_2_before_any_trial(
+        self, argv, named, tmp_path, capsys, monkeypatch
+    ):
+        calls = count_trials(monkeypatch)
+        out = tmp_path / "never.csv"
+        if argv[0] == "real":
+            argv = argv + ["--data", str(write_toy_csv(tmp_path / "toy.csv"))]
+        if argv[0] != "diagnose":
+            argv = argv + ["--trials", "2", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    def test_psi_spec_sets_covariance(self, tmp_path):
+        psi = [1.0, 2.0, 30.0]
+        args = [
+            "synth", "--d", "3", "--n-priv", "200", "--n-pub", "10", "--trials", "3",
+            "--seed", "4", "--reference", "nonprivate_olse",
+        ]
+        out, plain = tmp_path / "psi.csv", tmp_path / "plain.csv"
+        assert main(args + ["--psi-spec", "1,2,30", "--out", str(out)]) == EXIT_OK
+        assert main(args + ["--out", str(plain)]) == EXIT_OK
+        spec = replace(default_synthetic(3), covariance=SymmetricMatrix.diag(psi))
+        grid = small_grid(
+            n_priv_values=(200,), n_pub_values=(10,), seed=4,
+            reference=Reference.NONPRIVATE_OLSE,
+        )
+        expected = tmp_path / "expected.csv"
+        emit_csv(run_grid(grid, SyntheticSource(spec)), expected)
+        assert out.read_bytes() == expected.read_bytes()
+        assert out.read_bytes() != plain.read_bytes()
+
+    def test_psi_spec_wrong_length_exits_2(self, tmp_path, capsys):
+        argv = ["synth", "--d", "3", "--psi-spec", "1,2", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_USAGE
+        assert "--psi-spec needs 3 values, got 2" in capsys.readouterr().err
+
+    def test_real_head_split_uses_leading_rows(self, tmp_path):
+        from pmtreg.data import ingest_csv, normalize, public_moments
+        from pmtreg.estimators import dp_pmtolse
+        from pmtreg.privacy import PrivacyBudget
+
+        data = write_toy_csv(tmp_path / "toy.csv")
+        args = [
+            "real", "--data", str(data), "--n-pub", "40", "--n-priv", "200",
+            "--methods", "DP_PMTOLSE", "--trials", "3",
+        ]
+        head, rand = tmp_path / "head.csv", tmp_path / "rand.csv"
+        assert main(args + ["--split", "head", "--out", str(head)]) == EXIT_OK
+        assert main(args + ["--out", str(rand)]) == EXIT_OK
+        ((row,),) = [read_rows(head)]
+        # every trial sees the same rows: the first 40 public, the next 200
+        # private, so the pre-noise conditioning is the same in each trial
+        dataset, _ = normalize(ingest_csv(data))
+        public = LabeledDataset(dataset.features[:40], dataset.responses[:40])
+        private = LabeledDataset(dataset.features[40:240], dataset.responses[40:240])
+        cond = dp_pmtolse(
+            private, public_moments(public), 0.05, PrivacyBudget(5.0),
+            np.random.default_rng(0), zero_noise=True,
+        ).pre_diag.avg_cond
+        assert row.trials_ok == 3
+        assert row.mean_avg_cond_pre == pytest.approx(cond, rel=1e-12)
+        assert read_rows(rand)[0].mean_avg_cond_pre != row.mean_avg_cond_pre
+
+    def test_real_custom_delimiter_and_response(self, tmp_path, capsys):
+        from pmtreg.data import ingest_csv, normalize
+        from pmtreg.harness import DatasetSource
+
+        data = write_toy_csv(tmp_path / "toy.csv", delimiter=",", response="y")
+        out = tmp_path / "r.csv"
+        argv = [
+            "real", "--data", str(data), "--delimiter", ",", "--response", "y",
+            "--n-pub", "40", "--n-priv", "200", "--trials", "3", "--out", str(out),
+        ]
+        assert main(argv) == EXIT_OK
+        dataset, _ = normalize(ingest_csv(data, delimiter=",", response_column="y"))
+        grid = small_grid(
+            rho_values=(5.0,), n_priv_values=(200,), n_pub_values=(40,), seed=0,
+            reference=Reference.NONPRIVATE_OLSE,
+        )
+        expected = tmp_path / "expected.csv"
+        emit_csv(run_grid(grid, DatasetSource(dataset)), expected)
+        assert out.read_bytes() == expected.read_bytes()
+        # the default ';' delimiter and 'quality' response cannot read it
+        assert main(argv[:3] + argv[7:]) == EXIT_USAGE
+        assert "response column 'quality' not in header" in capsys.readouterr().err
+
     def test_synth_grid_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(
@@ -181,7 +409,7 @@ class TestCli:
             ]
         )
         assert code == EXIT_OK
-        rows = read_results_csv(out)
+        rows = read_rows(out)
         assert len(rows) == 2 * 2 * 2  # methods x rho x n_priv
 
     def test_real_missing_data_exits_2(self, tmp_path):
@@ -245,7 +473,19 @@ class TestCli:
 
 
 def test_cli_import_does_not_load_scipy():
-    src = Path(__file__).resolve().parents[1] / "src"
+    src = REPO / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = "import sys, pmtreg.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_bench_traced_bindings_resolve():
+    # bench/child.py wraps these names for the traced benchmark run; a
+    # refactor that drops one would otherwise fail only there
+    spec = importlib.util.spec_from_file_location("bench_child", REPO / "bench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    pairs = [(m, a) for m, a, _ in child.TRACED if m.split(".")[0] == "pmtreg"]
+    assert len(pairs) >= 19
+    for module, attr in pairs:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ class TestTransform:
 
     def test_identity_bit_exact(self, rng):
         samples = rng.standard_normal((7, 3))
-        out = transform(samples, SymmetricMatrix.identity(3))
+        out = transform(samples, SymmetricMatrix(np.eye(3)))
         assert np.array_equal(out, samples)
 
     def test_diagonal_scaling(self):
@@ -65,7 +66,7 @@ class TestTransform:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
-            transform(rng.standard_normal((4, 3)), SymmetricMatrix.identity(2))
+            transform(rng.standard_normal((4, 3)), SymmetricMatrix(np.eye(2)))
 
     def test_second_moment_covariance(self, rng):
         samples = rng.standard_normal((200, 4)) @ np.diag([1.0, 2.0, 3.0, 4.0])
@@ -132,7 +133,7 @@ class TestPipeline:
 
     def test_identity_passthrough(self, rng):
         samples = rng.standard_normal((50, 3)) * 0.2
-        pre = inv_sqrt(SymmetricMatrix.identity(3))
+        pre = inv_sqrt(SymmetricMatrix(np.eye(3)))
         out, report = clip_rows(transform(samples, pre), truncation_radius(3, 50, 0.05))
         assert np.array_equal(out, samples)
         assert report.truncated == 0
@@ -165,7 +166,7 @@ def test_no_truncation_statistical():
     master = np.random.SeedSequence(555)
     for child in master.spawn(200):
         rng = np.random.default_rng(child)
-        beta_spec = spec.with_coefficients(np.zeros(spec.d))
+        beta_spec = replace(spec, coefficients=np.zeros(spec.d))
         public = generate(beta_spec, 4 * spec.d, rng)
         private = generate(beta_spec, 500, rng)
         out = dp_pmtolse(
