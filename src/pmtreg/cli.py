@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
+from enum import Enum
 from pathlib import Path
 
 from .data import SplitMode, default_synthetic, ingest_csv, normalize
@@ -17,7 +19,6 @@ from .harness import (
     DatasetSource,
     ExperimentGrid,
     Reference,
-    SyntheticSource,
     emit_csv,
     run_grid,
 )
@@ -54,9 +55,13 @@ def _methods(text: str) -> tuple[Method, ...]:
             out.append(Method(name))
         except ValueError:
             raise UsageError(
-                f"unknown method {name!r}; choose from DP_OLSE, DP_PMTOLSE"
+                f"unknown method {name!r}; choose from {', '.join(_values(Method))}"
             ) from None
     return tuple(out)
+
+
+def _values(vocabulary: type[Enum]) -> list[str]:
+    return [member.value for member in vocabulary]
 
 
 def _sweep_args(parser, n_priv: str, n_pub: str, rho: str) -> None:
@@ -67,7 +72,7 @@ def _sweep_args(parser, n_priv: str, n_pub: str, rho: str) -> None:
     parser.add_argument("--eta", type=float, default=0.05)
     parser.add_argument("--trials", type=int, default=300)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--methods", default="DP_OLSE,DP_PMTOLSE")
+    parser.add_argument("--methods", default=",".join(_values(Method)))
     parser.add_argument("--out", required=True)
 
 
@@ -88,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--d", type=int, default=10)
     _sweep_args(synth, n_priv="3000", n_pub="20", rho="2")
     synth.add_argument(
-        "--reference", choices=["true_beta", "nonprivate_olse"], default="true_beta"
+        "--reference", choices=_values(Reference), default=Reference.TRUE_BETA.value
     )
     synth.add_argument("--zero-noise", action="store_true", help="test hook")
     synth.add_argument("--mu-scale", type=float, default=2.0)
@@ -99,7 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     real = sub.add_parser("real", help="real-dataset sweep")
     _csv_args(real, required=True)
     _sweep_args(real, n_priv="4649", n_pub="249", rho="5")
-    real.add_argument("--split", choices=["random", "head"], default="random")
+    real.add_argument(
+        "--split",
+        choices=_values(SplitMode),
+        default=SplitMode.RANDOM_WITHOUT_REPLACEMENT.value,
+    )
 
     diag = sub.add_parser(
         "diagnose", help="print spectral diagnostics and theory bounds as JSON"
@@ -133,7 +142,7 @@ def _load(args):
     if not path.is_file():
         raise UsageError(f"data file not found: {path}")
     dataset = ingest_csv(path, delimiter=args.delimiter, response_column=args.response)
-    return normalize(dataset)[0]
+    return normalize(dataset)
 
 
 def _cmd_synth(args) -> int:
@@ -142,17 +151,21 @@ def _cmd_synth(args) -> int:
         psi = _float_list(args.psi_spec)
         if len(psi) != args.d:
             raise UsageError(f"--psi-spec needs {args.d} values, got {len(psi)}")
+        bad = [v for v in psi if not (math.isfinite(v) and v >= 0)]
+        if bad:
+            raise UsageError(
+                f"--psi-spec values must be finite and nonnegative, got {bad[0]}"
+            )
         spec = replace(spec, covariance=SymmetricMatrix.diag(psi))
     grid = _grid(args, Reference(args.reference), args.zero_noise)
-    emit_csv(run_grid(grid, SyntheticSource(spec)), args.out)
+    emit_csv(run_grid(grid, spec), args.out)
     return EXIT_OK
 
 
 def _cmd_real(args) -> int:
     dataset = _load(args)
     grid = _grid(args, Reference.NONPRIVATE_OLSE)
-    mode = SplitMode.HEAD_TAIL if args.split == "head" else SplitMode.RANDOM_WITHOUT_REPLACEMENT
-    emit_csv(run_grid(grid, DatasetSource(dataset, split_mode=mode)), args.out)
+    emit_csv(run_grid(grid, DatasetSource(dataset, SplitMode(args.split))), args.out)
     return EXIT_OK
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -16,7 +16,6 @@ from .spectra import SymmetricMatrix, sqrt_sym
 __all__ = [
     "SyntheticModelSpec",
     "SplitMode",
-    "NormalizationRecord",
     "CsvParseError",
     "generate",
     "default_synthetic",
@@ -42,7 +41,8 @@ class SyntheticModelSpec:
 
     ``coefficients`` may be None, meaning the caller samples beta (standard
     normal) once per experiment.  The implied feature second moment is
-    covariance + mean mean^T.
+    covariance + mean mean^T.  The covariance's PSD square root is computed
+    once, at construction, so a covariance that is not PSD fails here.
     """
 
     d: int
@@ -50,6 +50,7 @@ class SyntheticModelSpec:
     covariance: SymmetricMatrix
     coefficients: np.ndarray | None = None
     noise_std: float = 0.05
+    covariance_root: SymmetricMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -59,6 +60,10 @@ class SyntheticModelSpec:
             raise ValueError(f"mean must be finite, got {mean[~np.isfinite(mean)][0]}")
         if self.covariance.dim != self.d:
             raise ValueError("covariance dimension does not match d")
+        try:
+            root = sqrt_sym(self.covariance)
+        except ValueError as exc:
+            raise ValueError(f"covariance must be PSD: {exc}") from None
         if self.coefficients is not None:
             coef = np.asarray(self.coefficients, dtype=np.float64)
             if coef.shape != (self.d,):
@@ -67,19 +72,10 @@ class SyntheticModelSpec:
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
         object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "covariance_root", root)
 
     def second_moment(self) -> SymmetricMatrix:
         return SymmetricMatrix(self.covariance.entries + np.outer(self.mean, self.mean))
-
-
-@dataclass(frozen=True)
-class NormalizationRecord:
-    """Per-column shift/scale allowing exact inversion of normalize()."""
-
-    feature_shift: np.ndarray
-    feature_scale: np.ndarray
-    response_shift: float
-    response_scale: float
 
 
 def generate(
@@ -91,9 +87,8 @@ def generate(
     """
     if spec.coefficients is None:
         raise ValueError("spec.coefficients must be set before generating data")
-    root = sqrt_sym(spec.covariance)
     z = rng.standard_normal((n, spec.d))
-    x = spec.mean + z @ root.entries
+    x = spec.mean + z @ spec.covariance_root.entries
     noise = rng.normal(0.0, spec.noise_std, size=n) if spec.noise_std > 0 else np.zeros(n)
     y = x @ spec.coefficients + noise
     return LabeledDataset(features=x, responses=y)
@@ -127,6 +122,8 @@ def ingest_csv(
     not parse as finite numbers (including nan and inf) are reported with
     their row and column.
     """
+    if len(delimiter) != 1:
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -177,12 +174,10 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def normalize(data: LabeledDataset):
+def normalize(data: LabeledDataset) -> LabeledDataset:
     """Standardize every feature column and the response to mean 0, variance 1.
 
-    Uses population variance (divide by n) over the full dataset.  Returns
-    (normalized dataset, NormalizationRecord); the record inverts the map
-    exactly: original = normalized * scale + shift.
+    Uses population variance (divide by n) over the full dataset.
     """
     x, y = data.features, data.responses
     x_mean = x.mean(axis=0)
@@ -194,14 +189,7 @@ def normalize(data: LabeledDataset):
     y_std = float(y.std())
     if y_std == 0:
         raise ValueError("zero-variance response column")
-    record = NormalizationRecord(
-        feature_shift=x_mean,
-        feature_scale=x_std,
-        response_shift=y_mean,
-        response_scale=y_std,
-    )
-    out = LabeledDataset(features=(x - x_mean) / x_std, responses=(y - y_mean) / y_std)
-    return out, record
+    return LabeledDataset(features=(x - x_mean) / x_std, responses=(y - y_mean) / y_std)
 
 
 def split(

@@ -53,7 +53,6 @@ __all__ = [
 
 
 class Method(enum.Enum):
-    OLSE = "OLSE"
     DP_OLSE = "DP_OLSE"
     DP_PMTOLSE = "DP_PMTOLSE"
 
@@ -128,22 +127,21 @@ class EstimatorOutput:
 
     beta: np.ndarray
     method: Method
-    rho_total: float
     feature_truncation: pmt.TruncationReport
     response_truncation: pmt.TruncationReport
     pre_diag: SpectralDiagnostics
     post_diag: SpectralDiagnostics
     clamp_count: int
-    ledger: BudgetLedger = BudgetLedger()
+    ledger: BudgetLedger
     notes: tuple = ()
 
-    def __post_init__(self):
-        if (self.rho_total == 0.0) != (self.method is Method.OLSE):
-            raise ValueError("rho_total must be zero exactly for the non-DP OLSE")
+    @property
+    def rho_total(self) -> float:
+        return self.ledger.total
 
 
-def olse(data: LabeledDataset) -> EstimatorOutput:
-    """Plain ordinary least squares via the normal equations."""
+def olse(data: LabeledDataset) -> np.ndarray:
+    """Plain ordinary least squares via the normal equations; returns beta."""
     x, y, n = data.features, data.responses, data.n
     diag = diagnostics(SymmetricMatrix(x.T @ x / n))
     if diag.lambda_min <= 1e-12 * diag.lambda_max:
@@ -153,21 +151,7 @@ def olse(data: LabeledDataset) -> EstimatorOutput:
             lambda_min=diag.lambda_min,
             lambda_max=diag.lambda_max,
         )
-    norms = np.linalg.norm(x, axis=1)
-    no_trunc = pmt.TruncationReport(total=n, truncated=0, max_norm_seen=float(norms.max()))
-    resp_report = pmt.TruncationReport(
-        total=n, truncated=0, max_norm_seen=float(np.abs(y).max())
-    )
-    return EstimatorOutput(
-        beta=solve(diag, x.T @ y / n),
-        method=Method.OLSE,
-        rho_total=0.0,
-        feature_truncation=no_trunc,
-        response_truncation=resp_report,
-        pre_diag=diag,
-        post_diag=diag,
-        clamp_count=0,
-    )
+    return solve(diag, x.T @ y / n)
 
 
 def _release(
@@ -216,7 +200,6 @@ def _release(
     return EstimatorOutput(
         beta=solve(post_diag, cross + noise_vec),
         method=method,
-        rho_total=ledger.total,
         feature_truncation=feat_report,
         response_truncation=resp_report,
         pre_diag=pre_diag,

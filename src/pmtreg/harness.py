@@ -39,7 +39,6 @@ __all__ = [
     "Reference",
     "ExperimentGrid",
     "CellResult",
-    "SyntheticSource",
     "DatasetSource",
     "run_grid",
     "emit_csv",
@@ -70,8 +69,11 @@ class ExperimentGrid:
             value = tuple(getattr(self, name))
             if not value:
                 raise ValueError(f"{name} must be non-empty")
+            repeated = [v for i, v in enumerate(value) if v in value[:i]]
+            if repeated:
+                raise ValueError(f"{name} must not repeat a value, got {repeated[0]} twice")
             object.__setattr__(self, name, value)
-        if any(m not in (Method.DP_OLSE, Method.DP_PMTOLSE) for m in self.methods):
+        if not all(isinstance(m, Method) for m in self.methods):
             raise ValueError("grid methods must be DP_OLSE or DP_PMTOLSE")
         bad_rho = [r for r in self.rho_values if not (math.isfinite(r) and r > 0)]
         if bad_rho:
@@ -110,17 +112,6 @@ CSV_HEADER = [f.name for f in fields(CellResult)]
 
 
 @dataclass(frozen=True)
-class SyntheticSource:
-    """Per-trial resampling from a synthetic linear model.
-
-    If the spec's coefficients are unset, beta is drawn once per grid from a
-    standard normal, using a stream keyed off the grid seed.
-    """
-
-    spec: SyntheticModelSpec
-
-
-@dataclass(frozen=True)
 class DatasetSource:
     """Per-trial public/private resampling from a fixed (real) dataset."""
 
@@ -139,8 +130,8 @@ def _grid_beta(grid: ExperimentGrid, d: int) -> np.ndarray:
 
 
 def _validate(grid: ExperimentGrid, source):
-    if isinstance(source, SyntheticSource):
-        d = source.spec.d
+    if isinstance(source, SyntheticModelSpec):
+        d = source.d
     elif isinstance(source, DatasetSource):
         if grid.reference is Reference.TRUE_BETA:
             raise ValueError("TRUE_BETA reference requires a synthetic source")
@@ -162,10 +153,10 @@ def _validate(grid: ExperimentGrid, source):
         )
 
 
-def _run_trial(grid, source, method, rho, n_priv, n_pub, rng, beta_true):
-    if isinstance(source, SyntheticSource):
-        public = generate(source.spec, n_pub, rng)
-        private = generate(source.spec, n_priv, rng)
+def _run_trial(grid, source, method, rho, n_priv, n_pub, rng):
+    if isinstance(source, SyntheticModelSpec):
+        public = generate(source, n_pub, rng)
+        private = generate(source, n_priv, rng)
     else:
         split_seed = int(rng.integers(0, 2**63))
         public, private = split(
@@ -173,9 +164,9 @@ def _run_trial(grid, source, method, rho, n_priv, n_pub, rng, beta_true):
         )
 
     if grid.reference is Reference.TRUE_BETA:
-        ref = beta_true
+        ref = source.coefficients
     else:
-        ref = olse(private).beta
+        ref = olse(private)
 
     budget = PrivacyBudget(rho)
     if method is Method.DP_PMTOLSE:
@@ -195,17 +186,20 @@ def _run_trial(grid, source, method, rho, n_priv, n_pub, rng, beta_true):
     return err, frac, out.pre_diag.avg_cond
 
 
-def run_grid(grid: ExperimentGrid, source) -> list[CellResult]:
+def run_grid(
+    grid: ExperimentGrid, source: SyntheticModelSpec | DatasetSource
+) -> list[CellResult]:
     """Run every cell of the grid; failed (unstable-inversion) trials are
-    counted per cell and excluded from the mean/std, never silently dropped."""
+    counted per cell and excluded from the mean/std, never silently dropped.
+
+    A synthetic spec is resampled in every trial; if its coefficients are
+    unset, beta is drawn once per grid from a standard normal, using a stream
+    keyed off the grid seed.
+    """
     _validate(grid, source)
 
-    beta_true = None
-    if isinstance(source, SyntheticSource):
-        if source.spec.coefficients is None:
-            beta = _grid_beta(grid, source.spec.d)
-            source = SyntheticSource(replace(source.spec, coefficients=beta))
-        beta_true = source.spec.coefficients
+    if isinstance(source, SyntheticModelSpec) and source.coefficients is None:
+        source = replace(source, coefficients=_grid_beta(grid, source.d))
 
     results = []
     for cell_index, (method, rho, n_priv, n_pub) in enumerate(grid.cells()):
@@ -215,7 +209,7 @@ def run_grid(grid: ExperimentGrid, source) -> list[CellResult]:
             rng = _trial_rng(grid.seed, cell_index, trial)
             try:
                 err, frac, avg_cond = _run_trial(
-                    grid, source, method, rho, n_priv, n_pub, rng, beta_true
+                    grid, source, method, rho, n_priv, n_pub, rng
                 )
             except (UnstableInversionError, SingularMatrixError):
                 failed += 1

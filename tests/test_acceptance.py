@@ -34,7 +34,6 @@ from pmtreg.estimators import (
 from pmtreg.harness import (
     ExperimentGrid,
     Reference,
-    SyntheticSource,
     run_grid,
 )
 from pmtreg.pmt import truncation_radius
@@ -92,7 +91,7 @@ def test_criterion_1_affine_invariance():
             feature_moment=moment, response_moment=sigma_b, n_pub=max(n, d + 1)
         )
         try:
-            ref = olse(data).beta
+            ref = olse(data)
         except SingularMatrixError:
             continue
         out = dp_pmtolse(data, public, 0.05, budget, rng, zero_noise=True)
@@ -229,7 +228,7 @@ def test_criterion_6_headline_ordering():
         seed=6,
         reference=Reference.TRUE_BETA,
     )
-    results = run_grid(grid, SyntheticSource(default_synthetic()))
+    results = run_grid(grid, default_synthetic())
     table = {
         (r.method, r.rho, r.n_priv): r.mean_err for r in results
     }
@@ -267,7 +266,7 @@ def test_criterion_6_headline_ordering():
 def test_criterion_7_wine_regime():
     start = time.monotonic()
     raw = ingest_csv(WINE_PATH)
-    dataset, _ = normalize(raw)
+    dataset = normalize(raw)
     n_pub, n_priv = 249, 4649
 
     # raw (normalized) private second moment must be badly conditioned

@@ -54,6 +54,12 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError, match=f"{field} must be finite.*{value}"):
             SyntheticModelSpec(**kwargs)
 
+    def test_non_psd_covariance_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="covariance must be PSD.*lambda_min=-5"):
+            SyntheticModelSpec(
+                d=3, mean=np.zeros(3), covariance=SymmetricMatrix.diag([1.0, 2.0, -5.0])
+            )
+
     @pytest.mark.parametrize("d", [0, -1])
     def test_default_rejects_nonpositive_d(self, d):
         with pytest.raises(ValueError, match=f"d must be >= 1, got {d}"):
@@ -96,7 +102,7 @@ class TestGenerate:
             noise_std=0.0,
         )
         data = generate(spec, 100, rng)
-        assert np.allclose(olse(data).beta, beta, atol=1e-10)
+        assert np.allclose(olse(data), beta, atol=1e-10)
 
     def test_empirical_second_moment(self):
         spec = replace(default_synthetic(), coefficients=np.ones(10))
@@ -143,6 +149,13 @@ class TestIngestCsv:
         data = ingest_csv(p, delimiter=",", response_column="target")
         assert data.responses[0] == 3.0
 
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        p = self._write(tmp_path, "a;quality\n1;2\n")
+        named = f"delimiter must be one character, got '{delimiter}'"
+        with pytest.raises(ValueError, match=named):
+            ingest_csv(p, delimiter=delimiter)
+
     def test_malformed_cell_names_row_and_column(self, tmp_path):
         p = self._write(tmp_path, "a;quality\n1;2\noops;4\n")
         with pytest.raises(CsvParseError, match=r"row 3.*'a'.*'oops'"):
@@ -183,17 +196,17 @@ class TestNormalize:
             features=np.array([[1.0], [2.0], [3.0]]),
             responses=np.array([10.0, 20.0, 30.0]),
         )
-        out, record = normalize(data)
+        out = normalize(data)
         s = math.sqrt(2.0 / 3.0)  # population std of (1,2,3)
         assert np.allclose(out.features[:, 0], [-math.sqrt(1.5), 0.0, math.sqrt(1.5)])
-        assert record.feature_shift[0] == 2.0
-        assert record.feature_scale[0] == pytest.approx(s, rel=1e-15)
+        # shift 2 and scale s: the feature maps to (x - 2) / s
+        assert out.features[:, 0] == pytest.approx(np.array([-1.0, 0.0, 1.0]) / s, rel=1e-15)
         assert out.responses.mean() == pytest.approx(0.0, abs=1e-15)
 
     def test_unit_population_variance(self, rng):
         x = rng.standard_normal((40, 3)) * 7.0 + 5.0
         y = rng.standard_normal(40) * 3.0
-        out, _ = normalize(LabeledDataset(features=x, responses=y))
+        out = normalize(LabeledDataset(features=x, responses=y))
         assert np.allclose(out.features.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(out.features.std(axis=0), 1.0, atol=1e-12)
         assert out.responses.std() == pytest.approx(1.0, abs=1e-12)
@@ -202,12 +215,11 @@ class TestNormalize:
         x = rng.standard_normal((25, 4)) * 2.0 + 1.0
         y = rng.standard_normal(25)
         data = LabeledDataset(features=x, responses=y)
-        out, record = normalize(data)
-        back = out.features * record.feature_scale + record.feature_shift
+        out = normalize(data)
+        # the map is (v - mean) / population std, so those invert it
+        back = out.features * x.std(axis=0) + x.mean(axis=0)
         assert np.allclose(back, x, atol=1e-12)
-        assert np.allclose(
-            out.responses * record.response_scale + record.response_shift, y, atol=1e-12
-        )
+        assert np.allclose(out.responses * y.std() + y.mean(), y, atol=1e-12)
 
     def test_constant_column_rejected(self):
         data = LabeledDataset(

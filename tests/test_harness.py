@@ -21,7 +21,6 @@ from pmtreg.harness import (
     CellResult,
     ExperimentGrid,
     Reference,
-    SyntheticSource,
     emit_csv,
     run_grid,
 )
@@ -80,7 +79,7 @@ class TestExperimentGrid:
         with pytest.raises(ValueError):
             small_grid(trials=0)
         with pytest.raises(ValueError):
-            small_grid(methods=(Method.OLSE,))
+            small_grid(methods=("OLSE",))
 
 
     @pytest.mark.parametrize(
@@ -91,6 +90,16 @@ class TestExperimentGrid:
             (dict(rho_values=(0.0,)), "got 0.0"),
             (dict(n_priv_values=(400, 0)), "n_priv_values must be >= 1, got 0"),
             (dict(n_pub_values=(-3,)), "n_pub_values must be >= 1, got -3"),
+            (
+                dict(methods=(Method.DP_OLSE, Method.DP_PMTOLSE, Method.DP_OLSE)),
+                "methods must not repeat a value, got Method.DP_OLSE twice",
+            ),
+            (
+                dict(rho_values=(2.0, 10.0, 2)),
+                "rho_values must not repeat a value, got 2 twice",
+            ),
+            (dict(n_priv_values=(400, 400)), "n_priv_values must not repeat a value, got 400"),
+            (dict(n_pub_values=(40, 40)), "n_pub_values must not repeat a value, got 40"),
         ],
     )
     def test_bad_value_named(self, overrides, named):
@@ -106,7 +115,7 @@ class TestRunGrid:
             methods=(Method.DP_PMTOLSE,), zero_noise=True,
             n_priv_values=(2000,), trials=4,
         )
-        (r,) = run_grid(grid, SyntheticSource(default_synthetic()))
+        (r,) = run_grid(grid, default_synthetic())
         assert r.trials_ok == 4 and r.trials_failed == 0
         # noise_std 0.05 leaves a small but nonzero gap to true beta
         assert r.mean_err < 0.05
@@ -114,15 +123,34 @@ class TestRunGrid:
     def test_seed_determinism(self):
         grid = small_grid()
         spec = default_synthetic()
-        a = run_grid(grid, SyntheticSource(spec))
-        b = run_grid(grid, SyntheticSource(spec))
+        a = run_grid(grid, spec)
+        b = run_grid(grid, spec)
         assert a == b
 
     def test_seed_sensitivity(self):
         spec = default_synthetic()
-        a = run_grid(small_grid(seed=1), SyntheticSource(spec))
-        b = run_grid(small_grid(seed=2), SyntheticSource(spec))
+        a = run_grid(small_grid(seed=1), spec)
+        b = run_grid(small_grid(seed=2), spec)
         assert a[0].mean_err != b[0].mean_err
+
+    def test_covariance_root_computed_per_spec_not_per_draw(self, monkeypatch):
+        import pmtreg.data
+
+        spec = default_synthetic()
+        calls = []
+        real = pmtreg.data.sqrt_sym
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(pmtreg.data, "sqrt_sym", counted)
+        counts = []
+        for trials in (1, 5):
+            calls.clear()
+            run_grid(small_grid(trials=trials), spec)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_fixed_coefficients_respected(self):
         from pmtreg.data import SyntheticModelSpec
@@ -136,7 +164,7 @@ class TestRunGrid:
             noise_std=0.0,
         )
         grid = small_grid(methods=(Method.DP_PMTOLSE,), zero_noise=True)
-        (r,) = run_grid(grid, SyntheticSource(spec))
+        (r,) = run_grid(grid, spec)
         assert r.mean_err < 1e-8  # noiseless model, noiseless mechanism
 
     def test_truth_reference_rejected_for_dataset_source(self, rng):
@@ -168,7 +196,7 @@ class TestRunGrid:
 class TestEmitCsv:
     def _results(self):
         grid = small_grid(trials=2)
-        return run_grid(grid, SyntheticSource(default_synthetic()))
+        return run_grid(grid, default_synthetic())
 
     def test_header_and_row_count(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -306,6 +334,23 @@ class TestCli:
             (["synth", "--mu-scale", "nan"], "mean must be finite, got nan"),
             (["diagnose", "--d", "0"], "d must be >= 1, got 0"),
             (["diagnose", "--mu-scale", "inf"], "mean must be finite, got inf"),
+            (
+                ["synth", "--d", "3", "--psi-spec", "1,2,-5"],
+                "--psi-spec values must be finite and nonnegative, got -5.0",
+            ),
+            (
+                ["synth", "--d", "3", "--psi-spec", "1,2,nan"],
+                "--psi-spec values must be finite and nonnegative, got nan",
+            ),
+            (
+                ["synth", "--n-priv", "3000,3000"],
+                "n_priv_values must not repeat a value, got 3000",
+            ),
+            (["synth", "--rho", "2,2.0"], "rho_values must not repeat a value, got 2.0"),
+            (
+                ["synth", "--methods", "DP_OLSE,DP_OLSE"],
+                "methods must not repeat a value, got Method.DP_OLSE",
+            ),
         ],
     )
     def test_bad_grid_exits_2_before_any_trial(
@@ -336,7 +381,7 @@ class TestCli:
             reference=Reference.NONPRIVATE_OLSE,
         )
         expected = tmp_path / "expected.csv"
-        emit_csv(run_grid(grid, SyntheticSource(spec)), expected)
+        emit_csv(run_grid(grid, spec), expected)
         assert out.read_bytes() == expected.read_bytes()
         assert out.read_bytes() != plain.read_bytes()
 
@@ -361,7 +406,7 @@ class TestCli:
         ((row,),) = [read_rows(head)]
         # every trial sees the same rows: the first 40 public, the next 200
         # private, so the pre-noise conditioning is the same in each trial
-        dataset, _ = normalize(ingest_csv(data))
+        dataset = normalize(ingest_csv(data))
         public = LabeledDataset(dataset.features[:40], dataset.responses[:40])
         private = LabeledDataset(dataset.features[40:240], dataset.responses[40:240])
         cond = dp_pmtolse(
@@ -383,7 +428,7 @@ class TestCli:
             "--n-pub", "40", "--n-priv", "200", "--trials", "3", "--out", str(out),
         ]
         assert main(argv) == EXIT_OK
-        dataset, _ = normalize(ingest_csv(data, delimiter=",", response_column="y"))
+        dataset = normalize(ingest_csv(data, delimiter=",", response_column="y"))
         grid = small_grid(
             rho_values=(5.0,), n_priv_values=(200,), n_pub_values=(40,), seed=0,
             reference=Reference.NONPRIVATE_OLSE,
@@ -460,6 +505,18 @@ class TestCli:
         assert main(args + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    @pytest.mark.parametrize("command", ["real", "diagnose"])
+    def test_bad_delimiter_exits_2(self, command, delimiter, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        args = [command, "--data", str(write_toy_csv(tmp_path / "toy.csv"))]
+        args += ["--delimiter", delimiter]
+        if command == "real":
+            args += ["--out", str(out)]
+        assert main(args) == EXIT_USAGE
+        assert f"delimiter must be one character, got '{delimiter}'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["real", "diagnose"])
     def test_non_finite_cell_exits_2_naming_cell(self, command, tmp_path, capsys):
         p = tmp_path / "toy.csv"
@@ -477,6 +534,21 @@ def test_cli_import_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=str(src))
     code = "import sys, pmtreg.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition goes breaks `import *`
+    import pkgutil
+
+    import pmtreg
+
+    names = ["pmtreg"] + [f"pmtreg.{m.name}" for m in pkgutil.iter_modules(pmtreg.__path__)]
+    assert len(names) >= 8  # the package and its seven modules
+    for name in names:
+        module = importlib.import_module(name)
+        missing = [a for a in getattr(module, "__all__", ()) if not hasattr(module, a)]
+        assert missing == [], name
+        exec(f"from {name} import *", {})
 
 
 def test_bench_traced_bindings_resolve():
