@@ -13,7 +13,7 @@ from .estimators import (
     olse,
 )
 from .privacy import BudgetLedger, DpGuarantee, NoiseScales, PrivacyBudget
-from .spectra import SpectralDiagnostics, SymmetricMatrix, TheoryBounds
+from .spectra import SpectralDiagnostics, SymmetricMatrix
 
 __all__ = [
     "BudgetLedger",
@@ -26,7 +26,6 @@ __all__ = [
     "PublicMoments",
     "SpectralDiagnostics",
     "SymmetricMatrix",
-    "TheoryBounds",
     "UnstableInversionError",
     "dp_olse_baseline",
     "dp_pmtolse",

@@ -13,8 +13,10 @@ from dataclasses import replace
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from .data import SplitMode, default_synthetic, ingest_csv, normalize
-from .estimators import Method, UnstableInversionError
+from .estimators import Method
 from .harness import (
     DatasetSource,
     ExperimentGrid,
@@ -156,7 +158,7 @@ def _cmd_synth(args) -> int:
             raise UsageError(
                 f"--psi-spec values must be finite and nonnegative, got {bad[0]}"
             )
-        spec = replace(spec, covariance=SymmetricMatrix.diag(psi))
+        spec = replace(spec, covariance=SymmetricMatrix(np.diag(psi)))
     grid = _grid(args, Reference(args.reference), args.zero_noise)
     emit_csv(run_grid(grid, spec), args.out)
     return EXIT_OK
@@ -182,10 +184,8 @@ def _cmd_diagnose(args) -> int:
         d = spec.d
         n_pub = args.n_pub if args.n_pub is not None else 4 * d
     diag = diagnostics(matrix)
-    bounds = theory_bracket(d, n_pub, args.eta)
     payload = diag.as_dict()
-    payload["L"] = bounds.lower_L
-    payload["U"] = bounds.upper_U
+    payload["L"], payload["U"] = theory_bracket(d, n_pub, args.eta)
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK
@@ -206,7 +206,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UnstableInversionError, OSError) as exc:
+    except OSError as exc:
         print(f"runtime-error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -108,7 +108,7 @@ def default_synthetic(d: int = 10, mu_scale: float = 2.0) -> SyntheticModelSpec:
     return SyntheticModelSpec(
         d=d,
         mean=np.full(d, mu_scale),
-        covariance=SymmetricMatrix.diag(psi),
+        covariance=SymmetricMatrix(np.diag(psi)),
         noise_std=0.05,
     )
 

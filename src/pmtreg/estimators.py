@@ -30,10 +30,9 @@ from .privacy import (
     sample_symmetric_gaussian,
 )
 from .spectra import (
-    SingularMatrixError,
     SpectralDiagnostics,
     SymmetricMatrix,
-    TheoryBounds,
+    UnstableInversionError,
     diagnostics,
     inv_sqrt_clamped,
     solve,
@@ -48,21 +47,12 @@ __all__ = [
     "olse",
     "dp_pmtolse",
     "dp_olse_baseline",
-    "stability_ratio",
 ]
 
 
 class Method(enum.Enum):
     DP_OLSE = "DP_OLSE"
     DP_PMTOLSE = "DP_PMTOLSE"
-
-
-class UnstableInversionError(RuntimeError):
-    """The noisy second-moment matrix is numerically singular."""
-
-    def __init__(self, msg, post_diag: SpectralDiagnostics | None = None):
-        super().__init__(msg)
-        self.post_diag = post_diag
 
 
 @dataclass(frozen=True)
@@ -126,7 +116,6 @@ class EstimatorOutput:
     """A coefficient estimate plus its provenance."""
 
     beta: np.ndarray
-    method: Method
     feature_truncation: pmt.TruncationReport
     response_truncation: pmt.TruncationReport
     pre_diag: SpectralDiagnostics
@@ -141,17 +130,9 @@ class EstimatorOutput:
 
 
 def olse(data: LabeledDataset) -> np.ndarray:
-    """Plain ordinary least squares via the normal equations; returns beta."""
+    """Plain least squares via the guarded normal-equations solve; returns beta."""
     x, y, n = data.features, data.responses, data.n
-    diag = diagnostics(SymmetricMatrix(x.T @ x / n))
-    if diag.lambda_min <= 1e-12 * diag.lambda_max:
-        raise SingularMatrixError(
-            f"singular design: lambda_min={diag.lambda_min:.3e}, "
-            f"lambda_max={diag.lambda_max:.3e}",
-            lambda_min=diag.lambda_min,
-            lambda_max=diag.lambda_max,
-        )
-    return solve(diag, x.T @ y / n)
+    return solve(diagnostics(SymmetricMatrix(x.T @ x / n)), x.T @ y / n)
 
 
 def _release(
@@ -159,7 +140,6 @@ def _release(
     responses: np.ndarray,
     r_x: float,
     r_y: float,
-    method: Method,
     budget: PrivacyBudget,
     rng: np.random.Generator,
     zero_noise: bool,
@@ -168,9 +148,10 @@ def _release(
 
     Clips feature rows to r_x and responses to r_y, releases X^T X / n and
     X^T y / n with the noise of :func:`noise_scales` (rho each, matrix noise
-    drawn first), and solves the noisy normal equations through the
-    eigenpairs of the spectral guard.  ``zero_noise`` forces both scales to
-    zero; it is a test hook and must never be set on a privacy-claiming path.
+    drawn first), and solves the noisy normal equations through their
+    eigenpairs; :func:`solve` refuses a numerically singular noisy moment.
+    ``zero_noise`` forces both scales to zero; it is a test hook and must
+    never be set on a privacy-claiming path.
     The ledger still books rho per statistic, so the output's ``notes`` say
     that no noise was added.
     """
@@ -187,19 +168,11 @@ def _release(
     noise_mat = sample_symmetric_gaussian(d, scales.sigma1, rng)
     noise_vec = sample_gaussian_vector(d, scales.sigma2, rng)
     post_diag = diagnostics(SymmetricMatrix(second.entries + noise_mat.entries))
-    abs_eigs = np.abs(post_diag.eigenvalues)
-    if abs_eigs.min() <= 1e-12 * abs_eigs.max():
-        raise UnstableInversionError(
-            f"noisy second moment numerically singular: |lambda| range "
-            f"[{abs_eigs.min():.3e}, {abs_eigs.max():.3e}]",
-            post_diag=post_diag,
-        )
 
     ledger = compose(BudgetLedger(), "second_moment", budget.rho)
     ledger = compose(ledger, "cross_moment", budget.rho)
     return EstimatorOutput(
         beta=solve(post_diag, cross + noise_vec),
-        method=method,
         feature_truncation=feat_report,
         response_truncation=resp_report,
         pre_diag=pre_diag,
@@ -239,7 +212,7 @@ def dp_pmtolse(
     out = _release(
         pmt.transform(data.features, pre),
         data.responses / public.response_moment,
-        r_x, r_y, Method.DP_PMTOLSE, budget_per_stat, rng, zero_noise,
+        r_x, r_y, budget_per_stat, rng, zero_noise,
     )
     beta = public.response_moment * (pre.entries @ out.beta)
     return replace(out, beta=beta, clamp_count=clamp_count)
@@ -269,30 +242,8 @@ def dp_olse_baseline(
         data.responses,
         math.sqrt(trace_a + d * log_term),
         math.sqrt(sigma_a_sq + log_term),
-        Method.DP_OLSE, budget_per_stat, rng, zero_noise,
+        budget_per_stat, rng, zero_noise,
     )
     note = "truncation radii derived from unprivatized private moments"
     return replace(out, notes=out.notes + (note,))
 
-
-def stability_ratio(
-    d: int,
-    n_priv: int,
-    eta: float,
-    budget: PrivacyBudget,
-    bounds: TheoryBounds,
-) -> float:
-    """Diagnostic ratio for the noisy-inverse stability condition.
-
-    Values <= 0.5 indicate the regime where the perturbed second moment is
-    provably invertible with high probability.  Returns +inf when the
-    finite-sample correction factor is nonpositive.
-    """
-    if not math.isfinite(bounds.lower_L):
-        raise ValueError("bounds must be finite")
-    correction = 1.0 - (math.sqrt(d) + math.sqrt(math.log(1.0 / eta))) / math.sqrt(n_priv)
-    if correction <= 0:
-        return math.inf
-    numerator = d**1.5 * (1.0 + math.log(2.0 * n_priv / eta)) * math.log(1.0 / eta)
-    denominator = math.sqrt(budget.rho) * n_priv * bounds.lower_L * correction**2
-    return numerator / denominator

@@ -27,13 +27,12 @@ from .data import (
 from .estimators import (
     LabeledDataset,
     Method,
-    UnstableInversionError,
     dp_olse_baseline,
     dp_pmtolse,
     olse,
 )
 from .privacy import PrivacyBudget
-from .spectra import SingularMatrixError
+from .spectra import UnstableInversionError, diagnostics, solve
 
 __all__ = [
     "Reference",
@@ -85,7 +84,7 @@ class ExperimentGrid:
         if not (0.0 < self.eta < 1.0):
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
 
     def cells(self):
         return list(
@@ -132,6 +131,11 @@ def _grid_beta(grid: ExperimentGrid, d: int) -> np.ndarray:
 def _validate(grid: ExperimentGrid, source):
     if isinstance(source, SyntheticModelSpec):
         d = source.d
+        # a singular design fails or blows up every trial: refuse it up front
+        try:
+            solve(diagnostics(source.second_moment()), np.zeros(d))
+        except UnstableInversionError as exc:
+            raise ValueError(f"synthetic second moment is {exc}") from None
     elif isinstance(source, DatasetSource):
         if grid.reference is Reference.TRUE_BETA:
             raise ValueError("TRUE_BETA reference requires a synthetic source")
@@ -211,7 +215,7 @@ def run_grid(
                 err, frac, avg_cond = _run_trial(
                     grid, source, method, rho, n_priv, n_pub, rng
                 )
-            except (UnstableInversionError, SingularMatrixError):
+            except UnstableInversionError:
                 failed += 1
                 continue
             errs.append(err)

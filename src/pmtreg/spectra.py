@@ -15,9 +15,7 @@ import numpy as np
 __all__ = [
     "SymmetricMatrix",
     "SpectralDiagnostics",
-    "TheoryBounds",
-    "SingularMatrixError",
-    "InsufficientPublicDataError",
+    "UnstableInversionError",
     "eig_sym",
     "inv_sqrt_clamped",
     "sqrt_sym",
@@ -25,19 +23,6 @@ __all__ = [
     "solve",
     "theory_bracket",
 ]
-
-
-class SingularMatrixError(ValueError):
-    """Raised when a matrix is too close to singular to invert."""
-
-    def __init__(self, msg, lambda_min=None, lambda_max=None):
-        super().__init__(msg)
-        self.lambda_min = lambda_min
-        self.lambda_max = lambda_max
-
-
-class InsufficientPublicDataError(ValueError):
-    """Raised when the public sample count does not exceed the dimension."""
 
 
 @dataclass(frozen=True)
@@ -63,10 +48,6 @@ class SymmetricMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @classmethod
-    def diag(cls, values) -> "SymmetricMatrix":
-        return cls(np.diag(np.asarray(values, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -101,20 +82,13 @@ class SpectralDiagnostics:
         }
 
 
-@dataclass(frozen=True)
-class TheoryBounds:
-    """Two-sided spectral bracket for the preconditioned second moment.
+class UnstableInversionError(RuntimeError):
+    """A symmetric system is too close to singular to solve; ``post_diag``
+    holds the refused matrix's diagnostics when they were computed."""
 
-    With n_pub public samples in dimension d and failure probability eta,
-    the preconditioned population second moment lies in [L, U] in the
-    Loewner order with high probability.  Diagnostic only; all
-    unspecified constants are taken as 1.
-    """
-
-    lower_L: float
-    upper_U: float
-    n_pub: int
-    eta: float
+    def __init__(self, msg, post_diag: SpectralDiagnostics | None = None):
+        super().__init__(msg)
+        self.post_diag = post_diag
 
 
 def eig_sym(m: SymmetricMatrix):
@@ -136,10 +110,9 @@ def inv_sqrt_clamped(m: SymmetricMatrix):
     lam, vec = eig_sym(m)
     lam_max = lam[-1]
     if lam_max <= 0:
-        raise SingularMatrixError(
-            "all eigenvalues nonpositive; matrix has no inverse square root",
-            lambda_min=float(lam[0]),
-            lambda_max=float(lam_max),
+        raise UnstableInversionError(
+            f"all eigenvalues nonpositive (lambda_max={lam_max:.3e}); "
+            "matrix has no inverse square root"
         )
     floor = 1e-10 * lam_max
     clamped = int(np.sum(lam < floor))
@@ -189,27 +162,34 @@ def diagnostics(m: SymmetricMatrix) -> SpectralDiagnostics:
 def solve(diag: SpectralDiagnostics, rhs: np.ndarray) -> np.ndarray:
     """Solve M x = rhs through M's eigenpairs: x = (V / lambda) @ (V^T rhs).
 
-    M need not be positive definite; callers guard against eigenvalues near
-    zero before solving.  ``rhs`` may be a vector or a matrix of columns.
+    M need not be positive definite, but a numerically singular one (smallest
+    |lambda| a negligible fraction of the largest) raises
+    :class:`UnstableInversionError`.  ``rhs`` may be a vector or a matrix.
     """
+    abs_eigs = np.abs(diag.eigenvalues)
+    if abs_eigs.min() <= 1e-12 * abs_eigs.max():
+        raise UnstableInversionError(
+            f"numerically singular: |lambda| range "
+            f"[{abs_eigs.min():.3e}, {abs_eigs.max():.3e}]",
+            post_diag=diag,
+        )
     vec = diag.eigenvectors
     return (vec / diag.eigenvalues) @ (vec.T @ rhs)
 
 
-def theory_bracket(d: int, n_pub: int, eta: float) -> TheoryBounds:
-    """Lower/upper spectral bounds L, U for the preconditioned second moment.
+def theory_bracket(d: int, n_pub: int, eta: float) -> tuple[float, float]:
+    """Lower/upper spectral bounds (L, U) for the preconditioned second moment.
 
     L = n / (sqrt(n) + sqrt(d) + sqrt(2 ln(1/eta)))^2 and U with a minus in
-    the denominator; U is +inf when the denominator is nonpositive.
+    the denominator; U is +inf when the denominator is nonpositive.  All
+    unspecified constants are taken as 1.
     """
     if not (0.0 < eta < 1.0):
-        raise ValueError("eta must lie in (0, 1)")
+        raise ValueError(f"eta must lie in (0, 1), got {eta}")
     if n_pub <= d:
-        raise InsufficientPublicDataError(
-            f"need n_pub > d, got n_pub={n_pub}, d={d}"
-        )
+        raise ValueError(f"need n_pub > d, got n_pub={n_pub}, d={d}")
     slack = np.sqrt(d) + np.sqrt(2.0 * np.log(1.0 / eta))
     lower = n_pub / (np.sqrt(n_pub) + slack) ** 2
     denom = np.sqrt(n_pub) - slack
     upper = n_pub / denom**2 if denom > 0 else np.inf
-    return TheoryBounds(lower_L=float(lower), upper_U=float(upper), n_pub=n_pub, eta=eta)
+    return float(lower), float(upper)

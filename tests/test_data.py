@@ -57,7 +57,7 @@ class TestSyntheticSpec:
     def test_non_psd_covariance_rejected_at_construction(self):
         with pytest.raises(ValueError, match="covariance must be PSD.*lambda_min=-5"):
             SyntheticModelSpec(
-                d=3, mean=np.zeros(3), covariance=SymmetricMatrix.diag([1.0, 2.0, -5.0])
+                d=3, mean=np.zeros(3), covariance=SymmetricMatrix(np.diag([1.0, 2.0, -5.0]))
             )
 
     @pytest.mark.parametrize("d", [0, -1])

@@ -16,7 +16,6 @@ from pmtreg.estimators import (
     dp_olse_baseline,
     dp_pmtolse,
     olse,
-    stability_ratio,
 )
 from pmtreg.pmt import clip_rows, transform, truncation_radius
 from pmtreg.privacy import (
@@ -26,12 +25,10 @@ from pmtreg.privacy import (
     sample_symmetric_gaussian,
 )
 from pmtreg.spectra import (
-    SingularMatrixError,
     SymmetricMatrix,
     diagnostics,
     inv_sqrt_clamped,
     solve,
-    theory_bracket,
 )
 
 BUDGET = PrivacyBudget(2.0)
@@ -121,7 +118,7 @@ class TestOlse:
 
     def test_singular_design(self):
         x = np.ones((5, 2))  # rank 1
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(UnstableInversionError):
             olse(LabeledDataset(features=x, responses=np.ones(5)))
 
 
@@ -283,37 +280,6 @@ class TestDpOlseBaseline:
         assert len(out.ledger.entries) == 2
 
 
-class TestStabilityRatio:
-    def test_monotone_in_n(self):
-        bounds = theory_bracket(10, 10**6, 0.05)
-        ratios = [
-            stability_ratio(10, n, 0.05, BUDGET, bounds)
-            for n in (10**4, 10**5, 10**6, 10**7)
-        ]
-        assert all(a > b for a, b in zip(ratios, ratios[1:]))
-
-    def test_frozen_regression_value(self):
-        # direct evaluation of the closed form at d=10, n=1e6, rho=2, eta=0.05
-        bounds = theory_bracket(10, 10**6, 0.05)
-        d, n, eta, rho = 10, 10**6, 0.05, 2.0
-        corr = 1.0 - (math.sqrt(d) + math.sqrt(math.log(1 / eta))) / math.sqrt(n)
-        expected = (
-            d**1.5 * (1 + math.log(2 * n / eta)) * math.log(1 / eta)
-            / (math.sqrt(rho) * n * bounds.lower_L * corr**2)
-        )
-        got = stability_ratio(d, n, eta, BUDGET, bounds)
-        assert got == pytest.approx(expected, rel=1e-14)
-        assert got < 0.5  # deep in the stable regime
-
-    def test_large_rho_limit(self):
-        bounds = theory_bracket(10, 10**6, 0.05)
-        assert stability_ratio(10, 10**5, 0.05, PrivacyBudget(1e12), bounds) < 1e-4
-
-    def test_sentinel_when_correction_nonpositive(self):
-        bounds = theory_bracket(10, 10**6, 0.05)
-        assert stability_ratio(10, 11, 0.05, BUDGET, bounds) == math.inf
-
-
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_affine_invariance_property(seed):
@@ -334,8 +300,36 @@ def test_affine_invariance_property(seed):
     public = PublicMoments(feature_moment=moment, response_moment=sigma_b, n_pub=n)
     try:
         ref = olse(data)
-    except SingularMatrixError:
+    except UnstableInversionError:
         return
     out = dp_pmtolse(data, public, 0.05, BUDGET, rng, zero_noise=True)
     assert out.feature_truncation.truncated == 0
     assert np.linalg.norm(out.beta - ref) <= 1e-8 * max(np.linalg.norm(ref), 1e-12)
+
+
+def _collinear(rng, n=60):
+    x = rng.standard_normal((n, 2))
+    x = np.column_stack([x, x[:, 1]])  # a duplicated column
+    return LabeledDataset(features=x, responses=x @ np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "release",
+    [
+        lambda data, rng: olse(data),
+        lambda data, rng: dp_pmtolse(data, small_public(3), 0.05, BUDGET, rng, zero_noise=True),
+        lambda data, rng: dp_olse_baseline(data, 0.05, BUDGET, rng, zero_noise=True),
+    ],
+    ids=["olse", "dp_pmtolse", "dp_olse_baseline"],
+)
+def test_singular_design_raises_the_one_failure_type(release, rng):
+    import pmtreg
+    import pmtreg.spectra
+
+    with pytest.raises(UnstableInversionError) as err:
+        release(_collinear(rng), rng)
+    assert UnstableInversionError is pmtreg.UnstableInversionError
+    assert UnstableInversionError is pmtreg.spectra.UnstableInversionError
+    lam = np.abs(err.value.post_diag.eigenvalues)
+    assert lam.min() <= 1e-12 * lam.max()
+

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -100,6 +101,7 @@ class TestExperimentGrid:
             ),
             (dict(n_priv_values=(400, 400)), "n_priv_values must not repeat a value, got 400"),
             (dict(n_pub_values=(40, 40)), "n_pub_values must not repeat a value, got 40"),
+            (dict(trials=0), "trials must be >= 1, got 0"),
         ],
     )
     def test_bad_value_named(self, overrides, named):
@@ -191,6 +193,22 @@ class TestRunGrid:
         )
         results = run_grid(grid, DatasetSource(data))
         assert all(r.trials_ok == 3 for r in results)
+
+    def test_collinear_dataset_fails_every_trial(self, rng):
+        from pmtreg.harness import DatasetSource
+
+        x = rng.standard_normal((500, 2))
+        x = np.column_stack([x, x[:, 0]])  # a duplicated column: singular design
+        data = LabeledDataset(features=x, responses=x @ np.ones(3))
+        grid = small_grid(
+            n_priv_values=(300,), n_pub_values=(50,), reference=Reference.NONPRIVATE_OLSE
+        )
+        results = run_grid(grid, DatasetSource(data))
+        assert len(results) == 2
+        for r in results:
+            assert (r.trials_ok, r.trials_failed) == (0, 3)
+            aggregates = (r.mean_err, r.std_err, r.mean_truncated_frac, r.mean_avg_cond_pre)
+            assert all(np.isnan(v) for v in aggregates)
 
 
 class TestEmitCsv:
@@ -351,6 +369,15 @@ class TestCli:
                 ["synth", "--methods", "DP_OLSE,DP_OLSE"],
                 "methods must not repeat a value, got Method.DP_OLSE",
             ),
+            (
+                ["synth", "--d", "3", "--psi-spec", "0,0,0"],
+                "synthetic second moment is numerically singular: |lambda| range",
+            ),
+            (
+                ["synth", "--d", "3", "--psi-spec", "0,0,1"],
+                "synthetic second moment is numerically singular: |lambda| range",
+            ),
+            (["diagnose", "--eta", "1.5"], "eta must lie in (0, 1), got 1.5"),
         ],
     )
     def test_bad_grid_exits_2_before_any_trial(
@@ -375,7 +402,7 @@ class TestCli:
         out, plain = tmp_path / "psi.csv", tmp_path / "plain.csv"
         assert main(args + ["--psi-spec", "1,2,30", "--out", str(out)]) == EXIT_OK
         assert main(args + ["--out", str(plain)]) == EXIT_OK
-        spec = replace(default_synthetic(3), covariance=SymmetricMatrix.diag(psi))
+        spec = replace(default_synthetic(3), covariance=SymmetricMatrix(np.diag(psi)))
         grid = small_grid(
             n_priv_values=(200,), n_pub_values=(10,), seed=4,
             reference=Reference.NONPRIVATE_OLSE,
@@ -384,6 +411,17 @@ class TestCli:
         emit_csv(run_grid(grid, spec), expected)
         assert out.read_bytes() == expected.read_bytes()
         assert out.read_bytes() != plain.read_bytes()
+
+    def test_psi_spec_full_rank_through_the_mean_runs(self, tmp_path, monkeypatch):
+        # Psi = diag(0, 1, 1) is singular, but the mean makes the second
+        # moment Psi + mu mu^T full rank, so the sweep runs
+        calls = count_trials(monkeypatch)
+        out = tmp_path / "psi.csv"
+        argv = ["synth", "--d", "3", "--psi-spec", "0,1,1", "--trials", "2", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        rows = read_rows(out)
+        assert len(rows) == 2 and all(r.trials_ok == 2 for r in rows)
+        assert len(calls) == 4
 
     def test_psi_spec_wrong_length_exits_2(self, tmp_path, capsys):
         argv = ["synth", "--d", "3", "--psi-spec", "1,2", "--out", str(tmp_path / "x.csv")]
@@ -549,6 +587,16 @@ def test_every_exported_name_resolves():
         missing = [a for a in getattr(module, "__all__", ()) if not hasattr(module, a)]
         assert missing == [], name
         exec(f"from {name} import *", {})
+
+
+def test_bench_counts_the_unstable_inversion_type():
+    # bench/run.py counts failed DP spans by exception type name; a rename of
+    # the type would silently zero estimators.unstable.count
+    from pmtreg.spectra import UnstableInversionError
+
+    text = (REPO / "bench" / "run.py").read_text(encoding="utf-8")
+    (matched,) = re.findall(r'startswith\("estimators\.dp_"\) and s\[4\] == "(\w+)"', text)
+    assert matched == UnstableInversionError.__name__
 
 
 def test_bench_traced_bindings_resolve():

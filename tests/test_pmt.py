@@ -50,7 +50,7 @@ class TestPolicy:
 class TestTransform:
     def test_scalar_scaling(self):
         # public moment 4I -> inverse sqrt is I/2
-        pre = inv_sqrt(SymmetricMatrix.diag([4.0, 4.0]))
+        pre = inv_sqrt(SymmetricMatrix(np.diag([4.0, 4.0])))
         out = transform(np.array([[2.0, 0.0]]), pre)
         assert np.allclose(out, [[1.0, 0.0]], atol=1e-12)
 
@@ -60,7 +60,7 @@ class TestTransform:
         assert np.array_equal(out, samples)
 
     def test_diagonal_scaling(self):
-        pre = inv_sqrt(SymmetricMatrix.diag([4.0, 9.0]))
+        pre = inv_sqrt(SymmetricMatrix(np.diag([4.0, 9.0])))
         out = transform(np.array([[2.0, 3.0]]), pre)
         assert np.allclose(out, [[1.0, 1.0]], atol=1e-12)
 
