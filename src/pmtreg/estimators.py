@@ -9,6 +9,10 @@ private rows by the public second-moment matrix, which shrinks both the
 truncation radius and the condition number of the matrix being inverted,
 and undoes the change of variables on the solved coefficients.  The baseline
 passes raw rows with radii taken from the private data's own moments.
+
+Each DP estimator takes a tuple of budgets and returns one entry per budget.
+The work that does not depend on rho (whitening, clipping, the two moments,
+the pre-noise spectrum) is done once; the noise and the solve once per budget.
 """
 
 from __future__ import annotations
@@ -140,20 +144,25 @@ def _release(
     responses: np.ndarray,
     r_x: float,
     r_y: float,
-    budget: PrivacyBudget,
+    budgets: tuple[PrivacyBudget, ...],
     rng: np.random.Generator,
     zero_noise: bool,
-) -> EstimatorOutput:
+    notes: tuple = (),
+) -> tuple[EstimatorOutput | UnstableInversionError, ...]:
     """The Gaussian sufficient-statistics mechanism both DP estimators share.
 
-    Clips feature rows to r_x and responses to r_y, releases X^T X / n and
-    X^T y / n with the noise of :func:`noise_scales` (rho each, matrix noise
-    drawn first), and solves the noisy normal equations through their
-    eigenpairs; :func:`solve` refuses a numerically singular noisy moment.
+    Clips feature rows to r_x and responses to r_y and forms X^T X / n,
+    X^T y / n and the pre-noise spectrum once.  Then, for each budget in
+    order, releases both statistics with the noise of :func:`noise_scales`
+    (rho each, matrix noise drawn first) and solves the noisy normal equations
+    through their eigenpairs.  Every budget gets its own independent noise,
+    so each entry is a standalone release at its rho.  An entry is the
+    :class:`UnstableInversionError` that :func:`solve` raised when that
+    budget's noisy moment is numerically singular; the other entries stand.
     ``zero_noise`` forces both scales to zero; it is a test hook and must
     never be set on a privacy-claiming path.
     The ledger still books rho per statistic, so the output's ``notes`` say
-    that no noise was added.
+    that no noise was added, ahead of the caller's ``notes``.
     """
     n, d = features.shape
     if n <= d:
@@ -163,40 +172,52 @@ def _release(
     second = SymmetricMatrix(x.T @ x / n)
     cross = x.T @ y[:, 0] / n
     pre_diag = diagnostics(second)
+    if zero_noise:
+        notes = ("zero_noise: no noise added, no privacy guarantee",) + notes
 
-    scales = NoiseScales(0.0, 0.0) if zero_noise else noise_scales(r_x, r_y, n, budget)
-    noise_mat = sample_symmetric_gaussian(d, scales.sigma1, rng)
-    noise_vec = sample_gaussian_vector(d, scales.sigma2, rng)
-    post_diag = diagnostics(SymmetricMatrix(second.entries + noise_mat.entries))
-
-    ledger = compose(BudgetLedger(), "second_moment", budget.rho)
-    ledger = compose(ledger, "cross_moment", budget.rho)
-    return EstimatorOutput(
-        beta=solve(post_diag, cross + noise_vec),
-        feature_truncation=feat_report,
-        response_truncation=resp_report,
-        pre_diag=pre_diag,
-        post_diag=post_diag,
-        clamp_count=0,
-        ledger=ledger,
-        notes=("zero_noise: no noise added, no privacy guarantee",) if zero_noise else (),
-    )
+    entries = []
+    for budget in budgets:
+        scales = NoiseScales(0.0, 0.0) if zero_noise else noise_scales(r_x, r_y, n, budget)
+        noise_mat = sample_symmetric_gaussian(d, scales.sigma1, rng)
+        noise_vec = sample_gaussian_vector(d, scales.sigma2, rng)
+        post_diag = diagnostics(SymmetricMatrix(second.entries + noise_mat.entries))
+        try:
+            beta = solve(post_diag, cross + noise_vec)
+        except UnstableInversionError as exc:
+            entries.append(exc)
+            continue
+        ledger = compose(BudgetLedger(), "second_moment", budget.rho)
+        ledger = compose(ledger, "cross_moment", budget.rho)
+        entries.append(
+            EstimatorOutput(
+                beta=beta,
+                feature_truncation=feat_report,
+                response_truncation=resp_report,
+                pre_diag=pre_diag,
+                post_diag=post_diag,
+                clamp_count=0,
+                ledger=ledger,
+                notes=notes,
+            )
+        )
+    return tuple(entries)
 
 
 def dp_pmtolse(
     data: LabeledDataset,
     public: PublicMoments,
     eta: float,
-    budget_per_stat: PrivacyBudget,
+    budgets: tuple[PrivacyBudget, ...],
     rng: np.random.Generator,
     zero_noise: bool = False,
-) -> EstimatorOutput:
-    """DP least squares with public-moment preconditioning.
+) -> tuple[EstimatorOutput | UnstableInversionError, ...]:
+    """DP least squares with public-moment preconditioning, one entry per budget.
 
     Whitens features by the public feature moment and rescales responses by
     the public response moment, releases the two sufficient statistics with
     radii sqrt(d (1 + ln(2n/eta))) and sqrt(1 + ln(2n/eta)) (rho each, 2 rho
-    total), and maps the whitened solution back.  See :func:`_release` for
+    total), and maps the whitened solution back.  The whitening and clipping
+    are done once for all budgets.  See :func:`_release` for the entries and
     ``zero_noise``.
     """
     n, d = data.n, data.d
@@ -209,41 +230,44 @@ def dp_pmtolse(
         raise ValueError("response_moment must be positive to rescale responses")
 
     pre, clamp_count = inv_sqrt_clamped(public.feature_moment)
-    out = _release(
+    entries = _release(
         pmt.transform(data.features, pre),
         data.responses / public.response_moment,
-        r_x, r_y, budget_per_stat, rng, zero_noise,
+        r_x, r_y, budgets, rng, zero_noise,
     )
-    beta = public.response_moment * (pre.entries @ out.beta)
-    return replace(out, beta=beta, clamp_count=clamp_count)
+    sigma_b = public.response_moment
+    return tuple(
+        out if isinstance(out, UnstableInversionError)
+        else replace(out, beta=sigma_b * (pre.entries @ out.beta), clamp_count=clamp_count)
+        for out in entries
+    )
 
 
 def dp_olse_baseline(
     data: LabeledDataset,
     eta: float,
-    budget_per_stat: PrivacyBudget,
+    budgets: tuple[PrivacyBudget, ...],
     rng: np.random.Generator,
     zero_noise: bool = False,
-) -> EstimatorOutput:
-    """Private-data-only DP least squares baseline.
+) -> tuple[EstimatorOutput | UnstableInversionError, ...]:
+    """Private-data-only DP least squares baseline, one entry per budget.
 
     Releases the raw rows' sufficient statistics with radii
     R_x^2 = tr + d ln(2n/eta) and R_y^2 = sigma_y^2 + ln(2n/eta), where tr and
     sigma_y^2 are the mean squared feature-row norm and response of the
     untruncated private data, computed without privatization.  That is this
-    baseline's known caveat, recorded in ``notes``.
+    baseline's known caveat, recorded in ``notes``.  See :func:`_release` for
+    the entries.
     """
     n, d = data.n, data.d
     log_term = pmt.truncation_radius(1, n, eta) ** 2 - 1.0  # ln(2n/eta), eta checked
     trace_a = float(np.sum(data.features**2)) / n
     sigma_a_sq = float(np.mean(data.responses**2))
-    out = _release(
+    return _release(
         data.features,
         data.responses,
         math.sqrt(trace_a + d * log_term),
         math.sqrt(sigma_a_sq + log_term),
-        budget_per_stat, rng, zero_noise,
+        budgets, rng, zero_noise,
+        notes=("truncation radii derived from unprivatized private moments",),
     )
-    note = "truncation radii derived from unprivatized private moments"
-    return replace(out, notes=out.notes + (note,))
-

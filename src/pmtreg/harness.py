@@ -1,9 +1,14 @@
 """Multi-trial experiment orchestration and CSV emission.
 
 A grid is the cross product (method, rho, n_priv, n_pub); each cell runs
-``trials`` independent trials with per-trial rng streams derived from
-(seed, cell index, trial index), so trial execution order and scheduling
-never affect the numbers.
+``trials`` trials.  The unit of work is a dataset, keyed by
+(seed, n_priv, n_pub, trial): it is drawn (or split) once, its reference is
+computed once, and every (method, rho) cell's trial runs on it.  One rng
+stream per dataset, derived from that key, draws the public rows, then the
+private rows (or the split seed), then for each method and each rho in grid
+order the matrix noise and the vector noise.  The grid keeps its values in
+a canonical order, so neither the order in which they are listed nor the
+order in which datasets run changes a number.
 """
 
 from __future__ import annotations
@@ -74,6 +79,10 @@ class ExperimentGrid:
             object.__setattr__(self, name, value)
         if not all(isinstance(m, Method) for m in self.methods):
             raise ValueError("grid methods must be DP_OLSE or DP_PMTOLSE")
+        # canonical order: methods as Method declares them, numbers ascending
+        object.__setattr__(self, "methods", tuple(m for m in Method if m in self.methods))
+        for name in ("rho_values", "n_priv_values", "n_pub_values"):
+            object.__setattr__(self, name, tuple(sorted(getattr(self, name))))
         bad_rho = [r for r in self.rho_values if not (math.isfinite(r) and r > 0)]
         if bad_rho:
             raise ValueError(f"rho values must be finite and positive, got {bad_rho[0]}")
@@ -118,11 +127,6 @@ class DatasetSource:
     split_mode: SplitMode = SplitMode.RANDOM_WITHOUT_REPLACEMENT
 
 
-def _trial_rng(seed: int, cell_index: int, trial: int) -> np.random.Generator:
-    ss = np.random.SeedSequence([seed & _SEED_MASK, 1, cell_index, trial])
-    return np.random.default_rng(ss)
-
-
 def _grid_beta(grid: ExperimentGrid, d: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence([grid.seed & _SEED_MASK, 0]))
     return rng.standard_normal(d)
@@ -148,7 +152,7 @@ def _validate(grid: ExperimentGrid, source):
     else:
         raise TypeError(f"unsupported source type {type(source).__name__}")
     # the estimators check these too, but only inside a trial, after every
-    # earlier cell has run
+    # earlier dataset has run
     if min(grid.n_priv_values) <= d:
         raise ValueError(f"n_priv must exceed d={d}, got {min(grid.n_priv_values)}")
     if Method.DP_PMTOLSE in grid.methods and min(grid.n_pub_values) <= d:
@@ -157,7 +161,17 @@ def _validate(grid: ExperimentGrid, source):
         )
 
 
-def _run_trial(grid, source, method, rho, n_priv, n_pub, rng):
+def _run_trial(grid, source, n_priv, n_pub, trial):
+    """One dataset and every (method, rho) cell's trial on it.
+
+    Returns {(method, rho): (err, truncated fraction, pre-noise avg_cond)},
+    with None for a cell whose trial failed: a singular noisy moment fails
+    only its own (method, rho); a singular reference or public moment fails
+    every cell it feeds.
+    """
+    rng = np.random.default_rng(
+        np.random.SeedSequence([grid.seed & _SEED_MASK, 2, n_priv, n_pub, trial])
+    )
     if isinstance(source, SyntheticModelSpec):
         public = generate(source, n_pub, rng)
         private = generate(source, n_priv, rng)
@@ -167,36 +181,47 @@ def _run_trial(grid, source, method, rho, n_priv, n_pub, rng):
             source.dataset, n_pub, n_priv, split_seed, source.split_mode
         )
 
+    outcomes = dict.fromkeys(product(grid.methods, grid.rho_values))
     if grid.reference is Reference.TRUE_BETA:
         ref = source.coefficients
     else:
-        ref = olse(private)
+        try:
+            ref = olse(private)
+        except UnstableInversionError:
+            return outcomes
 
-    budget = PrivacyBudget(rho)
-    if method is Method.DP_PMTOLSE:
-        out = dp_pmtolse(
-            private, public_moments(public), grid.eta, budget, rng,
-            zero_noise=grid.zero_noise,
-        )
-    else:
-        out = dp_olse_baseline(
-            private, grid.eta, budget, rng, zero_noise=grid.zero_noise
-        )
-
-    err = float(np.linalg.norm(out.beta - ref))
-    frac = (out.feature_truncation.truncated + out.response_truncation.truncated) / (
-        out.feature_truncation.total + out.response_truncation.total
-    )
-    return err, frac, out.pre_diag.avg_cond
+    budgets = tuple(PrivacyBudget(rho) for rho in grid.rho_values)
+    for method in grid.methods:
+        try:
+            if method is Method.DP_PMTOLSE:
+                entries = dp_pmtolse(
+                    private, public_moments(public), grid.eta, budgets, rng,
+                    zero_noise=grid.zero_noise,
+                )
+            else:
+                entries = dp_olse_baseline(
+                    private, grid.eta, budgets, rng, zero_noise=grid.zero_noise
+                )
+        except UnstableInversionError:
+            continue
+        for rho, out in zip(grid.rho_values, entries):
+            if isinstance(out, UnstableInversionError):
+                continue
+            feat, resp = out.feature_truncation, out.response_truncation
+            frac = (feat.truncated + resp.truncated) / (feat.total + resp.total)
+            err = float(np.linalg.norm(out.beta - ref))
+            outcomes[method, rho] = (err, frac, out.pre_diag.avg_cond)
+    return outcomes
 
 
 def run_grid(
     grid: ExperimentGrid, source: SyntheticModelSpec | DatasetSource
 ) -> list[CellResult]:
-    """Run every cell of the grid; failed (unstable-inversion) trials are
-    counted per cell and excluded from the mean/std, never silently dropped.
+    """Run every cell of the grid, one dataset at a time; failed
+    (unstable-inversion) trials are counted per cell and excluded from the
+    mean/std, never silently dropped.
 
-    A synthetic spec is resampled in every trial; if its coefficients are
+    A synthetic spec is resampled for every dataset; if its coefficients are
     unset, beta is drawn once per grid from a standard normal, using a stream
     keyed off the grid seed.
     """
@@ -205,24 +230,20 @@ def run_grid(
     if isinstance(source, SyntheticModelSpec) and source.coefficients is None:
         source = replace(source, coefficients=_grid_beta(grid, source.d))
 
-    results = []
-    for cell_index, (method, rho, n_priv, n_pub) in enumerate(grid.cells()):
-        errs, fracs, conds = [], [], []
-        failed = 0
+    outcomes = {cell: [] for cell in grid.cells()}
+    for n_priv, n_pub in product(grid.n_priv_values, grid.n_pub_values):
         for trial in range(grid.trials):
-            rng = _trial_rng(grid.seed, cell_index, trial)
-            try:
-                err, frac, avg_cond = _run_trial(
-                    grid, source, method, rho, n_priv, n_pub, rng
-                )
-            except UnstableInversionError:
-                failed += 1
-                continue
-            errs.append(err)
-            fracs.append(frac)
-            conds.append(avg_cond)
-        ok = len(errs)
+            for (method, rho), outcome in _run_trial(
+                grid, source, n_priv, n_pub, trial
+            ).items():
+                outcomes[method, rho, n_priv, n_pub].append(outcome)
+
+    results = []
+    for (method, rho, n_priv, n_pub), cell in outcomes.items():
+        done = [o for o in cell if o is not None]
+        ok = len(done)
         if ok:
+            errs, fracs, conds = zip(*done)
             mean_err = float(np.mean(errs))
             std_err = float(np.std(errs, ddof=1)) if ok > 1 else 0.0
             mean_frac = float(np.mean(fracs))
@@ -236,7 +257,7 @@ def run_grid(
                 n_priv=int(n_priv),
                 n_pub=int(n_pub),
                 trials_ok=ok,
-                trials_failed=failed,
+                trials_failed=len(cell) - ok,
                 mean_err=mean_err,
                 std_err=std_err,
                 mean_truncated_frac=mean_frac,

@@ -92,6 +92,12 @@ def noise_scales(r_x: float, r_y: float, n: int, budget: PrivacyBudget) -> Noise
     statistic gets sigma = Delta / sqrt(2 rho), so the pair costs 2 rho.  The
     matrix noise is drawn on the upper triangle only, whose L2 sensitivity is
     at most the Frobenius one.
+
+    The matrix constant 2 r_x^2 / n is the paper's, and it is loose: since
+    ||x x^T - x' x'^T||_F^2 = ||x||^4 + ||x'||^4 - 2 (x . x')^2 <= 2 r_x^4,
+    the tight replace-one bound is sqrt(2) r_x^2 / n, so the matrix release
+    meets rho / 2-zCDP while the ledger books rho.  The vector constant is
+    tight (take x' = -x).
     """
     scale = n * math.sqrt(2.0 * budget.rho)
     return NoiseScales(sigma1=2.0 * r_x * r_x / scale, sigma2=2.0 * r_x * r_y / scale)

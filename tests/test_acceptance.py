@@ -94,7 +94,7 @@ def test_criterion_1_affine_invariance():
             ref = olse(data)
         except UnstableInversionError:
             continue
-        out = dp_pmtolse(data, public, 0.05, budget, rng, zero_noise=True)
+        out = dp_pmtolse(data, public, 0.05, (budget,), rng, zero_noise=True)[0]
         assert out.feature_truncation.truncated == 0
         rel = float(
             np.linalg.norm(out.beta - ref) / max(np.linalg.norm(ref), 1e-300)
@@ -140,9 +140,9 @@ def test_criterion_3_budget_accounting():
     private = generate(spec, 400, rng)
     rho = 1.25
     pmt_out = dp_pmtolse(
-        private, public_moments(public), 0.05, PrivacyBudget(rho), rng
-    )
-    base_out = dp_olse_baseline(private, 0.05, PrivacyBudget(rho), rng)
+        private, public_moments(public), 0.05, (PrivacyBudget(rho),), rng
+    )[0]
+    base_out = dp_olse_baseline(private, 0.05, (PrivacyBudget(rho),), rng)[0]
     eps = zcdp_to_dp(PrivacyBudget(1.0), math.exp(-1.0)).epsilon
     ok = (
         pmt_out.rho_total == 2 * rho
@@ -172,8 +172,8 @@ def test_criterion_4_no_truncation():
         public = generate(trial_spec, 40, rng)
         private = generate(trial_spec, 2000, rng)
         out = dp_pmtolse(
-            private, public_moments(public), eta, PrivacyBudget(2.0), rng, zero_noise=True
-        )
+            private, public_moments(public), eta, (PrivacyBudget(2.0),), rng, zero_noise=True
+        )[0]
         report = out.feature_truncation
         fracs.append(report.truncated / report.total)
         zero_count += report.truncated == 0
@@ -203,8 +203,8 @@ def test_criterion_5_conditioning_improvement():
             private = generate(trial_spec, 2000, rng)
             out = dp_pmtolse(
                 private, public_moments(public), 0.05,
-                PrivacyBudget(2.0), rng, zero_noise=True,
-            )
+                (PrivacyBudget(2.0),), rng, zero_noise=True,
+            )[0]
             conds.append(out.pre_diag.avg_cond)
         medians[n_pub] = float(np.median(conds))
     ok = medians[40] <= 3.5 and medians[135] <= 2.5
@@ -279,9 +279,9 @@ def test_criterion_7_wine_regime():
         split(dataset, n_pub, n_priv, 0)[0]
     )
     transformed_cond = dp_pmtolse(
-        private_probe, pm, 0.05, PrivacyBudget(5.0),
+        private_probe, pm, 0.05, (PrivacyBudget(5.0),),
         np.random.default_rng(0), zero_noise=True,
-    ).pre_diag.avg_cond
+    )[0].pre_diag.avg_cond
 
     from pmtreg.harness import DatasetSource
 

@@ -67,9 +67,9 @@ def test_bad_eta_rejected_by_both_estimators(method, eta, rng):
     )
     with pytest.raises(ValueError, match="eta"):
         if method is Method.DP_PMTOLSE:
-            dp_pmtolse(data, small_public(3), eta, BUDGET, rng)
+            dp_pmtolse(data, small_public(3), eta, (BUDGET,), rng)
         else:
-            dp_olse_baseline(data, eta, BUDGET, rng)
+            dp_olse_baseline(data, eta, (BUDGET,), rng)
 
 
 ZERO_NOISE = "zero_noise: no noise added, no privacy guarantee"
@@ -82,9 +82,9 @@ def test_notes_say_when_no_noise_was_added(zero_noise, rng):
     spec = replace(default_synthetic(), coefficients=np.ones(10))
     public, private = generate(spec, 40, rng), generate(spec, 400, rng)
     pmt_out = dp_pmtolse(
-        private, public_moments(public), 0.05, BUDGET, rng, zero_noise=zero_noise
-    )
-    base_out = dp_olse_baseline(private, 0.05, BUDGET, rng, zero_noise=zero_noise)
+        private, public_moments(public), 0.05, (BUDGET,), rng, zero_noise=zero_noise
+    )[0]
+    base_out = dp_olse_baseline(private, 0.05, (BUDGET,), rng, zero_noise=zero_noise)[0]
     assert pmt_out.notes == ((ZERO_NOISE,) if zero_noise else ())
     assert base_out.notes == ((ZERO_NOISE, RADII) if zero_noise else (RADII,))
     assert pmt_out.rho_total == base_out.rho_total == 2 * BUDGET.rho
@@ -133,7 +133,7 @@ class TestDpSecondMoment:
         data = LabeledDataset(
             features=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), responses=np.ones(3)
         )
-        out = dp_pmtolse(data, small_public(2), 0.05, BUDGET, rng, zero_noise=True)
+        out = dp_pmtolse(data, small_public(2), 0.05, (BUDGET,), rng, zero_noise=True)[0]
         expected = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
         assert np.allclose(rebuild(out.pre_diag), expected, atol=1e-12)
 
@@ -145,9 +145,9 @@ class TestDpSecondMoment:
         moment = random_spd(rng, 4, max_cond=50.0)
         public = PublicMoments(feature_moment=moment, response_moment=1.7, n_pub=20)
         out = dp_pmtolse(
-            LabeledDataset(features=x, responses=y), public, 0.05, BUDGET,
+            LabeledDataset(features=x, responses=y), public, 0.05, (BUDGET,),
             np.random.default_rng(9),
-        )
+        )[0]
 
         pre, _ = inv_sqrt_clamped(moment)
         r_x, r_y = truncation_radius(4, 100, 0.05), truncation_radius(1, 100, 0.05)
@@ -168,7 +168,7 @@ class TestDpSecondMoment:
         data = LabeledDataset(features=np.zeros((1000, 10)), responses=np.zeros(1000))
         public = small_public(10)
         for _ in range(300):
-            out = dp_pmtolse(data, public, 0.05, BUDGET, rng)
+            out = dp_pmtolse(data, public, 0.05, (BUDGET,), rng)[0]
             draws.extend(rebuild(out.post_diag)[np.triu_indices(10, k=1)])
         assert np.std(draws, ddof=1) == pytest.approx(0.11596635, rel=0.05)
 
@@ -180,8 +180,8 @@ class TestDpPmtolse:
         private = generate(spec, 800, rng)
         ref = olse(private)
         out = dp_pmtolse(
-            private, public_moments(public), 0.05, BUDGET, rng, zero_noise=True
-        )
+            private, public_moments(public), 0.05, (BUDGET,), rng, zero_noise=True
+        )[0]
         assert np.linalg.norm(out.beta - ref) <= 1e-8 * np.linalg.norm(ref)
         assert out.feature_truncation.truncated == 0
 
@@ -193,8 +193,8 @@ class TestDpPmtolse:
             feature_moment=SymmetricMatrix([[1.0]]), response_moment=2.0, n_pub=2
         )
         out = dp_pmtolse(
-            data, public, 0.05, BUDGET, np.random.default_rng(0), zero_noise=True
-        )
+            data, public, 0.05, (BUDGET,), np.random.default_rng(0), zero_noise=True
+        )[0]
         assert out.beta[0] == pytest.approx(2.0, rel=1e-12)
         assert out.beta[0] == pytest.approx(olse(data)[0], rel=1e-12)
 
@@ -203,8 +203,8 @@ class TestDpPmtolse:
         public = generate(spec, 50, rng)
         private = generate(spec, 300, rng)
         pm = public_moments(public)
-        a = dp_pmtolse(private, pm, 0.05, BUDGET, np.random.default_rng(77))
-        b = dp_pmtolse(private, pm, 0.05, BUDGET, np.random.default_rng(77))
+        a = dp_pmtolse(private, pm, 0.05, (BUDGET,), np.random.default_rng(77))[0]
+        b = dp_pmtolse(private, pm, 0.05, (BUDGET,), np.random.default_rng(77))[0]
         assert np.array_equal(a.beta, b.beta)
         assert a.pre_diag.eigenvalues.tolist() == b.pre_diag.eigenvalues.tolist()
 
@@ -212,7 +212,7 @@ class TestDpPmtolse:
         spec = replace(default_synthetic(), coefficients=np.ones(10))
         public = generate(spec, 50, rng)
         private = generate(spec, 300, rng)
-        out = dp_pmtolse(private, public_moments(public), 0.05, PrivacyBudget(0.7), rng)
+        (out,) = dp_pmtolse(private, public_moments(public), 0.05, (PrivacyBudget(0.7),), rng)
         assert out.rho_total == pytest.approx(1.4, abs=1e-15)
         assert len(out.ledger.entries) == 2
         assert all(rho == 0.7 for _, rho in out.ledger.entries)
@@ -225,7 +225,7 @@ class TestDpPmtolse:
             feature_moment=SymmetricMatrix(np.eye(3)), response_moment=1.0, n_pub=3
         )
         with pytest.raises(ValueError):
-            dp_pmtolse(data, public, 0.05, BUDGET, rng)
+            dp_pmtolse(data, public, 0.05, (BUDGET,), rng)
 
     def test_unstable_inversion_carries_diag(self):
         # public moment clamped from a rank-deficient matrix makes the whitened
@@ -234,9 +234,11 @@ class TestDpPmtolse:
             features=np.zeros((5, 2)) + 1e-200, responses=np.zeros(5)
         )
         public = small_public(2)
-        with pytest.raises(UnstableInversionError) as err:
-            dp_pmtolse(data, public, 0.05, BUDGET, np.random.default_rng(1), zero_noise=True)
-        assert err.value.post_diag is not None
+        (entry,) = dp_pmtolse(
+            data, public, 0.05, (BUDGET,), np.random.default_rng(1), zero_noise=True
+        )
+        assert isinstance(entry, UnstableInversionError)
+        assert entry.post_diag is not None
 
 
 class TestDpOlseBaseline:
@@ -247,7 +249,7 @@ class TestDpOlseBaseline:
         beta = 0.2 * rng.standard_normal(10)
         data = LabeledDataset(features=x, responses=x @ beta)
         ref = olse(data)
-        out = dp_olse_baseline(data, 0.05, BUDGET, rng, zero_noise=True)
+        out = dp_olse_baseline(data, 0.05, (BUDGET,), rng, zero_noise=True)[0]
         assert out.feature_truncation.truncated == 0
         assert out.response_truncation.truncated == 0
         assert np.linalg.norm(out.beta - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -265,7 +267,7 @@ class TestDpOlseBaseline:
         x = rng.standard_normal((100, 3)) * 5.0
         y = rng.standard_normal(100) * 3.0
         data = LabeledDataset(features=x, responses=y)
-        out = dp_olse_baseline(data, 0.05, BUDGET, rng, zero_noise=True)
+        out = dp_olse_baseline(data, 0.05, (BUDGET,), rng, zero_noise=True)[0]
         trace = float(np.sum(x**2)) / 100.0
         radius = math.sqrt(trace + 3.0 * math.log(4000.0))
         norms = np.linalg.norm(x, axis=1)
@@ -275,7 +277,7 @@ class TestDpOlseBaseline:
     def test_budget_accounting(self, rng):
         spec = replace(default_synthetic(), coefficients=np.ones(10))
         private = generate(spec, 300, rng)
-        out = dp_olse_baseline(private, 0.05, PrivacyBudget(5.0), rng)
+        out = dp_olse_baseline(private, 0.05, (PrivacyBudget(5.0),), rng)[0]
         assert out.rho_total == 10.0
         assert len(out.ledger.entries) == 2
 
@@ -302,9 +304,87 @@ def test_affine_invariance_property(seed):
         ref = olse(data)
     except UnstableInversionError:
         return
-    out = dp_pmtolse(data, public, 0.05, BUDGET, rng, zero_noise=True)
+    out = dp_pmtolse(data, public, 0.05, (BUDGET,), rng, zero_noise=True)[0]
     assert out.feature_truncation.truncated == 0
     assert np.linalg.norm(out.beta - ref) <= 1e-8 * max(np.linalg.norm(ref), 1e-12)
+
+
+BUDGETS = (PrivacyBudget(0.5), PrivacyBudget(2.0), PrivacyBudget(10.0))
+
+
+def _identity_design(d=4, copies=2):
+    """Rows 2 e_j, each ``copies`` times: X^T X / n is exactly I for d = 4,
+    and no row is clipped by either estimator's radii."""
+    x = np.vstack([2.0 * np.eye(d)] * copies)
+    return LabeledDataset(features=x, responses=np.ones(d * copies))
+
+
+@pytest.mark.parametrize(
+    "release",
+    [
+        lambda data, rng: dp_pmtolse(data, small_public(4), 0.05, BUDGETS, rng),
+        lambda data, rng: dp_olse_baseline(data, 0.05, BUDGETS, rng),
+    ],
+    ids=["dp_pmtolse", "dp_olse_baseline"],
+)
+def test_singular_noisy_moment_fails_only_its_budget(release, monkeypatch):
+    import pmtreg.estimators
+
+    data = _identity_design()
+    plain = release(data, np.random.default_rng(5))
+    real = pmtreg.estimators.sample_symmetric_gaussian
+    calls = []
+
+    def second_draw_cancels_the_moment(d, sigma, rng):
+        noise = real(d, sigma, rng)  # the stream advances as it would
+        calls.append(sigma)
+        return SymmetricMatrix(-np.eye(d)) if len(calls) == 2 else noise
+
+    monkeypatch.setattr(
+        pmtreg.estimators, "sample_symmetric_gaussian", second_draw_cancels_the_moment
+    )
+    first, failed, last = release(data, np.random.default_rng(5))
+    assert isinstance(failed, UnstableInversionError)
+    assert np.all(failed.post_diag.eigenvalues == 0.0)
+    assert np.array_equal(first.beta, plain[0].beta)
+    assert np.array_equal(last.beta, plain[2].beta)
+    assert [out.rho_total for out in (first, last)] == [1.0, 20.0]
+
+
+def test_rho_independent_stage_shared_by_all_budgets(rng):
+    spec = replace(default_synthetic(), coefficients=np.ones(10))
+    public, private = generate(spec, 40, rng), generate(spec, 400, rng)
+    for entries in (
+        dp_pmtolse(private, public_moments(public), 0.05, BUDGETS, rng),
+        dp_olse_baseline(private, 0.05, BUDGETS, rng),
+    ):
+        assert len(entries) == 3
+        assert all(e.pre_diag is entries[0].pre_diag for e in entries)
+        assert all(e.feature_truncation is entries[0].feature_truncation for e in entries)
+        assert [e.rho_total for e in entries] == [1.0, 4.0, 20.0]
+        assert len({e.post_diag.lambda_min for e in entries}) == 3
+
+
+def test_budgets_draw_independent_noise():
+    # all-zero rows: each noisy second moment is its budget's noise matrix.
+    # Scaling one draw by sigma(rho) would make them perfectly correlated,
+    # and the rows together would give the exact statistic away.
+    data = LabeledDataset(features=np.zeros((1000, 10)), responses=np.zeros(1000))
+    entries = dp_pmtolse(data, small_public(10), 0.05, BUDGETS, np.random.default_rng(3))
+    upper = np.triu_indices(10)
+    noise = [rebuild(e.post_diag)[upper] for e in entries]
+    for i in range(3):
+        for j in range(i):
+            assert abs(np.corrcoef(noise[i], noise[j])[0, 1]) < 0.5
+
+
+def _raised(entries):
+    """The one budget's entry, raised if it is that budget's solve failure,
+    as olse raises it."""
+    (entry,) = entries
+    if isinstance(entry, UnstableInversionError):
+        raise entry
+    return entry
 
 
 def _collinear(rng, n=60):
@@ -317,8 +397,12 @@ def _collinear(rng, n=60):
     "release",
     [
         lambda data, rng: olse(data),
-        lambda data, rng: dp_pmtolse(data, small_public(3), 0.05, BUDGET, rng, zero_noise=True),
-        lambda data, rng: dp_olse_baseline(data, 0.05, BUDGET, rng, zero_noise=True),
+        lambda data, rng: _raised(
+            dp_pmtolse(data, small_public(3), 0.05, (BUDGET,), rng, zero_noise=True)
+        ),
+        lambda data, rng: _raised(
+            dp_olse_baseline(data, 0.05, (BUDGET,), rng, zero_noise=True)
+        ),
     ],
     ids=["olse", "dp_pmtolse", "dp_olse_baseline"],
 )

@@ -211,6 +211,133 @@ class TestRunGrid:
             assert all(np.isnan(v) for v in aggregates)
 
 
+class TestDatasetSharing:
+    """Each dataset is drawn once and every (method, rho) cell runs on it."""
+
+    def test_rho_independent_columns_bit_identical_across_rho(self):
+        grid = small_grid(rho_values=(0.5, 2.0, 10.0), n_priv_values=(400, 800), trials=4)
+        results = run_grid(grid, default_synthetic())
+        assert all(r.trials_failed == 0 for r in results)
+        groups = {}
+        for r in results:
+            groups.setdefault((r.method, r.n_priv, r.n_pub), []).append(r)
+        assert len(groups) == 4
+        for rows in groups.values():
+            assert len(rows) == 3
+            assert len({r.mean_truncated_frac.hex() for r in rows}) == 1
+            assert len({r.mean_avg_cond_pre.hex() for r in rows}) == 1
+            # the noise is drawn independently per rho
+            assert len({r.mean_err for r in rows}) == 3
+
+    def test_zero_noise_rows_identical_across_rho(self, tmp_path):
+        out = tmp_path / "zero.csv"
+        argv = [
+            "synth", "--rho", "0.5,2,10", "--n-priv", "300", "--trials", "3",
+            "--zero-noise", "--out", str(out),
+        ]
+        assert main(argv) == EXIT_OK
+        rows = read_rows(out)
+        assert len(rows) == 6
+        for method in Method:
+            same = {replace(r, rho=0.0) for r in rows if r.method is method}
+            assert len(same) == 1
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        real = getattr(harness, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+        return calls
+
+    def test_synthetic_dataset_drawn_once(self, monkeypatch):
+        datasets = count_trials(monkeypatch)
+        generated = self._count(monkeypatch, "generate")
+        grid = small_grid(rho_values=(2.0, 10.0), n_priv_values=(400, 800), trials=3)
+        run_grid(grid, default_synthetic())
+        assert len(datasets) == 2 * 3  # n_priv x trials, not x methods x rho
+        assert len(generated) == 2 * len(datasets)  # public, then private
+
+    def test_real_dataset_split_once_with_one_reference(self, monkeypatch, rng):
+        from pmtreg.harness import DatasetSource
+
+        x = rng.standard_normal((500, 3))
+        data = LabeledDataset(features=x, responses=x @ np.ones(3))
+        datasets = count_trials(monkeypatch)
+        splits = self._count(monkeypatch, "split")
+        references = self._count(monkeypatch, "olse")
+        grid = small_grid(
+            rho_values=(1.0, 5.0, 50.0), n_priv_values=(300,), n_pub_values=(50,),
+            reference=Reference.NONPRIVATE_OLSE,
+        )
+        run_grid(grid, DatasetSource(data))
+        assert len(datasets) == 3
+        assert len(splits) == len(references) == len(datasets)
+
+    def test_failed_budget_fails_only_its_cell(self, monkeypatch):
+        from pmtreg.spectra import UnstableInversionError
+
+        grid = small_grid(rho_values=(0.5, 2.0, 10.0), trials=4)
+        spec = default_synthetic()
+        plain = run_grid(grid, spec)
+        real = harness.dp_olse_baseline
+
+        def middle_budget_fails(*args, **kwargs):
+            first, _, last = real(*args, **kwargs)
+            return first, UnstableInversionError("numerically singular"), last
+
+        monkeypatch.setattr(harness, "dp_olse_baseline", middle_budget_fails)
+        patched = run_grid(grid, spec)
+        for before, after in zip(plain, patched):
+            if (before.method, before.rho) == (Method.DP_OLSE, 2.0):
+                assert (after.trials_ok, after.trials_failed) == (0, 4)
+                assert np.isnan(after.mean_err)
+            else:
+                assert after == before
+
+    def test_failed_method_fails_all_its_cells(self, monkeypatch):
+        from pmtreg.spectra import UnstableInversionError
+
+        grid = small_grid(rho_values=(2.0, 10.0), trials=3)
+        spec = default_synthetic()
+        plain = run_grid(grid, spec)
+
+        def no_positive_eigenvalue(*args, **kwargs):
+            raise UnstableInversionError("no positive eigenvalue")
+
+        monkeypatch.setattr(harness, "dp_pmtolse", no_positive_eigenvalue)
+        patched = run_grid(grid, spec)
+        for before, after in zip(plain, patched):
+            if before.method is Method.DP_PMTOLSE:
+                assert (after.trials_ok, after.trials_failed) == (0, 3)
+            else:
+                # DP_OLSE draws its noise first, so its rows do not move
+                assert after == before
+
+    @pytest.mark.parametrize("flag", ["--n-priv", "--n-pub", "--rho", "--methods"])
+    def test_listing_order_does_not_change_bytes(self, flag, tmp_path):
+        values = {
+            "--n-priv": "300,500", "--n-pub": "20,40", "--rho": "2,10",
+            "--methods": "DP_OLSE,DP_PMTOLSE",
+        }
+        outputs = []
+        for reverse in (False, True):
+            args = dict(values)
+            if reverse:
+                args[flag] = ",".join(reversed(args[flag].split(",")))
+            out = tmp_path / f"{reverse}.csv"
+            argv = ["synth", "--trials", "2", "--seed", "8", "--out", str(out)]
+            for name, value in args.items():
+                argv += [name, value]
+            assert main(argv) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestEmitCsv:
     def _results(self):
         grid = small_grid(trials=2)
@@ -271,7 +398,7 @@ def count_trials(monkeypatch):
     real = harness._run_trial
 
     def counted(*args):
-        calls.append(args[2:6])
+        calls.append(args[2:5])
         return real(*args)
 
     monkeypatch.setattr(harness, "_run_trial", counted)
@@ -421,7 +548,7 @@ class TestCli:
         assert main(argv) == EXIT_OK
         rows = read_rows(out)
         assert len(rows) == 2 and all(r.trials_ok == 2 for r in rows)
-        assert len(calls) == 4
+        assert len(calls) == 2  # one per dataset, shared by both methods
 
     def test_psi_spec_wrong_length_exits_2(self, tmp_path, capsys):
         argv = ["synth", "--d", "3", "--psi-spec", "1,2", "--out", str(tmp_path / "x.csv")]
@@ -448,9 +575,9 @@ class TestCli:
         public = LabeledDataset(dataset.features[:40], dataset.responses[:40])
         private = LabeledDataset(dataset.features[40:240], dataset.responses[40:240])
         cond = dp_pmtolse(
-            private, public_moments(public), 0.05, PrivacyBudget(5.0),
+            private, public_moments(public), 0.05, (PrivacyBudget(5.0),),
             np.random.default_rng(0), zero_noise=True,
-        ).pre_diag.avg_cond
+        )[0].pre_diag.avg_cond
         assert row.trials_ok == 3
         assert row.mean_avg_cond_pre == pytest.approx(cond, rel=1e-12)
         assert read_rows(rand)[0].mean_avg_cond_pre != row.mean_avg_cond_pre

@@ -141,6 +141,8 @@ def test_sensitivity_within_noise_scales(seed, baseline, antipodal, eta, scale, 
     slack = 1.0 + 1e-12
     assert np.linalg.norm(s - s_nb) <= scales.sigma1 * math.sqrt(2.0 * rho) * slack
     assert np.linalg.norm(c - c_nb) <= scales.sigma2 * math.sqrt(2.0 * rho) * slack
+    # the tight replace-one bound under the paper's 2 r_x^2 / n
+    assert np.linalg.norm(s - s_nb) <= math.sqrt(2.0) * r_x**2 / n * slack
 
 
 class TestSampling:
