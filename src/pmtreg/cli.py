@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument(
         "--reference", choices=_values(Reference), default=Reference.TRUE_BETA.value
     )
-    synth.add_argument("--zero-noise", action="store_true", help="test hook")
     synth.add_argument("--mu-scale", type=float, default=2.0)
     synth.add_argument(
         "--psi-spec", default=None, help="comma list of covariance eigenvalues (length d)"
@@ -124,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid(args, reference: Reference, zero_noise: bool = False) -> ExperimentGrid:
+def _grid(args, reference: Reference) -> ExperimentGrid:
     return ExperimentGrid(
         methods=_methods(args.methods),
         rho_values=tuple(_float_list(args.rho)),
@@ -134,7 +133,6 @@ def _grid(args, reference: Reference, zero_noise: bool = False) -> ExperimentGri
         trials=args.trials,
         seed=args.seed,
         reference=reference,
-        zero_noise=zero_noise,
     )
 
 
@@ -159,7 +157,7 @@ def _cmd_synth(args) -> int:
                 f"--psi-spec values must be finite and nonnegative, got {bad[0]}"
             )
         spec = replace(spec, covariance=SymmetricMatrix(np.diag(psi)))
-    grid = _grid(args, Reference(args.reference), args.zero_noise)
+    grid = _grid(args, Reference(args.reference))
     emit_csv(run_grid(grid, spec), args.out)
     return EXIT_OK
 

@@ -68,6 +68,9 @@ class SyntheticModelSpec:
             coef = np.asarray(self.coefficients, dtype=np.float64)
             if coef.shape != (self.d,):
                 raise ValueError(f"coefficients must have shape ({self.d},)")
+            if not np.isfinite(coef).all():
+                bad = coef[~np.isfinite(coef)][0]
+                raise ValueError(f"coefficients must be finite, got {bad}")
             object.__setattr__(self, "coefficients", coef)
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")

@@ -26,7 +26,6 @@ import numpy as np
 from . import pmt
 from .privacy import (
     BudgetLedger,
-    NoiseScales,
     PrivacyBudget,
     compose,
     noise_scales,
@@ -146,7 +145,6 @@ def _release(
     r_y: float,
     budgets: tuple[PrivacyBudget, ...],
     rng: np.random.Generator,
-    zero_noise: bool,
     notes: tuple = (),
 ) -> tuple[EstimatorOutput | UnstableInversionError, ...]:
     """The Gaussian sufficient-statistics mechanism both DP estimators share.
@@ -159,10 +157,6 @@ def _release(
     so each entry is a standalone release at its rho.  An entry is the
     :class:`UnstableInversionError` that :func:`solve` raised when that
     budget's noisy moment is numerically singular; the other entries stand.
-    ``zero_noise`` forces both scales to zero; it is a test hook and must
-    never be set on a privacy-claiming path.
-    The ledger still books rho per statistic, so the output's ``notes`` say
-    that no noise was added, ahead of the caller's ``notes``.
     """
     n, d = features.shape
     if n <= d:
@@ -172,12 +166,10 @@ def _release(
     second = SymmetricMatrix(x.T @ x / n)
     cross = x.T @ y[:, 0] / n
     pre_diag = diagnostics(second)
-    if zero_noise:
-        notes = ("zero_noise: no noise added, no privacy guarantee",) + notes
 
     entries = []
     for budget in budgets:
-        scales = NoiseScales(0.0, 0.0) if zero_noise else noise_scales(r_x, r_y, n, budget)
+        scales = noise_scales(r_x, r_y, n, budget)
         noise_mat = sample_symmetric_gaussian(d, scales.sigma1, rng)
         noise_vec = sample_gaussian_vector(d, scales.sigma2, rng)
         post_diag = diagnostics(SymmetricMatrix(second.entries + noise_mat.entries))
@@ -209,7 +201,6 @@ def dp_pmtolse(
     eta: float,
     budgets: tuple[PrivacyBudget, ...],
     rng: np.random.Generator,
-    zero_noise: bool = False,
 ) -> tuple[EstimatorOutput | UnstableInversionError, ...]:
     """DP least squares with public-moment preconditioning, one entry per budget.
 
@@ -217,8 +208,8 @@ def dp_pmtolse(
     the public response moment, releases the two sufficient statistics with
     radii sqrt(d (1 + ln(2n/eta))) and sqrt(1 + ln(2n/eta)) (rho each, 2 rho
     total), and maps the whitened solution back.  The whitening and clipping
-    are done once for all budgets.  See :func:`_release` for the entries and
-    ``zero_noise``.
+    are done once for all budgets.  See :func:`_release` for the entries.  A
+    public sample with all responses zero raises :class:`UnstableInversionError`.
     """
     n, d = data.n, data.d
     r_x, r_y = pmt.truncation_radius(d, n, eta), pmt.truncation_radius(1, n, eta)
@@ -227,13 +218,13 @@ def dp_pmtolse(
             f"need n_pub > d for the preconditioner, got n_pub={public.n_pub}, d={d}"
         )
     if public.response_moment <= 0:
-        raise ValueError("response_moment must be positive to rescale responses")
+        raise UnstableInversionError("response_moment must be positive to rescale responses")
 
     pre, clamp_count = inv_sqrt_clamped(public.feature_moment)
     entries = _release(
         pmt.transform(data.features, pre),
         data.responses / public.response_moment,
-        r_x, r_y, budgets, rng, zero_noise,
+        r_x, r_y, budgets, rng,
     )
     sigma_b = public.response_moment
     return tuple(
@@ -248,7 +239,6 @@ def dp_olse_baseline(
     eta: float,
     budgets: tuple[PrivacyBudget, ...],
     rng: np.random.Generator,
-    zero_noise: bool = False,
 ) -> tuple[EstimatorOutput | UnstableInversionError, ...]:
     """Private-data-only DP least squares baseline, one entry per budget.
 
@@ -268,6 +258,6 @@ def dp_olse_baseline(
         data.responses,
         math.sqrt(trace_a + d * log_term),
         math.sqrt(sigma_a_sq + log_term),
-        budgets, rng, zero_noise,
+        budgets, rng,
         notes=("truncation radii derived from unprivatized private moments",),
     )

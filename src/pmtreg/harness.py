@@ -66,7 +66,6 @@ class ExperimentGrid:
     trials: int
     seed: int
     reference: Reference
-    zero_noise: bool = False
 
     def __post_init__(self):
         for name in ("methods", "rho_values", "n_priv_values", "n_pub_values"):
@@ -166,8 +165,8 @@ def _run_trial(grid, source, n_priv, n_pub, trial):
 
     Returns {(method, rho): (err, truncated fraction, pre-noise avg_cond)},
     with None for a cell whose trial failed: a singular noisy moment fails
-    only its own (method, rho); a singular reference or public moment fails
-    every cell it feeds.
+    only its own (method, rho); a singular reference or public moment (or
+    all-zero public responses) fails every cell it feeds.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence([grid.seed & _SEED_MASK, 2, n_priv, n_pub, trial])
@@ -195,13 +194,10 @@ def _run_trial(grid, source, n_priv, n_pub, trial):
         try:
             if method is Method.DP_PMTOLSE:
                 entries = dp_pmtolse(
-                    private, public_moments(public), grid.eta, budgets, rng,
-                    zero_noise=grid.zero_noise,
+                    private, public_moments(public), grid.eta, budgets, rng
                 )
             else:
-                entries = dp_olse_baseline(
-                    private, grid.eta, budgets, rng, zero_noise=grid.zero_noise
-                )
+                entries = dp_olse_baseline(private, grid.eta, budgets, rng)
         except UnstableInversionError:
             continue
         for rho, out in zip(grid.rho_values, entries):

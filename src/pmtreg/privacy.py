@@ -109,12 +109,10 @@ def sample_symmetric_gaussian(
     """Symmetric noise matrix with every entry (diagonal included) N(0, sigma^2).
 
     The upper triangle is drawn i.i.d. and mirrored, so the output equals its
-    transpose bit-exactly.  sigma = 0 returns the zero matrix (zero-noise hook).
+    transpose bit-exactly.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if sigma == 0.0:
-        return SymmetricMatrix(np.zeros((d, d)))
     upper = np.zeros((d, d))
     iu = np.triu_indices(d)
     upper[iu] = rng.normal(0.0, sigma, size=len(iu[0]))
@@ -122,9 +120,7 @@ def sample_symmetric_gaussian(
 
 
 def sample_gaussian_vector(d: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """N(0, sigma^2 I) draw in R^d; sigma = 0 returns zeros."""
+    """N(0, sigma^2 I) draw in R^d."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if sigma == 0.0:
-        return np.zeros(d)
     return rng.normal(0.0, sigma, size=d)

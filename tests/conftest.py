@@ -1,6 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+import pmtreg.estimators
 from pmtreg.spectra import SymmetricMatrix
 
 
@@ -16,3 +19,26 @@ def random_spd(rng: np.random.Generator, d: int, max_cond: float = 1e6) -> Symme
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@contextmanager
+def noiseless():
+    """Both DP estimators add zero noise and draw nothing from their rng, so
+    each release solves its clipped statistics exactly.  The ledger still
+    books rho: this is a test double, never a private release."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            pmtreg.estimators, "sample_symmetric_gaussian",
+            lambda d, sigma, rng: SymmetricMatrix(np.zeros((d, d))),
+        )
+        mp.setattr(
+            pmtreg.estimators, "sample_gaussian_vector", lambda d, sigma, rng: np.zeros(d)
+        )
+        yield
+
+
+@pytest.fixture
+def no_noise():
+    """The noiseless mechanism for one test; see :func:`noiseless`."""
+    with noiseless():
+        yield

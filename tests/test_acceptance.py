@@ -68,8 +68,8 @@ def _random_spd(rng, d, max_cond):
     return SymmetricMatrix(q @ np.diag(eig) @ q.T)
 
 
-def test_criterion_1_affine_invariance():
-    """Zero-noise estimator matches plain least squares for any SPD
+def test_criterion_1_affine_invariance(no_noise):
+    """Noiseless estimator matches plain least squares for any SPD
     preconditioner and positive response scale, when no row is clipped."""
     start = time.monotonic()
     rng = np.random.default_rng(20260826)
@@ -94,7 +94,7 @@ def test_criterion_1_affine_invariance():
             ref = olse(data)
         except UnstableInversionError:
             continue
-        out = dp_pmtolse(data, public, 0.05, (budget,), rng, zero_noise=True)[0]
+        out = dp_pmtolse(data, public, 0.05, (budget,), rng)[0]
         assert out.feature_truncation.truncated == 0
         rel = float(
             np.linalg.norm(out.beta - ref) / max(np.linalg.norm(ref), 1e-300)
@@ -171,9 +171,7 @@ def test_criterion_4_no_truncation():
         trial_spec = replace(spec, coefficients=rng.standard_normal(10))
         public = generate(trial_spec, 40, rng)
         private = generate(trial_spec, 2000, rng)
-        out = dp_pmtolse(
-            private, public_moments(public), eta, (PrivacyBudget(2.0),), rng, zero_noise=True
-        )[0]
+        out = dp_pmtolse(private, public_moments(public), eta, (PrivacyBudget(2.0),), rng)[0]
         report = out.feature_truncation
         fracs.append(report.truncated / report.total)
         zero_count += report.truncated == 0
@@ -202,8 +200,7 @@ def test_criterion_5_conditioning_improvement():
             public = generate(trial_spec, n_pub, rng)
             private = generate(trial_spec, 2000, rng)
             out = dp_pmtolse(
-                private, public_moments(public), 0.05,
-                (PrivacyBudget(2.0),), rng, zero_noise=True,
+                private, public_moments(public), 0.05, (PrivacyBudget(2.0),), rng
             )[0]
             conds.append(out.pre_diag.avg_cond)
         medians[n_pub] = float(np.median(conds))
@@ -279,8 +276,7 @@ def test_criterion_7_wine_regime():
         split(dataset, n_pub, n_priv, 0)[0]
     )
     transformed_cond = dp_pmtolse(
-        private_probe, pm, 0.05, (PrivacyBudget(5.0),),
-        np.random.default_rng(0), zero_noise=True,
+        private_probe, pm, 0.05, (PrivacyBudget(5.0),), np.random.default_rng(0)
     )[0].pre_diag.avg_cond
 
     from pmtreg.harness import DatasetSource

@@ -46,11 +46,15 @@ class TestSyntheticSpec:
             )
 
     @pytest.mark.parametrize(
-        "field, value", [("mean", np.nan), ("mean", np.inf), ("noise_std", np.nan)]
+        "field, value",
+        [
+            ("mean", np.nan), ("mean", np.inf), ("noise_std", np.nan),
+            ("coefficients", np.nan), ("coefficients", np.inf),
+        ],
     )
     def test_non_finite_rejected_naming_value(self, field, value):
         kwargs = dict(d=2, mean=np.zeros(2), covariance=SymmetricMatrix(np.eye(2)))
-        kwargs[field] = np.full(2, value) if field == "mean" else value
+        kwargs[field] = [1.0, value] if field != "noise_std" else value
         with pytest.raises(ValueError, match=f"{field} must be finite.*{value}"):
             SyntheticModelSpec(**kwargs)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spd
+from conftest import noiseless, random_spd
 from pmtreg.data import default_synthetic, generate, public_moments
 from pmtreg.estimators import (
     LabeledDataset,
@@ -72,21 +72,16 @@ def test_bad_eta_rejected_by_both_estimators(method, eta, rng):
             dp_olse_baseline(data, eta, (BUDGET,), rng)
 
 
-ZERO_NOISE = "zero_noise: no noise added, no privacy guarantee"
 RADII = "truncation radii derived from unprivatized private moments"
 
 
-@pytest.mark.parametrize("zero_noise", [False, True])
-def test_notes_say_when_no_noise_was_added(zero_noise, rng):
-    # the ledger books rho either way, so the notes carry the difference
+def test_only_the_baseline_notes_a_caveat_and_both_book_two_rho(rng):
     spec = replace(default_synthetic(), coefficients=np.ones(10))
     public, private = generate(spec, 40, rng), generate(spec, 400, rng)
-    pmt_out = dp_pmtolse(
-        private, public_moments(public), 0.05, (BUDGET,), rng, zero_noise=zero_noise
-    )[0]
-    base_out = dp_olse_baseline(private, 0.05, (BUDGET,), rng, zero_noise=zero_noise)[0]
-    assert pmt_out.notes == ((ZERO_NOISE,) if zero_noise else ())
-    assert base_out.notes == ((ZERO_NOISE, RADII) if zero_noise else (RADII,))
+    pmt_out = dp_pmtolse(private, public_moments(public), 0.05, (BUDGET,), rng)[0]
+    base_out = dp_olse_baseline(private, 0.05, (BUDGET,), rng)[0]
+    assert pmt_out.notes == ()
+    assert base_out.notes == (RADII,)
     assert pmt_out.rho_total == base_out.rho_total == 2 * BUDGET.rho
 
 
@@ -133,7 +128,7 @@ class TestDpSecondMoment:
         data = LabeledDataset(
             features=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), responses=np.ones(3)
         )
-        out = dp_pmtolse(data, small_public(2), 0.05, (BUDGET,), rng, zero_noise=True)[0]
+        out = dp_pmtolse(data, small_public(2), 0.05, (BUDGET,), rng)[0]
         expected = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
         assert np.allclose(rebuild(out.pre_diag), expected, atol=1e-12)
 
@@ -174,27 +169,23 @@ class TestDpSecondMoment:
 
 
 class TestDpPmtolse:
-    def test_affine_invariance_zero_noise(self, rng):
+    def test_affine_invariance_zero_noise(self, rng, no_noise):
         spec = replace(default_synthetic(), coefficients=rng.standard_normal(10))
         public = generate(spec, 60, rng)
         private = generate(spec, 800, rng)
         ref = olse(private)
-        out = dp_pmtolse(
-            private, public_moments(public), 0.05, (BUDGET,), rng, zero_noise=True
-        )[0]
+        out = dp_pmtolse(private, public_moments(public), 0.05, (BUDGET,), rng)[0]
         assert np.linalg.norm(out.beta - ref) <= 1e-8 * np.linalg.norm(ref)
         assert out.feature_truncation.truncated == 0
 
-    def test_scalar_walkthrough(self):
+    def test_scalar_walkthrough(self, no_noise):
         # d=1: A=(1,1), y=(2,2), public moment 1, sigma_B=2, no noise:
         # transformed y = (1,1), beta_tilde = 1, recovered = 2 * 1 * 1 = 2
         data = LabeledDataset(features=np.ones((2, 1)), responses=np.array([2.0, 2.0]))
         public = PublicMoments(
             feature_moment=SymmetricMatrix([[1.0]]), response_moment=2.0, n_pub=2
         )
-        out = dp_pmtolse(
-            data, public, 0.05, (BUDGET,), np.random.default_rng(0), zero_noise=True
-        )[0]
+        out = dp_pmtolse(data, public, 0.05, (BUDGET,), np.random.default_rng(0))[0]
         assert out.beta[0] == pytest.approx(2.0, rel=1e-12)
         assert out.beta[0] == pytest.approx(olse(data)[0], rel=1e-12)
 
@@ -227,29 +218,38 @@ class TestDpPmtolse:
         with pytest.raises(ValueError):
             dp_pmtolse(data, public, 0.05, (BUDGET,), rng)
 
-    def test_unstable_inversion_carries_diag(self):
+    def test_zero_public_responses_fail_as_unstable(self, rng):
+        # sigma_B = 0 cannot rescale responses: the same failure as a public
+        # feature moment with no positive eigenvalue, so the harness fails
+        # only this method's cells
+        data = LabeledDataset(
+            features=rng.standard_normal((20, 3)), responses=rng.standard_normal(20)
+        )
+        public = replace(small_public(3), response_moment=0.0)
+        with pytest.raises(UnstableInversionError, match="response_moment"):
+            dp_pmtolse(data, public, 0.05, (BUDGET,), rng)
+
+    def test_unstable_inversion_carries_diag(self, no_noise):
         # public moment clamped from a rank-deficient matrix makes the whitened
         # system wildly scaled; instead force instability via a singular design
         data = LabeledDataset(
             features=np.zeros((5, 2)) + 1e-200, responses=np.zeros(5)
         )
         public = small_public(2)
-        (entry,) = dp_pmtolse(
-            data, public, 0.05, (BUDGET,), np.random.default_rng(1), zero_noise=True
-        )
+        (entry,) = dp_pmtolse(data, public, 0.05, (BUDGET,), np.random.default_rng(1))
         assert isinstance(entry, UnstableInversionError)
         assert entry.post_diag is not None
 
 
 class TestDpOlseBaseline:
-    def test_matches_olse_when_radii_slack(self, rng):
+    def test_matches_olse_when_radii_slack(self, rng, no_noise):
         # small-scale data keeps both trace-based radii non-binding, so the
-        # zero-noise baseline reduces to plain least squares
+        # noiseless baseline reduces to plain least squares
         x = 0.5 * rng.standard_normal((800, 10))
         beta = 0.2 * rng.standard_normal(10)
         data = LabeledDataset(features=x, responses=x @ beta)
         ref = olse(data)
-        out = dp_olse_baseline(data, 0.05, (BUDGET,), rng, zero_noise=True)[0]
+        out = dp_olse_baseline(data, 0.05, (BUDGET,), rng)[0]
         assert out.feature_truncation.truncated == 0
         assert out.response_truncation.truncated == 0
         assert np.linalg.norm(out.beta - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -267,7 +267,7 @@ class TestDpOlseBaseline:
         x = rng.standard_normal((100, 3)) * 5.0
         y = rng.standard_normal(100) * 3.0
         data = LabeledDataset(features=x, responses=y)
-        out = dp_olse_baseline(data, 0.05, (BUDGET,), rng, zero_noise=True)[0]
+        out = dp_olse_baseline(data, 0.05, (BUDGET,), rng)[0]
         trace = float(np.sum(x**2)) / 100.0
         radius = math.sqrt(trace + 3.0 * math.log(4000.0))
         norms = np.linalg.norm(x, axis=1)
@@ -304,7 +304,8 @@ def test_affine_invariance_property(seed):
         ref = olse(data)
     except UnstableInversionError:
         return
-    out = dp_pmtolse(data, public, 0.05, (BUDGET,), rng, zero_noise=True)[0]
+    with noiseless():
+        out = dp_pmtolse(data, public, 0.05, (BUDGET,), rng)[0]
     assert out.feature_truncation.truncated == 0
     assert np.linalg.norm(out.beta - ref) <= 1e-8 * max(np.linalg.norm(ref), 1e-12)
 
@@ -397,16 +398,12 @@ def _collinear(rng, n=60):
     "release",
     [
         lambda data, rng: olse(data),
-        lambda data, rng: _raised(
-            dp_pmtolse(data, small_public(3), 0.05, (BUDGET,), rng, zero_noise=True)
-        ),
-        lambda data, rng: _raised(
-            dp_olse_baseline(data, 0.05, (BUDGET,), rng, zero_noise=True)
-        ),
+        lambda data, rng: _raised(dp_pmtolse(data, small_public(3), 0.05, (BUDGET,), rng)),
+        lambda data, rng: _raised(dp_olse_baseline(data, 0.05, (BUDGET,), rng)),
     ],
     ids=["olse", "dp_pmtolse", "dp_olse_baseline"],
 )
-def test_singular_design_raises_the_one_failure_type(release, rng):
+def test_singular_design_raises_the_one_failure_type(release, rng, no_noise):
     import pmtreg
     import pmtreg.spectra
 

@@ -110,13 +110,10 @@ class TestExperimentGrid:
 
 
 class TestRunGrid:
-    def test_zero_noise_recovers_truth(self):
+    def test_zero_noise_recovers_truth(self, no_noise):
         # the baseline still clips (its radii bind on this spec), so only the
         # preconditioned method is expected to land near the truth
-        grid = small_grid(
-            methods=(Method.DP_PMTOLSE,), zero_noise=True,
-            n_priv_values=(2000,), trials=4,
-        )
+        grid = small_grid(methods=(Method.DP_PMTOLSE,), n_priv_values=(2000,), trials=4)
         (r,) = run_grid(grid, default_synthetic())
         assert r.trials_ok == 4 and r.trials_failed == 0
         # noise_std 0.05 leaves a small but nonzero gap to true beta
@@ -154,7 +151,7 @@ class TestRunGrid:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
-    def test_fixed_coefficients_respected(self):
+    def test_fixed_coefficients_respected(self, no_noise):
         from pmtreg.data import SyntheticModelSpec
 
         beta = np.arange(1.0, 11.0)
@@ -165,7 +162,7 @@ class TestRunGrid:
             coefficients=beta,
             noise_std=0.0,
         )
-        grid = small_grid(methods=(Method.DP_PMTOLSE,), zero_noise=True)
+        grid = small_grid(methods=(Method.DP_PMTOLSE,))
         (r,) = run_grid(grid, spec)
         assert r.mean_err < 1e-8  # noiseless model, noiseless mechanism
 
@@ -229,11 +226,11 @@ class TestDatasetSharing:
             # the noise is drawn independently per rho
             assert len({r.mean_err for r in rows}) == 3
 
-    def test_zero_noise_rows_identical_across_rho(self, tmp_path):
+    def test_zero_noise_rows_identical_across_rho(self, tmp_path, no_noise):
         out = tmp_path / "zero.csv"
         argv = [
             "synth", "--rho", "0.5,2,10", "--n-priv", "300", "--trials", "3",
-            "--zero-noise", "--out", str(out),
+            "--out", str(out),
         ]
         assert main(argv) == EXIT_OK
         rows = read_rows(out)
@@ -419,7 +416,6 @@ CLI_SURFACE = {
         "--methods": ("DP_OLSE,DP_PMTOLSE", None, False, None, None),
         "--reference": ("true_beta", ["true_beta", "nonprivate_olse"], False, None, None),
         "--out": (None, None, True, None, None),
-        "--zero-noise": (False, None, False, None, 0),
         "--mu-scale": (2.0, None, False, float, None),
         "--psi-spec": (None, None, False, None, None),
     },
@@ -576,11 +572,33 @@ class TestCli:
         private = LabeledDataset(dataset.features[40:240], dataset.responses[40:240])
         cond = dp_pmtolse(
             private, public_moments(public), 0.05, (PrivacyBudget(5.0),),
-            np.random.default_rng(0), zero_noise=True,
+            np.random.default_rng(0),
         )[0].pre_diag.avg_cond
         assert row.trials_ok == 3
         assert row.mean_avg_cond_pre == pytest.approx(cond, rel=1e-12)
         assert read_rows(rand)[0].mean_avg_cond_pre != row.mean_avg_cond_pre
+
+    def test_zero_public_responses_fail_only_dp_pmtolse(self, tmp_path):
+        # the first 40 responses equal the column mean, so the head split's
+        # public responses normalize to exactly zero and cannot rescale
+        x = np.random.default_rng(8).standard_normal((300, 2))
+        quality = [5.0] * 40 + [4.0, 6.0] * 130
+        data = tmp_path / "flat.csv"
+        data.write_text(
+            "a;b;quality\n" + "".join(f"{a};{b};{q}\n" for (a, b), q in zip(x, quality))
+        )
+        args = [
+            "real", "--data", str(data), "--split", "head", "--n-pub", "40",
+            "--n-priv", "200", "--trials", "2", "--rho", "5",
+        ]
+        both, baseline = tmp_path / "both.csv", tmp_path / "baseline.csv"
+        assert main(args + ["--out", str(both)]) == EXIT_OK
+        assert main(args + ["--methods", "DP_OLSE", "--out", str(baseline)]) == EXIT_OK
+        header, olse_row, _ = both.read_text().splitlines()
+        assert baseline.read_text().splitlines() == [header, olse_row]
+        pmt_row = read_rows(both)[1]
+        assert pmt_row.method is Method.DP_PMTOLSE
+        assert (pmt_row.trials_ok, pmt_row.trials_failed) == (0, 2)
 
     def test_real_custom_delimiter_and_response(self, tmp_path, capsys):
         from pmtreg.data import ingest_csv, normalize
@@ -614,7 +632,6 @@ class TestCli:
                 "--rho", "2,10",
                 "--trials", "2",
                 "--seed", "3",
-                "--zero-noise",
                 "--out", str(out),
             ]
         )
