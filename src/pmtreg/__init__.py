@@ -12,11 +12,10 @@ from .estimators import (
     dp_pmtolse,
     olse,
 )
-from .privacy import BudgetLedger, DpGuarantee, NoiseScales, PrivacyBudget
+from .privacy import DpGuarantee, NoiseScales, PrivacyBudget
 from .spectra import SpectralDiagnostics, SymmetricMatrix
 
 __all__ = [
-    "BudgetLedger",
     "DpGuarantee",
     "EstimatorOutput",
     "LabeledDataset",

@@ -10,9 +10,10 @@ truncation radius and the condition number of the matrix being inverted,
 and undoes the change of variables on the solved coefficients.  The baseline
 passes raw rows with radii taken from the private data's own moments.
 
-Each DP estimator takes a tuple of budgets and returns one entry per budget.
-The work that does not depend on rho (whitening, clipping, the two moments,
-the pre-noise spectrum) is done once; the noise and the solve once per budget.
+Each DP estimator takes a tuple of budgets and returns one
+:class:`EstimatorOutput`.  The work that does not depend on rho (whitening,
+clipping, the two moments, the pre-noise spectrum) is done and held once; the
+noise, the noisy spectrum and the solve once per budget.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ import numpy as np
 
 from . import pmt
 from .privacy import (
-    BudgetLedger,
     PrivacyBudget,
-    compose,
     noise_scales,
     sample_gaussian_vector,
     sample_symmetric_gaussian,
@@ -108,28 +107,39 @@ class PublicMoments:
     n_pub: int
 
     def __post_init__(self):
-        if self.response_moment < 0:
-            raise ValueError("response_moment must be nonnegative")
+        if not (math.isfinite(self.response_moment) and self.response_moment >= 0):
+            raise ValueError(
+                f"response_moment must be finite and nonnegative, got {self.response_moment}"
+            )
         if self.n_pub < 1:
             raise ValueError("n_pub must be positive")
 
 
 @dataclass(frozen=True)
 class EstimatorOutput:
-    """A coefficient estimate plus its provenance."""
+    """One DP call: a beta and a noisy spectrum per budget (beta None where
+    :func:`solve` refused that spectrum), and the rho-independent stage once."""
 
-    beta: np.ndarray
+    budgets: tuple[PrivacyBudget, ...]
+    betas: tuple[np.ndarray | None, ...]
+    post_diags: tuple[SpectralDiagnostics, ...]
     feature_truncation: pmt.TruncationReport
     response_truncation: pmt.TruncationReport
     pre_diag: SpectralDiagnostics
-    post_diag: SpectralDiagnostics
-    clamp_count: int
-    ledger: BudgetLedger
+    clamp_count: int = 0
     notes: tuple = ()
 
     @property
+    def ledger(self) -> tuple[tuple[str, float], ...]:
+        """(statistic, rho) per release: two per budget."""
+        return tuple(
+            (s, float(b.rho)) for b in self.budgets for s in ("second_moment", "cross_moment")
+        )
+
+    @property
     def rho_total(self) -> float:
-        return self.ledger.total
+        """The ledger's sum, exactly rounded: the order of budgets cannot change it."""
+        return math.fsum(rho for _, rho in self.ledger)
 
 
 def olse(data: LabeledDataset) -> np.ndarray:
@@ -146,7 +156,7 @@ def _release(
     budgets: tuple[PrivacyBudget, ...],
     rng: np.random.Generator,
     notes: tuple = (),
-) -> tuple[EstimatorOutput | UnstableInversionError, ...]:
+) -> EstimatorOutput:
     """The Gaussian sufficient-statistics mechanism both DP estimators share.
 
     Clips feature rows to r_x and responses to r_y and forms X^T X / n,
@@ -154,9 +164,8 @@ def _release(
     order, releases both statistics with the noise of :func:`noise_scales`
     (rho each, matrix noise drawn first) and solves the noisy normal equations
     through their eigenpairs.  Every budget gets its own independent noise,
-    so each entry is a standalone release at its rho.  An entry is the
-    :class:`UnstableInversionError` that :func:`solve` raised when that
-    budget's noisy moment is numerically singular; the other entries stand.
+    so each budget is a standalone release at its rho.  A budget whose noisy
+    moment :func:`solve` refuses gets beta None; the other budgets stand.
     """
     n, d = features.shape
     if n <= d:
@@ -167,32 +176,21 @@ def _release(
     cross = x.T @ y[:, 0] / n
     pre_diag = diagnostics(second)
 
-    entries = []
+    betas, post_diags = [], []
     for budget in budgets:
         scales = noise_scales(r_x, r_y, n, budget)
         noise_mat = sample_symmetric_gaussian(d, scales.sigma1, rng)
         noise_vec = sample_gaussian_vector(d, scales.sigma2, rng)
         post_diag = diagnostics(SymmetricMatrix(second.entries + noise_mat.entries))
+        post_diags.append(post_diag)
         try:
-            beta = solve(post_diag, cross + noise_vec)
-        except UnstableInversionError as exc:
-            entries.append(exc)
-            continue
-        ledger = compose(BudgetLedger(), "second_moment", budget.rho)
-        ledger = compose(ledger, "cross_moment", budget.rho)
-        entries.append(
-            EstimatorOutput(
-                beta=beta,
-                feature_truncation=feat_report,
-                response_truncation=resp_report,
-                pre_diag=pre_diag,
-                post_diag=post_diag,
-                clamp_count=0,
-                ledger=ledger,
-                notes=notes,
-            )
-        )
-    return tuple(entries)
+            betas.append(solve(post_diag, cross + noise_vec))
+        except UnstableInversionError:
+            betas.append(None)
+    return EstimatorOutput(
+        tuple(budgets), tuple(betas), tuple(post_diags),
+        feat_report, resp_report, pre_diag, notes=notes,
+    )
 
 
 def dp_pmtolse(
@@ -201,15 +199,15 @@ def dp_pmtolse(
     eta: float,
     budgets: tuple[PrivacyBudget, ...],
     rng: np.random.Generator,
-) -> tuple[EstimatorOutput | UnstableInversionError, ...]:
-    """DP least squares with public-moment preconditioning, one entry per budget.
+) -> EstimatorOutput:
+    """DP least squares with public-moment preconditioning.
 
     Whitens features by the public feature moment and rescales responses by
     the public response moment, releases the two sufficient statistics with
     radii sqrt(d (1 + ln(2n/eta))) and sqrt(1 + ln(2n/eta)) (rho each, 2 rho
-    total), and maps the whitened solution back.  The whitening and clipping
-    are done once for all budgets.  See :func:`_release` for the entries.  A
-    public sample with all responses zero raises :class:`UnstableInversionError`.
+    per budget), and maps each whitened solution back.  The whitening and
+    clipping are done once for all budgets; see :func:`_release`.  A public
+    sample with all responses zero raises :class:`UnstableInversionError`.
     """
     n, d = data.n, data.d
     r_x, r_y = pmt.truncation_radius(d, n, eta), pmt.truncation_radius(1, n, eta)
@@ -221,16 +219,16 @@ def dp_pmtolse(
         raise UnstableInversionError("response_moment must be positive to rescale responses")
 
     pre, clamp_count = inv_sqrt_clamped(public.feature_moment)
-    entries = _release(
+    out = _release(
         pmt.transform(data.features, pre),
         data.responses / public.response_moment,
         r_x, r_y, budgets, rng,
     )
     sigma_b = public.response_moment
-    return tuple(
-        out if isinstance(out, UnstableInversionError)
-        else replace(out, beta=sigma_b * (pre.entries @ out.beta), clamp_count=clamp_count)
-        for out in entries
+    return replace(
+        out,
+        betas=tuple(None if b is None else sigma_b * (pre.entries @ b) for b in out.betas),
+        clamp_count=clamp_count,
     )
 
 
@@ -239,15 +237,14 @@ def dp_olse_baseline(
     eta: float,
     budgets: tuple[PrivacyBudget, ...],
     rng: np.random.Generator,
-) -> tuple[EstimatorOutput | UnstableInversionError, ...]:
-    """Private-data-only DP least squares baseline, one entry per budget.
+) -> EstimatorOutput:
+    """Private-data-only DP least squares baseline.
 
     Releases the raw rows' sufficient statistics with radii
     R_x^2 = tr + d ln(2n/eta) and R_y^2 = sigma_y^2 + ln(2n/eta), where tr and
     sigma_y^2 are the mean squared feature-row norm and response of the
     untruncated private data, computed without privatization.  That is this
-    baseline's known caveat, recorded in ``notes``.  See :func:`_release` for
-    the entries.
+    baseline's known caveat, recorded in ``notes``.  See :func:`_release`.
     """
     n, d = data.n, data.d
     log_term = pmt.truncation_radius(1, n, eta) ** 2 - 1.0  # ln(2n/eta), eta checked

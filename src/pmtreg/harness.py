@@ -56,6 +56,12 @@ class Reference(Enum):
     NONPRIVATE_OLSE = "nonprivate_olse"
 
 
+def _integer(name, value) -> int:
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be integral, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentGrid:
     methods: tuple
@@ -76,6 +82,10 @@ class ExperimentGrid:
             if repeated:
                 raise ValueError(f"{name} must not repeat a value, got {repeated[0]} twice")
             object.__setattr__(self, name, value)
+        for name in ("n_priv_values", "n_pub_values"):
+            object.__setattr__(self, name, tuple(_integer(name, v) for v in getattr(self, name)))
+        for name in ("trials", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not all(isinstance(m, Method) for m in self.methods):
             raise ValueError("grid methods must be DP_OLSE or DP_PMTOLSE")
         # canonical order: methods as Method declares them, numbers ascending
@@ -193,20 +203,17 @@ def _run_trial(grid, source, n_priv, n_pub, trial):
     for method in grid.methods:
         try:
             if method is Method.DP_PMTOLSE:
-                entries = dp_pmtolse(
-                    private, public_moments(public), grid.eta, budgets, rng
-                )
+                out = dp_pmtolse(private, public_moments(public), grid.eta, budgets, rng)
             else:
-                entries = dp_olse_baseline(private, grid.eta, budgets, rng)
+                out = dp_olse_baseline(private, grid.eta, budgets, rng)
         except UnstableInversionError:
             continue
-        for rho, out in zip(grid.rho_values, entries):
-            if isinstance(out, UnstableInversionError):
-                continue
-            feat, resp = out.feature_truncation, out.response_truncation
-            frac = (feat.truncated + resp.truncated) / (feat.total + resp.total)
-            err = float(np.linalg.norm(out.beta - ref))
-            outcomes[method, rho] = (err, frac, out.pre_diag.avg_cond)
+        feat, resp = out.feature_truncation, out.response_truncation
+        frac = (feat.truncated + resp.truncated) / (feat.total + resp.total)
+        cond = out.pre_diag.avg_cond
+        for rho, beta in zip(grid.rho_values, out.betas):
+            if beta is not None:
+                outcomes[method, rho] = (float(np.linalg.norm(beta - ref)), frac, cond)
     return outcomes
 
 

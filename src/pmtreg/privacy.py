@@ -22,12 +22,10 @@ __all__ = [
     "PrivacyBudget",
     "DpGuarantee",
     "NoiseScales",
-    "BudgetLedger",
     "zcdp_to_dp",
     "noise_scales",
     "sample_symmetric_gaussian",
     "sample_gaussian_vector",
-    "compose",
 ]
 
 
@@ -54,24 +52,6 @@ class NoiseScales:
 
     sigma1: float
     sigma2: float
-
-
-@dataclass(frozen=True)
-class BudgetLedger:
-    """Append-only record of rho spent, labelled per statistic."""
-
-    entries: tuple = ()
-
-    @property
-    def total(self) -> float:
-        return sum(rho for _, rho in self.entries)
-
-
-def compose(ledger: BudgetLedger, label: str, rho: float) -> BudgetLedger:
-    """Return a new ledger with (label, rho) appended; rho values add."""
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    return BudgetLedger(entries=ledger.entries + ((label, float(rho)),))
 
 
 def zcdp_to_dp(budget: PrivacyBudget, delta: float) -> DpGuarantee:

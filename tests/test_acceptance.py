@@ -94,10 +94,10 @@ def test_criterion_1_affine_invariance(no_noise):
             ref = olse(data)
         except UnstableInversionError:
             continue
-        out = dp_pmtolse(data, public, 0.05, (budget,), rng)[0]
+        out = dp_pmtolse(data, public, 0.05, (budget,), rng)
         assert out.feature_truncation.truncated == 0
         rel = float(
-            np.linalg.norm(out.beta - ref) / max(np.linalg.norm(ref), 1e-300)
+            np.linalg.norm(out.betas[0] - ref) / max(np.linalg.norm(ref), 1e-300)
         )
         worst = max(worst, rel)
         checked += 1
@@ -141,21 +141,21 @@ def test_criterion_3_budget_accounting():
     rho = 1.25
     pmt_out = dp_pmtolse(
         private, public_moments(public), 0.05, (PrivacyBudget(rho),), rng
-    )[0]
-    base_out = dp_olse_baseline(private, 0.05, (PrivacyBudget(rho),), rng)[0]
+    )
+    base_out = dp_olse_baseline(private, 0.05, (PrivacyBudget(rho),), rng)
     eps = zcdp_to_dp(PrivacyBudget(1.0), math.exp(-1.0)).epsilon
     ok = (
         pmt_out.rho_total == 2 * rho
         and base_out.rho_total == 2 * rho
-        and len(pmt_out.ledger.entries) == 2
-        and len(base_out.ledger.entries) == 2
+        and len(pmt_out.ledger) == 2
+        and len(base_out.ledger) == 2
         and eps == 3.0
     )
     _report(
         "criterion 3 (budget accounting)",
         ok,
         f"rho_total {pmt_out.rho_total}/{base_out.rho_total} (expect {2 * rho}), "
-        f"ledger sizes {len(pmt_out.ledger.entries)}/{len(base_out.ledger.entries)}, "
+        f"ledger sizes {len(pmt_out.ledger)}/{len(base_out.ledger)}, "
         f"epsilon at rho=1, delta=e^-1 is {eps} (expect 3.0 exactly)",
     )
 
@@ -171,7 +171,7 @@ def test_criterion_4_no_truncation():
         trial_spec = replace(spec, coefficients=rng.standard_normal(10))
         public = generate(trial_spec, 40, rng)
         private = generate(trial_spec, 2000, rng)
-        out = dp_pmtolse(private, public_moments(public), eta, (PrivacyBudget(2.0),), rng)[0]
+        out = dp_pmtolse(private, public_moments(public), eta, (PrivacyBudget(2.0),), rng)
         report = out.feature_truncation
         fracs.append(report.truncated / report.total)
         zero_count += report.truncated == 0
@@ -201,7 +201,7 @@ def test_criterion_5_conditioning_improvement():
             private = generate(trial_spec, 2000, rng)
             out = dp_pmtolse(
                 private, public_moments(public), 0.05, (PrivacyBudget(2.0),), rng
-            )[0]
+            )
             conds.append(out.pre_diag.avg_cond)
         medians[n_pub] = float(np.median(conds))
     ok = medians[40] <= 3.5 and medians[135] <= 2.5
@@ -277,7 +277,7 @@ def test_criterion_7_wine_regime():
     )
     transformed_cond = dp_pmtolse(
         private_probe, pm, 0.05, (PrivacyBudget(5.0),), np.random.default_rng(0)
-    )[0].pre_diag.avg_cond
+    ).pre_diag.avg_cond
 
     from pmtreg.harness import DatasetSource
 

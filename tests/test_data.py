@@ -18,7 +18,7 @@ from pmtreg.data import (
     public_moments,
     split,
 )
-from pmtreg.estimators import LabeledDataset, olse
+from pmtreg.estimators import LabeledDataset, PublicMoments, olse
 from pmtreg.spectra import SymmetricMatrix, diagnostics
 
 WINE_PATH = os.environ.get("PMTREG_WINE_CSV", "data/winequality-white.csv")
@@ -309,3 +309,9 @@ class TestPublicMoments:
         assert not np.allclose(
             base.feature_moment.entries, shifted.feature_moment.entries
         )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_response_moment_rejected(self, value):
+        # a nan sigma_B would otherwise give beta = [nan ...] without an error
+        with pytest.raises(ValueError, match=f"response_moment.*got {value}"):
+            PublicMoments(SymmetricMatrix(np.eye(3)), value, 10)

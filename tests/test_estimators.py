@@ -78,8 +78,8 @@ RADII = "truncation radii derived from unprivatized private moments"
 def test_only_the_baseline_notes_a_caveat_and_both_book_two_rho(rng):
     spec = replace(default_synthetic(), coefficients=np.ones(10))
     public, private = generate(spec, 40, rng), generate(spec, 400, rng)
-    pmt_out = dp_pmtolse(private, public_moments(public), 0.05, (BUDGET,), rng)[0]
-    base_out = dp_olse_baseline(private, 0.05, (BUDGET,), rng)[0]
+    pmt_out = dp_pmtolse(private, public_moments(public), 0.05, (BUDGET,), rng)
+    base_out = dp_olse_baseline(private, 0.05, (BUDGET,), rng)
     assert pmt_out.notes == ()
     assert base_out.notes == (RADII,)
     assert pmt_out.rho_total == base_out.rho_total == 2 * BUDGET.rho
@@ -128,7 +128,7 @@ class TestDpSecondMoment:
         data = LabeledDataset(
             features=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), responses=np.ones(3)
         )
-        out = dp_pmtolse(data, small_public(2), 0.05, (BUDGET,), rng)[0]
+        out = dp_pmtolse(data, small_public(2), 0.05, (BUDGET,), rng)
         expected = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
         assert np.allclose(rebuild(out.pre_diag), expected, atol=1e-12)
 
@@ -142,7 +142,7 @@ class TestDpSecondMoment:
         out = dp_pmtolse(
             LabeledDataset(features=x, responses=y), public, 0.05, (BUDGET,),
             np.random.default_rng(9),
-        )[0]
+        )
 
         pre, _ = inv_sqrt_clamped(moment)
         r_x, r_y = truncation_radius(4, 100, 0.05), truncation_radius(1, 100, 0.05)
@@ -154,7 +154,7 @@ class TestDpSecondMoment:
         w_vec = sample_gaussian_vector(4, scales.sigma2, replay)
         noisy = SymmetricMatrix(a.T @ a / 100 + w_mat.entries)
         beta_tilde = solve(diagnostics(noisy), a.T @ b[:, 0] / 100 + w_vec)
-        assert np.array_equal(out.beta, 1.7 * (pre.entries @ beta_tilde))
+        assert np.array_equal(out.betas[0], 1.7 * (pre.entries @ beta_tilde))
 
     def test_noise_std_matches_scale(self):
         # all-zero rows: the noisy second moment is the noise matrix itself
@@ -163,8 +163,8 @@ class TestDpSecondMoment:
         data = LabeledDataset(features=np.zeros((1000, 10)), responses=np.zeros(1000))
         public = small_public(10)
         for _ in range(300):
-            out = dp_pmtolse(data, public, 0.05, (BUDGET,), rng)[0]
-            draws.extend(rebuild(out.post_diag)[np.triu_indices(10, k=1)])
+            out = dp_pmtolse(data, public, 0.05, (BUDGET,), rng)
+            draws.extend(rebuild(out.post_diags[0])[np.triu_indices(10, k=1)])
         assert np.std(draws, ddof=1) == pytest.approx(0.11596635, rel=0.05)
 
 
@@ -174,8 +174,8 @@ class TestDpPmtolse:
         public = generate(spec, 60, rng)
         private = generate(spec, 800, rng)
         ref = olse(private)
-        out = dp_pmtolse(private, public_moments(public), 0.05, (BUDGET,), rng)[0]
-        assert np.linalg.norm(out.beta - ref) <= 1e-8 * np.linalg.norm(ref)
+        out = dp_pmtolse(private, public_moments(public), 0.05, (BUDGET,), rng)
+        assert np.linalg.norm(out.betas[0] - ref) <= 1e-8 * np.linalg.norm(ref)
         assert out.feature_truncation.truncated == 0
 
     def test_scalar_walkthrough(self, no_noise):
@@ -185,28 +185,27 @@ class TestDpPmtolse:
         public = PublicMoments(
             feature_moment=SymmetricMatrix([[1.0]]), response_moment=2.0, n_pub=2
         )
-        out = dp_pmtolse(data, public, 0.05, (BUDGET,), np.random.default_rng(0))[0]
-        assert out.beta[0] == pytest.approx(2.0, rel=1e-12)
-        assert out.beta[0] == pytest.approx(olse(data)[0], rel=1e-12)
+        (beta,) = dp_pmtolse(data, public, 0.05, (BUDGET,), np.random.default_rng(0)).betas
+        assert beta[0] == pytest.approx(2.0, rel=1e-12)
+        assert beta[0] == pytest.approx(olse(data)[0], rel=1e-12)
 
     def test_deterministic_per_seed(self, rng):
         spec = replace(default_synthetic(), coefficients=np.ones(10))
         public = generate(spec, 50, rng)
         private = generate(spec, 300, rng)
         pm = public_moments(public)
-        a = dp_pmtolse(private, pm, 0.05, (BUDGET,), np.random.default_rng(77))[0]
-        b = dp_pmtolse(private, pm, 0.05, (BUDGET,), np.random.default_rng(77))[0]
-        assert np.array_equal(a.beta, b.beta)
+        a = dp_pmtolse(private, pm, 0.05, (BUDGET,), np.random.default_rng(77))
+        b = dp_pmtolse(private, pm, 0.05, (BUDGET,), np.random.default_rng(77))
+        assert np.array_equal(a.betas[0], b.betas[0])
         assert a.pre_diag.eigenvalues.tolist() == b.pre_diag.eigenvalues.tolist()
 
     def test_budget_accounting(self, rng):
         spec = replace(default_synthetic(), coefficients=np.ones(10))
         public = generate(spec, 50, rng)
         private = generate(spec, 300, rng)
-        (out,) = dp_pmtolse(private, public_moments(public), 0.05, (PrivacyBudget(0.7),), rng)
+        out = dp_pmtolse(private, public_moments(public), 0.05, (PrivacyBudget(0.7),), rng)
         assert out.rho_total == pytest.approx(1.4, abs=1e-15)
-        assert len(out.ledger.entries) == 2
-        assert all(rho == 0.7 for _, rho in out.ledger.entries)
+        assert out.ledger == (("second_moment", 0.7), ("cross_moment", 0.7))
 
     def test_requires_enough_public(self, rng):
         data = LabeledDataset(
@@ -236,9 +235,10 @@ class TestDpPmtolse:
             features=np.zeros((5, 2)) + 1e-200, responses=np.zeros(5)
         )
         public = small_public(2)
-        (entry,) = dp_pmtolse(data, public, 0.05, (BUDGET,), np.random.default_rng(1))
-        assert isinstance(entry, UnstableInversionError)
-        assert entry.post_diag is not None
+        out = dp_pmtolse(data, public, 0.05, (BUDGET,), np.random.default_rng(1))
+        assert out.betas == (None,)
+        lam = np.abs(out.post_diags[0].eigenvalues)  # the refused spectrum
+        assert lam.min() <= 1e-12 * lam.max()
 
 
 class TestDpOlseBaseline:
@@ -249,10 +249,10 @@ class TestDpOlseBaseline:
         beta = 0.2 * rng.standard_normal(10)
         data = LabeledDataset(features=x, responses=x @ beta)
         ref = olse(data)
-        out = dp_olse_baseline(data, 0.05, (BUDGET,), rng)[0]
+        out = dp_olse_baseline(data, 0.05, (BUDGET,), rng)
         assert out.feature_truncation.truncated == 0
         assert out.response_truncation.truncated == 0
-        assert np.linalg.norm(out.beta - ref) <= 1e-8 * np.linalg.norm(ref)
+        assert np.linalg.norm(out.betas[0] - ref) <= 1e-8 * np.linalg.norm(ref)
 
     def test_sigma1_formula(self):
         # Tr = 10, d = 10, n = 1000, rho = 2, eta = 0.05, sigma_y^2 = 1
@@ -267,7 +267,7 @@ class TestDpOlseBaseline:
         x = rng.standard_normal((100, 3)) * 5.0
         y = rng.standard_normal(100) * 3.0
         data = LabeledDataset(features=x, responses=y)
-        out = dp_olse_baseline(data, 0.05, (BUDGET,), rng)[0]
+        out = dp_olse_baseline(data, 0.05, (BUDGET,), rng)
         trace = float(np.sum(x**2)) / 100.0
         radius = math.sqrt(trace + 3.0 * math.log(4000.0))
         norms = np.linalg.norm(x, axis=1)
@@ -277,9 +277,9 @@ class TestDpOlseBaseline:
     def test_budget_accounting(self, rng):
         spec = replace(default_synthetic(), coefficients=np.ones(10))
         private = generate(spec, 300, rng)
-        out = dp_olse_baseline(private, 0.05, (PrivacyBudget(5.0),), rng)[0]
+        out = dp_olse_baseline(private, 0.05, (PrivacyBudget(5.0),), rng)
         assert out.rho_total == 10.0
-        assert len(out.ledger.entries) == 2
+        assert len(out.ledger) == 2
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -305,9 +305,9 @@ def test_affine_invariance_property(seed):
     except UnstableInversionError:
         return
     with noiseless():
-        out = dp_pmtolse(data, public, 0.05, (BUDGET,), rng)[0]
+        out = dp_pmtolse(data, public, 0.05, (BUDGET,), rng)
     assert out.feature_truncation.truncated == 0
-    assert np.linalg.norm(out.beta - ref) <= 1e-8 * max(np.linalg.norm(ref), 1e-12)
+    assert np.linalg.norm(out.betas[0] - ref) <= 1e-8 * max(np.linalg.norm(ref), 1e-12)
 
 
 BUDGETS = (PrivacyBudget(0.5), PrivacyBudget(2.0), PrivacyBudget(10.0))
@@ -344,26 +344,41 @@ def test_singular_noisy_moment_fails_only_its_budget(release, monkeypatch):
     monkeypatch.setattr(
         pmtreg.estimators, "sample_symmetric_gaussian", second_draw_cancels_the_moment
     )
-    first, failed, last = release(data, np.random.default_rng(5))
-    assert isinstance(failed, UnstableInversionError)
-    assert np.all(failed.post_diag.eigenvalues == 0.0)
-    assert np.array_equal(first.beta, plain[0].beta)
-    assert np.array_equal(last.beta, plain[2].beta)
-    assert [out.rho_total for out in (first, last)] == [1.0, 20.0]
+    out = release(data, np.random.default_rng(5))
+    first, failed, last = out.betas
+    assert failed is None
+    assert np.all(out.post_diags[1].eigenvalues == 0.0)  # the refused spectrum
+    assert np.array_equal(first, plain.betas[0])
+    assert np.array_equal(last, plain.betas[2])
+    # the refused budget's noise was still released, so the ledger books it
+    assert out.ledger == plain.ledger
+    assert out.rho_total == 25.0
 
 
-def test_rho_independent_stage_shared_by_all_budgets(rng):
+def test_rho_independent_stage_shared_by_all_budgets(rng, monkeypatch):
+    import pmtreg.pmt
+
     spec = replace(default_synthetic(), coefficients=np.ones(10))
     public, private = generate(spec, 40, rng), generate(spec, 400, rng)
-    for entries in (
-        dp_pmtolse(private, public_moments(public), 0.05, BUDGETS, rng),
-        dp_olse_baseline(private, 0.05, BUDGETS, rng),
+    real, clips = pmtreg.pmt.clip_rows, []
+
+    def counted(*args):
+        clips.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pmtreg.pmt, "clip_rows", counted)
+    for release in (
+        lambda: dp_pmtolse(private, public_moments(public), 0.05, BUDGETS, rng),
+        lambda: dp_olse_baseline(private, 0.05, BUDGETS, rng),
     ):
-        assert len(entries) == 3
-        assert all(e.pre_diag is entries[0].pre_diag for e in entries)
-        assert all(e.feature_truncation is entries[0].feature_truncation for e in entries)
-        assert [e.rho_total for e in entries] == [1.0, 4.0, 20.0]
-        assert len({e.post_diag.lambda_min for e in entries}) == 3
+        clips.clear()
+        out = release()
+        assert len(clips) == 2  # features and responses, once for all budgets
+        assert out.budgets == BUDGETS
+        assert len(out.betas) == len(out.post_diags) == 3
+        assert [rho for _, rho in out.ledger] == [0.5, 0.5, 2.0, 2.0, 10.0, 10.0]
+        assert out.rho_total == 25.0
+        assert len({d.lambda_min for d in out.post_diags}) == 3
 
 
 def test_budgets_draw_independent_noise():
@@ -371,21 +386,25 @@ def test_budgets_draw_independent_noise():
     # Scaling one draw by sigma(rho) would make them perfectly correlated,
     # and the rows together would give the exact statistic away.
     data = LabeledDataset(features=np.zeros((1000, 10)), responses=np.zeros(1000))
-    entries = dp_pmtolse(data, small_public(10), 0.05, BUDGETS, np.random.default_rng(3))
+    out = dp_pmtolse(data, small_public(10), 0.05, BUDGETS, np.random.default_rng(3))
     upper = np.triu_indices(10)
-    noise = [rebuild(e.post_diag)[upper] for e in entries]
+    noise = [rebuild(diag)[upper] for diag in out.post_diags]
     for i in range(3):
         for j in range(i):
             assert abs(np.corrcoef(noise[i], noise[j])[0, 1]) < 0.5
 
 
-def _raised(entries):
-    """The one budget's entry, raised if it is that budget's solve failure,
-    as olse raises it."""
-    (entry,) = entries
-    if isinstance(entry, UnstableInversionError):
-        raise entry
-    return entry
+def _olse_refusal(data):
+    with pytest.raises(UnstableInversionError) as err:
+        olse(data)
+    return err.value.post_diag
+
+
+def _refusal(out):
+    """The one budget's refused spectrum; beta None marks the refusal."""
+    (beta,), (diag,) = out.betas, out.post_diags
+    assert beta is None
+    return diag
 
 
 def _collinear(rng, n=60):
@@ -397,20 +416,20 @@ def _collinear(rng, n=60):
 @pytest.mark.parametrize(
     "release",
     [
-        lambda data, rng: olse(data),
-        lambda data, rng: _raised(dp_pmtolse(data, small_public(3), 0.05, (BUDGET,), rng)),
-        lambda data, rng: _raised(dp_olse_baseline(data, 0.05, (BUDGET,), rng)),
+        lambda data, rng: _olse_refusal(data),
+        lambda data, rng: _refusal(dp_pmtolse(data, small_public(3), 0.05, (BUDGET,), rng)),
+        lambda data, rng: _refusal(dp_olse_baseline(data, 0.05, (BUDGET,), rng)),
     ],
     ids=["olse", "dp_pmtolse", "dp_olse_baseline"],
 )
 def test_singular_design_raises_the_one_failure_type(release, rng, no_noise):
+    # olse raises the one failure type; a DP budget that spectra.solve
+    # refuses the same way keeps its refused spectrum and has beta None
     import pmtreg
     import pmtreg.spectra
 
-    with pytest.raises(UnstableInversionError) as err:
-        release(_collinear(rng), rng)
     assert UnstableInversionError is pmtreg.UnstableInversionError
     assert UnstableInversionError is pmtreg.spectra.UnstableInversionError
-    lam = np.abs(err.value.post_diag.eigenvalues)
+    lam = np.abs(release(_collinear(rng), rng).eigenvalues)
     assert lam.min() <= 1e-12 * lam.max()
 

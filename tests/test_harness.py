@@ -102,6 +102,10 @@ class TestExperimentGrid:
             (dict(n_priv_values=(400, 400)), "n_priv_values must not repeat a value, got 400"),
             (dict(n_pub_values=(40, 40)), "n_pub_values must not repeat a value, got 40"),
             (dict(trials=0), "trials must be >= 1, got 0"),
+            (dict(trials=2.5), "trials must be integral, got 2.5"),
+            (dict(n_priv_values=(300.5,)), "n_priv_values must be integral, got 300.5"),
+            (dict(n_pub_values=(20.0,)), "n_pub_values must be integral, got 20.0"),
+            (dict(seed=1.5), "seed must be integral, got 1.5"),
         ],
     )
     def test_bad_value_named(self, overrides, named):
@@ -276,16 +280,15 @@ class TestDatasetSharing:
         assert len(splits) == len(references) == len(datasets)
 
     def test_failed_budget_fails_only_its_cell(self, monkeypatch):
-        from pmtreg.spectra import UnstableInversionError
-
         grid = small_grid(rho_values=(0.5, 2.0, 10.0), trials=4)
         spec = default_synthetic()
         plain = run_grid(grid, spec)
         real = harness.dp_olse_baseline
 
         def middle_budget_fails(*args, **kwargs):
-            first, _, last = real(*args, **kwargs)
-            return first, UnstableInversionError("numerically singular"), last
+            out = real(*args, **kwargs)
+            first, _, last = out.betas
+            return replace(out, betas=(first, None, last))
 
         monkeypatch.setattr(harness, "dp_olse_baseline", middle_budget_fails)
         patched = run_grid(grid, spec)
@@ -573,7 +576,7 @@ class TestCli:
         cond = dp_pmtolse(
             private, public_moments(public), 0.05, (PrivacyBudget(5.0),),
             np.random.default_rng(0),
-        )[0].pre_diag.avg_cond
+        ).pre_diag.avg_cond
         assert row.trials_ok == 3
         assert row.mean_avg_cond_pre == pytest.approx(cond, rel=1e-12)
         assert read_rows(rand)[0].mean_avg_cond_pre != row.mean_avg_cond_pre
@@ -743,13 +746,29 @@ def test_bench_counts_the_unstable_inversion_type():
     assert matched == UnstableInversionError.__name__
 
 
-def test_bench_traced_bindings_resolve():
-    # bench/child.py wraps these names for the traced benchmark run; a
-    # refactor that drops one would otherwise fail only there
+def _bench_child():
     spec = importlib.util.spec_from_file_location("bench_child", REPO / "bench" / "child.py")
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
+    return child
+
+
+def test_bench_traced_bindings_resolve():
+    # bench/child.py wraps these names for the traced benchmark run; a
+    # refactor that drops one would otherwise fail only there
+    child = _bench_child()
     pairs = [(m, a) for m, a, _ in child.TRACED if m.split(".")[0] == "pmtreg"]
     assert len(pairs) >= 19
     for module, attr in pairs:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_bench_clip_note_reads_the_clip_report():
+    # the traced run labels each clip_rows span from its (rows, report) result;
+    # pmt.clip_rows.noop_frac is the share labelled "noop"
+    from pmtreg import pmt
+
+    child = _bench_child()
+    rows = np.array([[3.0, 4.0], [0.3, 0.4]])
+    assert child._clip_note(pmt.clip_rows(rows, 1.0)) == "clipped"
+    assert child._clip_note(pmt.clip_rows(rows, 10.0)) == "noop"

@@ -152,7 +152,7 @@ class TestPipeline:
         moment = random_spd(rng, 4, max_cond=50.0)
         data = LabeledDataset(features=samples, responses=np.ones(40))
         public = PublicMoments(feature_moment=moment, response_moment=1.0, n_pub=40)
-        out = dp_pmtolse(data, public, 0.05, (PrivacyBudget(1.0),), rng)[0]
+        out = dp_pmtolse(data, public, 0.05, (PrivacyBudget(1.0),), rng)
         _, via_steps = clip_rows(
             transform(samples, inv_sqrt(moment)), truncation_radius(4, 40, 0.05)
         )
@@ -169,7 +169,7 @@ def test_no_truncation_statistical():
         beta_spec = replace(spec, coefficients=np.zeros(spec.d))
         public = generate(beta_spec, 4 * spec.d, rng)
         private = generate(beta_spec, 500, rng)
-        out = dp_pmtolse(private, public_moments(public), 0.05, (PrivacyBudget(1.0),), rng)[0]
+        out = dp_pmtolse(private, public_moments(public), 0.05, (PrivacyBudget(1.0),), rng)
         report = out.feature_truncation
         truncated_counts.append(report.truncated / report.total)
     assert np.mean(truncated_counts) <= 0.05

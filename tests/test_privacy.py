@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmtreg.estimators import LabeledDataset, PublicMoments, dp_olse_baseline, dp_pmtolse
 from pmtreg.pmt import clip_rows, truncation_radius
 from pmtreg.privacy import (
-    BudgetLedger,
     PrivacyBudget,
-    compose,
     noise_scales,
     sample_gaussian_vector,
     sample_symmetric_gaussian,
     zcdp_to_dp,
 )
+from pmtreg.spectra import SymmetricMatrix
 
 
 def pmt_scales(d, n, eta, budget):
@@ -177,31 +177,96 @@ class TestSampling:
         )
 
 
-class TestLedger:
-    def test_empty_total(self):
-        assert BudgetLedger().total == 0.0
+def _output(budgets):
+    """One DP call on a tiny dataset; its ledger is read off its budgets."""
+    data = LabeledDataset(np.vstack([np.eye(2)] * 3), np.ones(6))
+    return dp_olse_baseline(data, 0.05, tuple(budgets), np.random.default_rng(0))
 
+
+class TestLedger:
     def test_equal_split_totals_two_rho(self):
-        ledger = compose(compose(BudgetLedger(), "a", 1.0), "b", 1.0)
-        assert ledger.total == 2.0
-        assert len(ledger.entries) == 2
+        out = _output([PrivacyBudget(1.0)])
+        assert out.rho_total == 2.0
+        assert out.ledger == (("second_moment", 1.0), ("cross_moment", 1.0))
 
     def test_fractional_sum(self):
-        ledger = compose(compose(BudgetLedger(), "a", 0.3), "b", 0.7)
-        assert abs(ledger.total - 1.0) < 1e-15
-
-    def test_append_is_pure(self):
-        base = compose(BudgetLedger(), "a", 0.5)
-        compose(base, "b", 0.5)
-        assert base.total == 0.5
+        out = _output([PrivacyBudget(0.15), PrivacyBudget(0.35)])
+        assert abs(out.rho_total - 1.0) < 1e-15
 
     @given(st.lists(st.floats(min_value=1e-6, max_value=10.0), min_size=1, max_size=8))
     @settings(max_examples=40, deadline=None)
     def test_order_independent_total(self, rhos):
-        fwd = BudgetLedger()
-        rev = BudgetLedger()
-        for i, r in enumerate(rhos):
-            fwd = compose(fwd, str(i), r)
-        for i, r in enumerate(reversed(rhos)):
-            rev = compose(rev, str(i), r)
-        assert abs(fwd.total - rev.total) < 1e-15 * max(1.0, fwd.total)
+        budgets = [PrivacyBudget(r) for r in rhos]
+        fwd, rev = _output(budgets), _output(reversed(budgets))
+        assert len(fwd.ledger) == 2 * len(rhos)
+        assert abs(fwd.rho_total - rev.rho_total) < 1e-15 * max(1.0, fwd.rho_total)
+
+
+class TestEmpiricalAudit:
+    """Gaussian-DP mu of each release, measured on a neighbouring pair that
+    attains its sensitivity (Dong, Roth and Su, JRSS-B 2022: rho-zCDP
+    Gaussian noise has mu = sqrt(2 rho)).
+
+    Each dataset is 49 zero rows and one last row, released 4,000 times by
+    dp_pmtolse with an identity public moment and sigma_B = 1, at d=2, n=50,
+    eta=0.05 and rho=1.  The test statistic is the projection onto the
+    difference of the pair's noiseless statistics; mu is the difference of
+    its means over its pooled standard deviation, whose error is about
+    sqrt(2/N) for N releases per dataset.
+    """
+
+    D, N, ETA, RHO, CALLS, COPIES = 2, 50, 0.05, 1.0, 20, 200
+
+    def _projections(self, last_x, last_y, project, seed):
+        x, y = np.zeros((self.N, self.D)), np.zeros(self.N)
+        x[-1], y[-1] = last_x, last_y
+        data = LabeledDataset(x, y)
+        public = PublicMoments(SymmetricMatrix(np.eye(self.D)), 1.0, 4 * self.D)
+        budgets = (PrivacyBudget(self.RHO),) * self.COPIES
+        rng = np.random.default_rng(seed)
+        values = []
+        for _ in range(self.CALLS):
+            out = dp_pmtolse(data, public, self.ETA, budgets, rng)
+            for beta, diag in zip(out.betas, out.post_diags):
+                # the noisy matrix is V diag(lambda) V^T; the noisy vector
+                # is that matrix times the solved beta
+                matrix = (diag.eigenvectors * diag.eigenvalues) @ diag.eigenvectors.T
+                values.append(project(matrix, matrix @ beta))
+        return np.array(values)
+
+    def _mu(self, a, b):
+        pooled = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / 2.0)
+        return abs(a.mean() - b.mean()) / pooled
+
+    def _tolerance(self):
+        return 5.0 * math.sqrt(2.0 / (self.CALLS * self.COPIES))
+
+    def test_vector_release_mu_is_sqrt_2rho(self):
+        # one row against its response's negation: the cross moment moves by
+        # its full sensitivity 2 r_x r_y / n, which the noise is scaled to
+        r_x = truncation_radius(self.D, self.N, self.ETA)
+        r_y = truncation_radius(1, self.N, self.ETA)
+        row = 10.0 * r_x * np.eye(self.D)[0]  # clipped back to r_x e_1
+
+        def first_coordinate(matrix, vector):
+            return vector[0]
+
+        plus = self._projections(row, 10.0 * r_y, first_coordinate, seed=1)
+        minus = self._projections(row, -10.0 * r_y, first_coordinate, seed=2)
+        mu = self._mu(plus, minus)
+        assert abs(mu - math.sqrt(2.0 * self.RHO)) <= self._tolerance(), mu
+
+    def test_matrix_release_mu_is_sqrt_rho(self):
+        # r_x e_1 against r_x e_2 moves the second moment by sqrt(2) r_x^2 / n
+        # in Frobenius norm; the noise is scaled to the paper's 2 r_x^2 / n, so
+        # the matrix release measures mu = sqrt(rho), not sqrt(2 rho)
+        r_x = truncation_radius(self.D, self.N, self.ETA)
+        e1, e2 = 10.0 * r_x * np.eye(self.D)
+
+        def diagonal_difference(matrix, vector):
+            return (matrix[0, 0] - matrix[1, 1]) / math.sqrt(2.0)
+
+        first = self._projections(e1, 0.0, diagonal_difference, seed=3)
+        second = self._projections(e2, 0.0, diagonal_difference, seed=4)
+        mu = self._mu(first, second)
+        assert abs(mu - math.sqrt(self.RHO)) <= self._tolerance(), mu
