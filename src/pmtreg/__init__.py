@@ -12,15 +12,13 @@ from .estimators import (
     dp_pmtolse,
     olse,
 )
-from .privacy import DpGuarantee, NoiseScales, PrivacyBudget
+from .privacy import PrivacyBudget
 from .spectra import SpectralDiagnostics, SymmetricMatrix
 
 __all__ = [
-    "DpGuarantee",
     "EstimatorOutput",
     "LabeledDataset",
     "Method",
-    "NoiseScales",
     "PrivacyBudget",
     "PublicMoments",
     "SpectralDiagnostics",

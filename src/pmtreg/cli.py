@@ -31,22 +31,18 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-class UsageError(Exception):
-    pass
-
-
 def _int_list(text: str) -> list[int]:
     try:
         return [int(v) for v in text.split(",") if v != ""]
     except ValueError:
-        raise UsageError(f"cannot parse {text!r} as a comma list of integers") from None
+        raise ValueError(f"cannot parse {text!r} as a comma list of integers") from None
 
 
 def _float_list(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",") if v != ""]
     except ValueError:
-        raise UsageError(f"cannot parse {text!r} as a comma list of numbers") from None
+        raise ValueError(f"cannot parse {text!r} as a comma list of numbers") from None
 
 
 def _methods(text: str) -> tuple[Method, ...]:
@@ -56,7 +52,7 @@ def _methods(text: str) -> tuple[Method, ...]:
         try:
             out.append(Method(name))
         except ValueError:
-            raise UsageError(
+            raise ValueError(
                 f"unknown method {name!r}; choose from {', '.join(_values(Method))}"
             ) from None
     return tuple(out)
@@ -124,6 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _grid(args, reference: Reference) -> ExperimentGrid:
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ValueError(f"--out must name a file in an existing directory, got {out}")
     return ExperimentGrid(
         methods=_methods(args.methods),
         rho_values=tuple(_float_list(args.rho)),
@@ -140,7 +139,7 @@ def _load(args):
     """The normalized dataset named by --data, --delimiter and --response."""
     path = Path(args.data)
     if not path.is_file():
-        raise UsageError(f"data file not found: {path}")
+        raise ValueError(f"data file not found: {path}")
     dataset = ingest_csv(path, delimiter=args.delimiter, response_column=args.response)
     return normalize(dataset)
 
@@ -150,10 +149,10 @@ def _cmd_synth(args) -> int:
     if args.psi_spec is not None:
         psi = _float_list(args.psi_spec)
         if len(psi) != args.d:
-            raise UsageError(f"--psi-spec needs {args.d} values, got {len(psi)}")
+            raise ValueError(f"--psi-spec needs {args.d} values, got {len(psi)}")
         bad = [v for v in psi if not (math.isfinite(v) and v >= 0)]
         if bad:
-            raise UsageError(
+            raise ValueError(
                 f"--psi-spec values must be finite and nonnegative, got {bad[0]}"
             )
         spec = replace(spec, covariance=SymmetricMatrix(np.diag(psi)))
@@ -201,7 +200,7 @@ def main(argv=None) -> int:
         if args.command == "real":
             return _cmd_real(args)
         return _cmd_diagnose(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -107,6 +107,8 @@ def default_synthetic(d: int = 10, mu_scale: float = 2.0) -> SyntheticModelSpec:
     """
     if d < 1:  # checked here: d sizes the arrays before the spec sees it
         raise ValueError(f"d must be >= 1, got {d}")
+    if not math.isfinite(mu_scale):  # else the spec names the mean, not mu_scale
+        raise ValueError(f"mu_scale must be finite: the mean must be finite, got {mu_scale}")
     psi = np.geomspace(0.2, 2.0, d)
     return SyntheticModelSpec(
         d=d,
@@ -138,6 +140,10 @@ def ingest_csv(
         if response_column not in header:
             raise CsvParseError(
                 f"{path}: response column {response_column!r} not in header {header}"
+            )
+        if header.count(response_column) > 1:
+            raise CsvParseError(
+                f"{path}: response column {response_column!r} repeats in header {header}"
             )
         resp_idx = header.index(response_column)
         rows = []

@@ -178,9 +178,9 @@ def _release(
 
     betas, post_diags = [], []
     for budget in budgets:
-        scales = noise_scales(r_x, r_y, n, budget)
-        noise_mat = sample_symmetric_gaussian(d, scales.sigma1, rng)
-        noise_vec = sample_gaussian_vector(d, scales.sigma2, rng)
+        sigma1, sigma2 = noise_scales(r_x, r_y, n, budget)
+        noise_mat = sample_symmetric_gaussian(d, sigma1, rng)
+        noise_vec = sample_gaussian_vector(d, sigma2, rng)
         post_diag = diagnostics(SymmetricMatrix(second.entries + noise_mat.entries))
         post_diags.append(post_diag)
         try:

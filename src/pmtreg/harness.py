@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import product
 from pathlib import Path
@@ -72,6 +72,7 @@ class ExperimentGrid:
     trials: int
     seed: int
     reference: Reference
+    budgets: tuple[PrivacyBudget, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("methods", "rho_values", "n_priv_values", "n_pub_values"):
@@ -92,9 +93,7 @@ class ExperimentGrid:
         object.__setattr__(self, "methods", tuple(m for m in Method if m in self.methods))
         for name in ("rho_values", "n_priv_values", "n_pub_values"):
             object.__setattr__(self, name, tuple(sorted(getattr(self, name))))
-        bad_rho = [r for r in self.rho_values if not (math.isfinite(r) and r > 0)]
-        if bad_rho:
-            raise ValueError(f"rho values must be finite and positive, got {bad_rho[0]}")
+        object.__setattr__(self, "budgets", tuple(PrivacyBudget(r) for r in self.rho_values))
         for name in ("n_priv_values", "n_pub_values"):
             smallest = min(getattr(self, name))
             if smallest < 1:
@@ -199,13 +198,12 @@ def _run_trial(grid, source, n_priv, n_pub, trial):
         except UnstableInversionError:
             return outcomes
 
-    budgets = tuple(PrivacyBudget(rho) for rho in grid.rho_values)
     for method in grid.methods:
         try:
             if method is Method.DP_PMTOLSE:
-                out = dp_pmtolse(private, public_moments(public), grid.eta, budgets, rng)
+                out = dp_pmtolse(private, public_moments(public), grid.eta, grid.budgets, rng)
             else:
-                out = dp_olse_baseline(private, grid.eta, budgets, rng)
+                out = dp_olse_baseline(private, grid.eta, grid.budgets, rng)
         except UnstableInversionError:
             continue
         feat, resp = out.feature_truncation, out.response_truncation

@@ -20,8 +20,6 @@ from .spectra import SymmetricMatrix
 
 __all__ = [
     "PrivacyBudget",
-    "DpGuarantee",
-    "NoiseScales",
     "zcdp_to_dp",
     "noise_scales",
     "sample_symmetric_gaussian",
@@ -40,31 +38,16 @@ class PrivacyBudget:
             raise ValueError(f"rho must be a positive finite real, got {self.rho}")
 
 
-@dataclass(frozen=True)
-class DpGuarantee:
-    epsilon: float
-    delta: float
-
-
-@dataclass(frozen=True)
-class NoiseScales:
-    """Matrix-entry std (sigma1) and vector-coordinate std (sigma2)."""
-
-    sigma1: float
-    sigma2: float
-
-
-def zcdp_to_dp(budget: PrivacyBudget, delta: float) -> DpGuarantee:
-    """Convert rho-zCDP to an (epsilon, delta)-DP guarantee."""
+def zcdp_to_dp(budget: PrivacyBudget, delta: float) -> float:
+    """The epsilon at which rho-zCDP implies (epsilon, delta)-DP."""
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     rho = budget.rho
-    eps = rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
-    return DpGuarantee(epsilon=eps, delta=delta)
+    return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
 
 
-def noise_scales(r_x: float, r_y: float, n: int, budget: PrivacyBudget) -> NoiseScales:
-    """Noise stds for the clipped sufficient statistics X^T X / n and X^T y / n.
+def noise_scales(r_x: float, r_y: float, n: int, budget: PrivacyBudget) -> tuple[float, float]:
+    """Noise stds (sigma1, sigma2) for the clipped X^T X / n and X^T y / n.
 
     With every row clipped to ||x|| <= r_x and |y| <= r_y, replacing one row
     moves X^T X / n by at most (||x||^2 + ||x'||^2) / n <= 2 r_x^2 / n in
@@ -80,7 +63,7 @@ def noise_scales(r_x: float, r_y: float, n: int, budget: PrivacyBudget) -> Noise
     tight (take x' = -x).
     """
     scale = n * math.sqrt(2.0 * budget.rho)
-    return NoiseScales(sigma1=2.0 * r_x * r_x / scale, sigma2=2.0 * r_x * r_y / scale)
+    return 2.0 * r_x * r_x / scale, 2.0 * r_x * r_y / scale
 
 
 def sample_symmetric_gaussian(

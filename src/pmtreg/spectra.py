@@ -83,12 +83,7 @@ class SpectralDiagnostics:
 
 
 class UnstableInversionError(RuntimeError):
-    """A symmetric system is too close to singular to solve; ``post_diag``
-    holds the refused matrix's diagnostics when they were computed."""
-
-    def __init__(self, msg, post_diag: SpectralDiagnostics | None = None):
-        super().__init__(msg)
-        self.post_diag = post_diag
+    """A symmetric system is too close to singular to solve."""
 
 
 def eig_sym(m: SymmetricMatrix):
@@ -170,8 +165,7 @@ def solve(diag: SpectralDiagnostics, rhs: np.ndarray) -> np.ndarray:
     if abs_eigs.min() <= 1e-12 * abs_eigs.max():
         raise UnstableInversionError(
             f"numerically singular: |lambda| range "
-            f"[{abs_eigs.min():.3e}, {abs_eigs.max():.3e}]",
-            post_diag=diag,
+            f"[{abs_eigs.min():.3e}, {abs_eigs.max():.3e}]"
         )
     vec = diag.eigenvectors
     return (vec / diag.eigenvalues) @ (vec.T @ rhs)

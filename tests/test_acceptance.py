@@ -114,7 +114,7 @@ def test_criterion_2_noise_calibration():
     is exactly symmetric."""
     start = time.monotonic()
     r_x, r_y = truncation_radius(10, 1000, 0.05), truncation_radius(1, 1000, 0.05)
-    sigma = noise_scales(r_x, r_y, 1000, PrivacyBudget(2.0)).sigma1
+    sigma, _ = noise_scales(r_x, r_y, 1000, PrivacyBudget(2.0))
     rng = np.random.default_rng(7)
     entries = []
     draws = 0
@@ -143,7 +143,7 @@ def test_criterion_3_budget_accounting():
         private, public_moments(public), 0.05, (PrivacyBudget(rho),), rng
     )
     base_out = dp_olse_baseline(private, 0.05, (PrivacyBudget(rho),), rng)
-    eps = zcdp_to_dp(PrivacyBudget(1.0), math.exp(-1.0)).epsilon
+    eps = zcdp_to_dp(PrivacyBudget(1.0), math.exp(-1.0))
     ok = (
         pmt_out.rho_total == 2 * rho
         and base_out.rho_total == 2 * rho

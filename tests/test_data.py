@@ -181,9 +181,19 @@ class TestIngestCsv:
         with pytest.raises(CsvParseError, match="quality"):
             ingest_csv(p)
 
+    def test_repeated_response_column(self, tmp_path):
+        # the second 'quality' would otherwise stay on as a copy of the response
+        p = self._write(tmp_path, "a;quality;quality\n1;2;2\n3;4;4\n")
+        with pytest.raises(CsvParseError, match="response column 'quality' repeats"):
+            ingest_csv(p)
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(CsvParseError, match="empty"):
             ingest_csv(self._write(tmp_path, ""))
+
+    def test_header_only_file(self, tmp_path):
+        with pytest.raises(CsvParseError, match="no data rows"):
+            ingest_csv(self._write(tmp_path, "a;quality\n"))
 
     @pytest.mark.skipif(
         not os.path.exists(WINE_PATH), reason=f"wine CSV not found at {WINE_PATH}"
@@ -230,6 +240,9 @@ class TestNormalize:
             features=np.array([[1.0, 5.0], [2.0, 5.0]]), responses=np.array([1.0, 2.0])
         )
         with pytest.raises(ValueError, match="zero-variance"):
+            normalize(data)
+        data = LabeledDataset(features=[[1.0], [2.0]], responses=[3.0, 3.0])
+        with pytest.raises(ValueError, match="zero-variance response column"):
             normalize(data)
 
 

@@ -72,6 +72,16 @@ def test_bad_eta_rejected_by_both_estimators(method, eta, rng):
             dp_olse_baseline(data, eta, (BUDGET,), rng)
 
 
+@pytest.mark.parametrize("method", [Method.DP_PMTOLSE, Method.DP_OLSE])
+def test_too_few_private_rows_rejected_by_both_estimators(method, rng):
+    data = LabeledDataset(features=rng.standard_normal((3, 3)), responses=np.ones(3))
+    with pytest.raises(ValueError, match="need n > d private samples, got n=3, d=3"):
+        if method is Method.DP_PMTOLSE:
+            dp_pmtolse(data, small_public(3), 0.05, (BUDGET,), rng)
+        else:
+            dp_olse_baseline(data, 0.05, (BUDGET,), rng)
+
+
 RADII = "truncation radii derived from unprivatized private moments"
 
 
@@ -148,10 +158,10 @@ class TestDpSecondMoment:
         r_x, r_y = truncation_radius(4, 100, 0.05), truncation_radius(1, 100, 0.05)
         a, _ = clip_rows(transform(x, pre), r_x)
         b, _ = clip_rows((y / 1.7)[:, None], r_y)
-        scales = noise_scales(r_x, r_y, 100, BUDGET)
+        sigma1, sigma2 = noise_scales(r_x, r_y, 100, BUDGET)
         replay = np.random.default_rng(9)
-        w_mat = sample_symmetric_gaussian(4, scales.sigma1, replay)
-        w_vec = sample_gaussian_vector(4, scales.sigma2, replay)
+        w_mat = sample_symmetric_gaussian(4, sigma1, replay)
+        w_vec = sample_gaussian_vector(4, sigma2, replay)
         noisy = SymmetricMatrix(a.T @ a / 100 + w_mat.entries)
         beta_tilde = solve(diagnostics(noisy), a.T @ b[:, 0] / 100 + w_vec)
         assert np.array_equal(out.betas[0], 1.7 * (pre.entries @ beta_tilde))
@@ -259,7 +269,7 @@ class TestDpOlseBaseline:
         trace, d, n, rho, eta = 10.0, 10, 1000, 2.0, 0.05
         r_x = math.sqrt(trace + d * math.log(2 * n / eta))
         r_y = math.sqrt(1.0 + math.log(2 * n / eta))
-        sigma1 = noise_scales(r_x, r_y, n, PrivacyBudget(rho)).sigma1
+        sigma1, _ = noise_scales(r_x, r_y, n, PrivacyBudget(rho))
         assert sigma1 == pytest.approx((10.0 + 10.0 * math.log(40000.0)) / 1000.0, rel=1e-12)
         assert sigma1 == pytest.approx(0.1159663, rel=1e-4)
 
@@ -395,9 +405,11 @@ def test_budgets_draw_independent_noise():
 
 
 def _olse_refusal(data):
-    with pytest.raises(UnstableInversionError) as err:
+    """The spectrum olse refuses: that of X^T X / n, whose range it names."""
+    with pytest.raises(UnstableInversionError, match=r"singular: \|lambda\| range"):
         olse(data)
-    return err.value.post_diag
+    x = data.features
+    return diagnostics(SymmetricMatrix(x.T @ x / data.n))
 
 
 def _refusal(out):

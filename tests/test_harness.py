@@ -25,6 +25,7 @@ from pmtreg.harness import (
     emit_csv,
     run_grid,
 )
+from pmtreg.privacy import PrivacyBudget
 from pmtreg.spectra import SymmetricMatrix
 
 REPO = Path(__file__).resolve().parents[1]
@@ -69,6 +70,10 @@ class TestExperimentGrid:
     def test_cell_enumeration(self):
         grid = small_grid(rho_values=(1.0, 2.0), n_priv_values=(100, 200))
         assert len(grid.cells()) == 2 * 2 * 2 * 1
+
+    def test_one_budget_per_rho_in_canonical_order(self):
+        grid = small_grid(rho_values=(10.0, 0.5, 2.0))
+        assert grid.budgets == tuple(PrivacyBudget(r) for r in (0.5, 2.0, 10.0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -472,8 +477,8 @@ class TestCli:
                 "n_pub_values must be >= 1, got 0",
             ),
             (["real", "--n-pub", "3", "--n-priv", "100"], "n_pub > d=3, got 3"),
-            (["synth", "--rho", "nan"], "rho values must be finite and positive, got nan"),
-            (["synth", "--rho", "2,inf"], "rho values must be finite and positive, got inf"),
+            (["synth", "--rho", "nan"], "rho must be a positive finite real, got nan"),
+            (["synth", "--rho", "2,inf"], "rho must be a positive finite real, got inf"),
             (["synth", "--d", "0"], "d must be >= 1, got 0"),
             (["synth", "--mu-scale", "nan"], "mean must be finite, got nan"),
             (["diagnose", "--d", "0"], "d must be >= 1, got 0"),
@@ -504,6 +509,14 @@ class TestCli:
                 "synthetic second moment is numerically singular: |lambda| range",
             ),
             (["diagnose", "--eta", "1.5"], "eta must lie in (0, 1), got 1.5"),
+            (["synth", "--mu-scale", "inf"], "mu_scale must be finite: the mean must be"),
+            (["diagnose", "--mu-scale", "nan"], "mu_scale must be finite: the mean must be"),
+            (["synth", "--n-priv", "3000,x"], "cannot parse '3000,x' as a comma list of integers"),
+            (["synth", "--rho", "2,x"], "cannot parse '2,x' as a comma list of numbers"),
+            (
+                ["real", "--n-pub", "40", "--n-priv", "1000"],
+                "largest split needs 1040 rows but dataset has 300",
+            ),
         ],
     )
     def test_bad_grid_exits_2_before_any_trial(
@@ -518,6 +531,21 @@ class TestCli:
         assert main(argv) == EXIT_USAGE
         assert named in capsys.readouterr().err
         assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "real"])
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_bad_out_exits_2_before_any_trial(
+        self, command, target, tmp_path, capsys, monkeypatch
+    ):
+        # a missing parent directory, or a directory itself, fails before the sweep
+        calls = count_trials(monkeypatch)
+        argv = [command, "--trials", "2", "--out", str(tmp_path / target)]
+        if command == "real":
+            argv += ["--data", str(write_toy_csv(tmp_path / "toy.csv"))]
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == EXIT_USAGE
+        assert "--out must name a file in an existing directory" in capsys.readouterr().err
+        assert calls == [] and sorted(tmp_path.iterdir()) == before
 
     def test_psi_spec_sets_covariance(self, tmp_path):
         psi = [1.0, 2.0, 30.0]
@@ -557,7 +585,6 @@ class TestCli:
     def test_real_head_split_uses_leading_rows(self, tmp_path):
         from pmtreg.data import ingest_csv, normalize, public_moments
         from pmtreg.estimators import dp_pmtolse
-        from pmtreg.privacy import PrivacyBudget
 
         data = write_toy_csv(tmp_path / "toy.csv")
         args = [

@@ -18,24 +18,24 @@ from pmtreg.spectra import SymmetricMatrix
 
 
 def pmt_scales(d, n, eta, budget):
-    """Noise scales at the preconditioned estimator's radii."""
+    """Noise stds (sigma1, sigma2) at the preconditioned estimator's radii."""
     return noise_scales(truncation_radius(d, n, eta), truncation_radius(1, n, eta), n, budget)
 
 
 class TestZcdpToDp:
     def test_exact_point(self):
         # rho = 1, delta = 1/e: eps = 1 + 2 sqrt(1 * 1) = 3
-        g = zcdp_to_dp(PrivacyBudget(1.0), math.exp(-1.0))
-        assert g.epsilon == pytest.approx(3.0, abs=1e-12)
+        eps = zcdp_to_dp(PrivacyBudget(1.0), math.exp(-1.0))
+        assert eps == pytest.approx(3.0, abs=1e-12)
 
     def test_formula_point(self):
-        g = zcdp_to_dp(PrivacyBudget(0.5), 1e-5)
+        eps = zcdp_to_dp(PrivacyBudget(0.5), 1e-5)
         expected = 0.5 + 2.0 * math.sqrt(0.5 * math.log(1e5))
-        assert g.epsilon == pytest.approx(expected, rel=1e-14)
-        assert g.epsilon == pytest.approx(5.2985259, rel=1e-6)
+        assert eps == pytest.approx(expected, rel=1e-14)
+        assert eps == pytest.approx(5.2985259, rel=1e-6)
 
     def test_small_rho_limit(self):
-        assert zcdp_to_dp(PrivacyBudget(1e-12), 0.1).epsilon < 1e-5
+        assert zcdp_to_dp(PrivacyBudget(1e-12), 0.1) < 1e-5
 
     def test_invalid_delta(self):
         for delta in (0.0, 1.0, -0.1, 2.0):
@@ -48,33 +48,33 @@ class TestZcdpToDp:
     )
     @settings(max_examples=50, deadline=None)
     def test_monotone(self, rho, delta):
-        base = zcdp_to_dp(PrivacyBudget(rho), delta).epsilon
-        assert zcdp_to_dp(PrivacyBudget(rho * 2), delta).epsilon > base
-        assert zcdp_to_dp(PrivacyBudget(rho), delta / 2).epsilon > base
+        base = zcdp_to_dp(PrivacyBudget(rho), delta)
+        assert zcdp_to_dp(PrivacyBudget(rho * 2), delta) > base
+        assert zcdp_to_dp(PrivacyBudget(rho), delta / 2) > base
 
 
 class TestNoiseScales:
     def test_matrix_scale_frozen(self):
-        sigma = pmt_scales(10, 1000, 0.05, PrivacyBudget(2.0)).sigma1
+        sigma, _ = pmt_scales(10, 1000, 0.05, PrivacyBudget(2.0))
         expected = 20.0 * (1.0 + math.log(40000.0)) / 2000.0
         assert sigma == pytest.approx(expected, rel=1e-15)
         assert sigma == pytest.approx(0.1159663, rel=1e-6)
 
     def test_matrix_scale_hand_point(self):
         # eta = 2/e^2 makes ln(2n/eta) = 2; sqrt(2 rho) = 1
-        sigma = pmt_scales(1, 1, 2.0 * math.exp(-2.0), PrivacyBudget(0.5)).sigma1
+        sigma, _ = pmt_scales(1, 1, 2.0 * math.exp(-2.0), PrivacyBudget(0.5))
         assert sigma == pytest.approx(6.0, rel=1e-12)
 
     def test_inverse_n_scaling(self):
         b = PrivacyBudget(1.0)
         assert (
-            pmt_scales(10, 2 * 10**6, 0.05, b).sigma1
-            / pmt_scales(10, 10**6, 0.05, b).sigma1
+            pmt_scales(10, 2 * 10**6, 0.05, b)[0]
+            / pmt_scales(10, 10**6, 0.05, b)[0]
             < 0.52  # halving up to the slowly growing log factor
         )
 
     def test_vector_scale_frozen(self):
-        sigma = pmt_scales(10, 1000, 0.05, PrivacyBudget(2.0)).sigma2
+        _, sigma = pmt_scales(10, 1000, 0.05, PrivacyBudget(2.0))
         expected = 2.0 * math.sqrt(10.0) * (1.0 + math.log(40000.0)) / 2000.0
         assert sigma == pytest.approx(expected, rel=1e-15)
         assert sigma == pytest.approx(0.0366718, rel=1e-5)
@@ -82,15 +82,15 @@ class TestNoiseScales:
     def test_vector_is_matrix_over_sqrt_d(self):
         b = PrivacyBudget(3.0)
         for d in (1, 4, 9):
-            scales = pmt_scales(d, 500, 0.1, b)
-            ratio = scales.sigma1 / scales.sigma2
+            sigma1, sigma2 = pmt_scales(d, 500, 0.1, b)
+            ratio = sigma1 / sigma2
             assert ratio == pytest.approx(math.sqrt(d), rel=1e-14)
 
     def test_calibration_identity(self):
         # sigma equals (Frobenius sensitivity) / sqrt(2 rho) exactly
         d, n, eta, rho = 7, 321, 0.03, 1.7
         delta = 2.0 * d * (1.0 + math.log(2.0 * n / eta)) / n
-        assert pmt_scales(d, n, eta, PrivacyBudget(rho)).sigma1 == pytest.approx(
+        assert pmt_scales(d, n, eta, PrivacyBudget(rho))[0] == pytest.approx(
             delta / math.sqrt(2.0 * rho), rel=1e-15
         )
 
@@ -136,11 +136,11 @@ def test_sensitivity_within_noise_scales(seed, baseline, antipodal, eta, scale, 
 
     s, c = _clipped_moments(x, y, r_x, r_y)
     s_nb, c_nb = _clipped_moments(x_nb, y_nb, r_x, r_y)
-    scales = noise_scales(r_x, r_y, n, PrivacyBudget(rho))
+    sigma1, sigma2 = noise_scales(r_x, r_y, n, PrivacyBudget(rho))
     # rows land on the sphere up to a few ulps, hence the 1e-12 slack
     slack = 1.0 + 1e-12
-    assert np.linalg.norm(s - s_nb) <= scales.sigma1 * math.sqrt(2.0 * rho) * slack
-    assert np.linalg.norm(c - c_nb) <= scales.sigma2 * math.sqrt(2.0 * rho) * slack
+    assert np.linalg.norm(s - s_nb) <= sigma1 * math.sqrt(2.0 * rho) * slack
+    assert np.linalg.norm(c - c_nb) <= sigma2 * math.sqrt(2.0 * rho) * slack
     # the tight replace-one bound under the paper's 2 r_x^2 / n
     assert np.linalg.norm(s - s_nb) <= math.sqrt(2.0) * r_x**2 / n * slack
 

@@ -209,10 +209,9 @@ class TestStableInverse:
     def test_singular_error_carries_spectrum(self):
         # olse solves through the guard: X^T X / n = diag(1, 1e-14) is refused
         x = math.sqrt(2.0) * np.diag([1.0, 1e-7])
-        with pytest.raises(UnstableInversionError) as err:
+        # the message carries the refused |lambda| range
+        with pytest.raises(UnstableInversionError, match=r"\[1\.000e-14, 1\.000e\+00\]"):
             olse(LabeledDataset(features=x, responses=np.ones(2)))
-        assert err.value.post_diag.lambda_min == pytest.approx(1e-14)
-        assert err.value.post_diag.lambda_max == pytest.approx(1.0)
 
 
 @given(d=st.integers(min_value=1, max_value=12), seed=st.integers(0, 2**32 - 1))
