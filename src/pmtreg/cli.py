@@ -31,18 +31,12 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-def _int_list(text: str) -> list[int]:
+def _comma_list(text: str, kind: type) -> list:
     try:
-        return [int(v) for v in text.split(",") if v != ""]
+        return [kind(v) for v in text.split(",") if v != ""]
     except ValueError:
-        raise ValueError(f"cannot parse {text!r} as a comma list of integers") from None
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        raise ValueError(f"cannot parse {text!r} as a comma list of numbers") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"cannot parse {text!r} as a comma list of {noun}") from None
 
 
 def _methods(text: str) -> tuple[Method, ...]:
@@ -125,9 +119,9 @@ def _grid(args, reference: Reference) -> ExperimentGrid:
         raise ValueError(f"--out must name a file in an existing directory, got {out}")
     return ExperimentGrid(
         methods=_methods(args.methods),
-        rho_values=tuple(_float_list(args.rho)),
-        n_priv_values=tuple(_int_list(args.n_priv)),
-        n_pub_values=tuple(_int_list(args.n_pub)),
+        rho_values=tuple(_comma_list(args.rho, float)),
+        n_priv_values=tuple(_comma_list(args.n_priv, int)),
+        n_pub_values=tuple(_comma_list(args.n_pub, int)),
         eta=args.eta,
         trials=args.trials,
         seed=args.seed,
@@ -147,7 +141,7 @@ def _load(args):
 def _cmd_synth(args) -> int:
     spec = default_synthetic(d=args.d, mu_scale=args.mu_scale)
     if args.psi_spec is not None:
-        psi = _float_list(args.psi_spec)
+        psi = _comma_list(args.psi_spec, float)
         if len(psi) != args.d:
             raise ValueError(f"--psi-spec needs {args.d} values, got {len(psi)}")
         bad = [v for v in psi if not (math.isfinite(v) and v >= 0)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -130,36 +131,40 @@ def ingest_csv(
     if len(delimiter) != 1:
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+    try:
+        text = path.read_bytes().decode("utf-8-sig")  # Excel's "CSV UTF-8" has a BOM
+    except UnicodeDecodeError as exc:  # exc.start counts from after any BOM
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise CsvParseError(f"{path}: line {line} is not UTF-8 ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvParseError(f"{path}: empty file") from None
+    header = [h.strip().strip('"') for h in header]
+    if response_column not in header:
+        raise CsvParseError(
+            f"{path}: response column {response_column!r} not in header {header}"
+        )
+    if header.count(response_column) > 1:
+        raise CsvParseError(
+            f"{path}: response column {response_column!r} repeats in header {header}"
+        )
+    resp_idx = header.index(response_column)
+    rows = []
+    for row_num, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise CsvParseError(
+                f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{path}: empty file") from None
-        header = [h.strip().strip('"') for h in header]
-        if response_column not in header:
+            rows.append([float(cell) for cell in row])
+        except ValueError:
+            bad = next(i for i, c in enumerate(row) if not _is_float(c))
             raise CsvParseError(
-                f"{path}: response column {response_column!r} not in header {header}"
-            )
-        if header.count(response_column) > 1:
-            raise CsvParseError(
-                f"{path}: response column {response_column!r} repeats in header {header}"
-            )
-        resp_idx = header.index(response_column)
-        rows = []
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvParseError(
-                    f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                bad = next(i for i, c in enumerate(row) if not _is_float(c))
-                raise CsvParseError(
-                    f"{path}: row {row_num}, column {header[bad]!r}: "
-                    f"cannot parse {row[bad]!r} as a number"
-                ) from None
+                f"{path}: row {row_num}, column {header[bad]!r}: "
+                f"cannot parse {row[bad]!r} as a number"
+            ) from None
     if not rows:
         raise CsvParseError(f"{path}: no data rows")
     table = np.asarray(rows, dtype=np.float64)

@@ -52,32 +52,34 @@ class SymmetricMatrix:
 
 @dataclass(frozen=True)
 class SpectralDiagnostics:
-    """Condition-number diagnostics of a symmetric matrix.
-
-    ``avg_cond`` is the averaged condition number: the mean of
-    lambda_i / lambda_min over the spectrum.  When lambda_min <= 0 both
-    condition numbers are reported as +inf.  The eigenvectors (columns,
-    matching ``eigenvalues``) are kept so :func:`solve` needs no second
+    """The eigendecomposition of a symmetric matrix: eigenvalues ascending,
+    eigenvectors as the matching columns, so :func:`solve` needs no second
     factorization.
+
+    Summary figures are derived on read.  ``avg_cond`` is the averaged
+    condition number: the mean of lambda_i / lambda_min over the spectrum.
+    When lambda_min <= 0 both condition numbers are reported as +inf.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    trace: float
-    avg_trace: float
-    lambda_min: float
-    lambda_max: float
-    cond: float
-    avg_cond: float
+
+    @property
+    def avg_cond(self) -> float:
+        lam = self.eigenvalues
+        return float(np.mean(lam / lam[0])) if lam[0] > 0 else np.inf
 
     def as_dict(self) -> dict:
+        lam = self.eigenvalues
+        trace = float(np.sum(lam))
+        lam_min, lam_max = float(lam[0]), float(lam[-1])
         return {
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "trace": self.trace,
-            "avg_trace": self.avg_trace,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "cond": self.cond,
+            "eigenvalues": [float(v) for v in lam],
+            "trace": trace,
+            "avg_trace": trace / len(lam),
+            "lambda_min": lam_min,
+            "lambda_max": lam_max,
+            "cond": lam_max / lam_min if lam_min > 0 else np.inf,
             "avg_cond": self.avg_cond,
         }
 
@@ -130,28 +132,8 @@ def sqrt_sym(m: SymmetricMatrix) -> SymmetricMatrix:
 
 
 def diagnostics(m: SymmetricMatrix) -> SpectralDiagnostics:
-    """Eigenvalue-based conditioning summary of a symmetric matrix."""
-    lam, vec = eig_sym(m)
-    d = m.dim
-    lam_min = float(lam[0])
-    lam_max = float(lam[-1])
-    trace = float(np.sum(lam))
-    if lam_min > 0:
-        cond = lam_max / lam_min
-        avg_cond = float(np.mean(lam / lam_min))
-    else:
-        cond = np.inf
-        avg_cond = np.inf
-    return SpectralDiagnostics(
-        eigenvalues=lam,
-        eigenvectors=vec,
-        trace=trace,
-        avg_trace=trace / d,
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        cond=cond,
-        avg_cond=avg_cond,
-    )
+    """The eigendecomposition of a symmetric matrix, as a record."""
+    return SpectralDiagnostics(*eig_sym(m))
 
 
 def solve(diag: SpectralDiagnostics, rhs: np.ndarray) -> np.ndarray:

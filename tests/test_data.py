@@ -195,6 +195,28 @@ class TestIngestCsv:
         with pytest.raises(CsvParseError, match="no data rows"):
             ingest_csv(self._write(tmp_path, "a;quality\n"))
 
+    def test_utf8_bom_is_not_part_of_the_first_column(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfquality;a\n7;1\n8;2\n")
+        data = ingest_csv(p)
+        assert np.array_equal(data.responses, [7.0, 8.0])
+        assert np.array_equal(data.features, [[1.0], [2.0]])
+
+    @pytest.mark.parametrize(
+        "raw, line",
+        [
+            ("quality;acidité\n7;1\n".encode("latin-1"), 1),
+            (b"\xef\xbb\xbfquality;a\n7;1\n8;\xe9\n", 3),
+        ],
+        ids=["latin1-header", "after-bom"],
+    )
+    def test_non_utf8_bytes_name_file_and_line(self, tmp_path, raw, line):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(raw)
+        with pytest.raises(CsvParseError, match=rf"latin1\.csv: line {line} is not UTF-8"):
+            ingest_csv(p)
+
     @pytest.mark.skipif(
         not os.path.exists(WINE_PATH), reason=f"wine CSV not found at {WINE_PATH}"
     )

@@ -388,7 +388,7 @@ def test_rho_independent_stage_shared_by_all_budgets(rng, monkeypatch):
         assert len(out.betas) == len(out.post_diags) == 3
         assert [rho for _, rho in out.ledger] == [0.5, 0.5, 2.0, 2.0, 10.0, 10.0]
         assert out.rho_total == 25.0
-        assert len({d.lambda_min for d in out.post_diags}) == 3
+        assert len({d.eigenvalues[0] for d in out.post_diags}) == 3
 
 
 def test_budgets_draw_independent_noise():

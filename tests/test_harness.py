@@ -15,7 +15,7 @@ import pytest
 from dataclasses import replace
 
 from pmtreg import harness
-from pmtreg.cli import EXIT_OK, EXIT_USAGE, build_parser, main
+from pmtreg.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 from pmtreg.data import default_synthetic
 from pmtreg.estimators import LabeledDataset, Method
 from pmtreg.harness import (
@@ -674,6 +674,17 @@ class TestCli:
         code = main(["real", "--data", str(tmp_path / "absent.csv"), "--out", str(out)])
         assert code == EXIT_USAGE
         assert not out.exists()
+
+    def test_write_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # e.g. --out /dev/full: "[Errno 28] No space left on device"
+        def full(rows, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("pmtreg.cli.emit_csv", full)
+        argv = ["synth", "--trials", "1", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime-error: [Errno 28] No space left on device")
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["synth", "--bogus", "1", "--out", "x.csv"]) == EXIT_USAGE

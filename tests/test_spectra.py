@@ -120,40 +120,40 @@ class TestSqrtSym:
 
 class TestDiagnostics:
     def test_diag_4_1(self):
-        d = diagnostics(SymmetricMatrix(np.diag([4.0, 1.0])))
-        assert d.cond == pytest.approx(4.0)
-        assert d.trace == pytest.approx(5.0)
-        assert d.avg_trace == pytest.approx(2.5)
+        d = diagnostics(SymmetricMatrix(np.diag([4.0, 1.0]))).as_dict()
+        assert d["cond"] == pytest.approx(4.0)
+        assert d["trace"] == pytest.approx(5.0)
+        assert d["avg_trace"] == pytest.approx(2.5)
         # avg_cond = (4/1 + 1/1) / 2
-        assert d.avg_cond == pytest.approx(2.5)
+        assert d["avg_cond"] == pytest.approx(2.5)
 
     def test_identity(self):
-        d = diagnostics(SymmetricMatrix(np.eye(10)))
-        assert d.cond == pytest.approx(1.0)
-        assert d.avg_cond == pytest.approx(1.0)
-        assert d.trace == pytest.approx(10.0)
+        d = diagnostics(SymmetricMatrix(np.eye(10))).as_dict()
+        assert d["cond"] == pytest.approx(1.0)
+        assert d["avg_cond"] == pytest.approx(1.0)
+        assert d["trace"] == pytest.approx(10.0)
 
     def test_singular_sentinel(self):
-        d = diagnostics(SymmetricMatrix(np.diag([1.0, 0.0])))
-        assert d.cond == np.inf
-        assert d.avg_cond == np.inf
+        d = diagnostics(SymmetricMatrix(np.diag([1.0, 0.0]))).as_dict()
+        assert d["cond"] == np.inf
+        assert d["avg_cond"] == np.inf
 
     def test_trace_matches_eigensum(self, rng):
         m = random_spd(rng, 8)
-        d = diagnostics(m)
-        assert abs(d.trace - np.sum(d.eigenvalues)) < 1e-10 * abs(d.trace)
-        assert 1.0 <= d.avg_cond <= d.cond
+        d = diagnostics(m).as_dict()
+        assert abs(d["trace"] - np.sum(d["eigenvalues"])) < 1e-10 * abs(d["trace"])
+        assert 1.0 <= d["avg_cond"] <= d["cond"]
 
     @given(scale=st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=30, deadline=None)
     def test_scale_covariance(self, scale):
         rng = np.random.default_rng(11)
         m = random_spd(rng, 5, max_cond=1e4)
-        base = diagnostics(m)
-        scaled = diagnostics(SymmetricMatrix(scale * m.entries))
-        assert scaled.trace == pytest.approx(scale * base.trace, rel=1e-12)
-        assert scaled.cond == pytest.approx(base.cond, rel=1e-9)
-        assert scaled.avg_cond == pytest.approx(base.avg_cond, rel=1e-9)
+        base = diagnostics(m).as_dict()
+        scaled = diagnostics(SymmetricMatrix(scale * m.entries)).as_dict()
+        assert scaled["trace"] == pytest.approx(scale * base["trace"], rel=1e-12)
+        assert scaled["cond"] == pytest.approx(base["cond"], rel=1e-9)
+        assert scaled["avg_cond"] == pytest.approx(base["avg_cond"], rel=1e-9)
 
 
 class TestTheoryBracket:
