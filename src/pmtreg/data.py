@@ -226,10 +226,12 @@ def split(
     pub_idx = idx[:n_pub]
     priv_idx = idx[n_pub : n_pub + n_priv]
     public = LabeledDataset(
-        features=data.features[pub_idx], responses=data.responses[pub_idx]
+        features=np.take(data.features, pub_idx, axis=0),
+        responses=np.take(data.responses, pub_idx),
     )
     private = LabeledDataset(
-        features=data.features[priv_idx], responses=data.responses[priv_idx]
+        features=np.take(data.features, priv_idx, axis=0),
+        responses=np.take(data.responses, priv_idx),
     )
     return public, private
 

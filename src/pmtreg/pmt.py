@@ -22,6 +22,8 @@ __all__ = [
     "clip_rows",
 ]
 
+_TINY = np.finfo(np.float64).tiny
+
 
 def truncation_radius(d: int, n: int, eta: float) -> float:
     """Clip radius sqrt(d (1 + ln(2n/eta))) for n rows in dimension d.
@@ -69,16 +71,36 @@ def clip_rows(samples: np.ndarray, radius: float):
     """Clip rows with norm >= radius back onto the radius sphere.
 
     Rows strictly inside the radius pass through bit-exactly; clipped rows
-    keep their direction.  Returns (clipped samples, TruncationReport).
+    keep their direction.  When no row reaches the radius the input array
+    itself is returned, not a copy.  Returns (rows, TruncationReport).
     """
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError(f"radius must be a positive finite real, got {radius}")
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ValueError(f"expected an n x d matrix, got shape {samples.shape}")
-    norms = np.linalg.norm(samples, axis=1)
+    # Screen with squared norms, then take the exact norm (numpy's pairwise
+    # row sum, as np.linalg.norm computes it) only of rows that could reach
+    # the radius or hold the largest norm.  Both sums of d nonnegative terms
+    # are within about (d - 1) eps of the true sum, relatively, so a 1e-9
+    # margin is safe for any d below about 10^6.  That bound fails for
+    # non-finite and subnormal sums, which take exact norms for every row, as
+    # do non-C-ordered inputs, whose pairwise row sums follow another order.
+    sq = np.einsum("ij,ij->i", samples, samples)
+    top = sq.max(initial=0.0)
+    low = min(radius * radius, top) * (1.0 - 1e-9)
+    if low >= _TINY and math.isfinite(top) and samples.flags.c_contiguous:
+        rows = np.flatnonzero(sq >= low)
+        norms = np.linalg.norm(samples[rows], axis=1)
+    else:
+        rows = np.arange(samples.shape[0])
+        norms = np.linalg.norm(samples, axis=1)
     over = norms >= radius
-    out = samples.copy()
-    if np.any(over):
-        out[over] = samples[over] * (radius / norms[over])[:, None]
+    out = samples
+    if over.any():
+        clipped = rows[over]
+        out = samples.copy()
+        out[clipped] = samples[clipped] * (radius / norms[over])[:, None]
     report = TruncationReport(
         total=samples.shape[0],
         truncated=int(np.count_nonzero(over)),

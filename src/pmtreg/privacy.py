@@ -11,6 +11,7 @@ every mechanism is a pure function of (parameters, stream state).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,24 +67,40 @@ def noise_scales(r_x: float, r_y: float, n: int, budget: PrivacyBudget) -> tuple
     return 2.0 * r_x * r_x / scale, 2.0 * r_x * r_y / scale
 
 
+def _check_sigma(sigma: float) -> None:
+    if not (sigma >= 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+
+
+@functools.cache
+def _upper_triangle(d: int):
+    """Row and column indices of the d x d upper triangle, diagonal included.
+
+    Every caller shares the cached arrays, so they are read-only.
+    """
+    rows, cols = np.triu_indices(d)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def sample_symmetric_gaussian(
     d: int, sigma: float, rng: np.random.Generator
 ) -> SymmetricMatrix:
     """Symmetric noise matrix with every entry (diagonal included) N(0, sigma^2).
 
-    The upper triangle is drawn i.i.d. and mirrored, so the output equals its
-    transpose bit-exactly.
+    The upper triangle is drawn i.i.d. in row-major order and mirrored, so
+    the output equals its transpose bit-exactly.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    upper = np.zeros((d, d))
-    iu = np.triu_indices(d)
-    upper[iu] = rng.normal(0.0, sigma, size=len(iu[0]))
-    return SymmetricMatrix(upper + np.triu(upper, k=1).T)
+    _check_sigma(sigma)
+    rows, cols = _upper_triangle(d)
+    draws = rng.normal(0.0, sigma, size=rows.size)
+    noise = np.empty((d, d))
+    noise[rows, cols] = draws
+    noise[cols, rows] = draws
+    return SymmetricMatrix(noise)
 
 
 def sample_gaussian_vector(d: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """N(0, sigma^2 I) draw in R^d."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    _check_sigma(sigma)
     return rng.normal(0.0, sigma, size=d)

@@ -39,9 +39,10 @@ class SymmetricMatrix:
         a = np.asarray(self.entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
-        a = (a + a.T) / 2.0
+        a = a + a.T
+        a *= 0.5
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 

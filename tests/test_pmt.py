@@ -91,7 +91,7 @@ class TestTruncate:
         radius = truncation_radius(3, 50, 0.05)
         samples = rng.standard_normal((20, 3)) * 0.1
         out, report = clip_rows(samples, radius)
-        assert np.array_equal(out, samples)
+        assert out is samples  # returned as is, not copied
         assert report.truncated == 0
 
     def test_all_zero(self):
@@ -99,6 +99,20 @@ class TestTruncate:
         out, report = clip_rows(np.zeros((5, 4)), radius)
         assert np.array_equal(out, np.zeros((5, 4)))
         assert report.truncated == 0
+
+    @pytest.mark.parametrize(
+        "rows, radius",
+        [
+            ([[3.0, 4.0]], math.nan),
+            ([[3.0, 4.0]], -1.0),
+            ([[0.0, 0.0]], 0.0),
+            ([[3.0, 4.0]], math.inf),
+        ],
+    )
+    def test_bad_radius_rejected(self, rows, radius):
+        message = f"radius must be a positive finite real, got {radius}"
+        with pytest.raises(ValueError, match=message):
+            clip_rows(np.array(rows), radius)
 
     def test_direction_preserved(self, rng):
         radius = truncation_radius(5, 10, 0.05)

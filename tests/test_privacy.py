@@ -176,6 +176,13 @@ class TestSampling:
             sample_symmetric_gaussian(4, 0.0, rng).entries, np.zeros((4, 4))
         )
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("sampler", [sample_gaussian_vector, sample_symmetric_gaussian])
+    def test_bad_sigma_rejected(self, rng, sampler, sigma):
+        message = f"sigma must be finite and nonnegative, got {sigma}"
+        with pytest.raises(ValueError, match=message):
+            sampler(2, sigma, rng)
+
 
 def _output(budgets):
     """One DP call on a tiny dataset; its ledger is read off its budgets."""
