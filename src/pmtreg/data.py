@@ -150,6 +150,8 @@ def ingest_csv(
         raise CsvParseError(
             f"{path}: response column {response_column!r} repeats in header {header}"
         )
+    if len(header) == 1:
+        raise CsvParseError(f"{path}: no feature column besides {response_column!r}")
     resp_idx = header.index(response_column)
     rows = []
     for row_num, row in enumerate(reader, start=2):
@@ -192,16 +194,19 @@ def normalize(data: LabeledDataset) -> LabeledDataset:
     """Standardize every feature column and the response to mean 0, variance 1.
 
     Uses population variance (divide by n) over the full dataset.
+    A column is rejected when its max equals its min, which is exact (the
+    computed std of a constant can be a rounding residue such as 1e-17), or
+    when its std underflows to 0.
     """
     x, y = data.features, data.responses
     x_mean = x.mean(axis=0)
     x_std = x.std(axis=0)
-    zero = np.flatnonzero(x_std == 0)
+    zero = np.flatnonzero((x.max(axis=0) == x.min(axis=0)) | (x_std == 0))
     if zero.size:
         raise ValueError(f"zero-variance feature column(s) at index {zero.tolist()}")
     y_mean = float(y.mean())
     y_std = float(y.std())
-    if y_std == 0:
+    if y.max() == y.min() or y_std == 0:
         raise ValueError("zero-variance response column")
     return LabeledDataset(features=(x - x_mean) / x_std, responses=(y - y_mean) / y_std)
 

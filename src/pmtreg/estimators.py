@@ -126,7 +126,6 @@ class EstimatorOutput:
     feature_truncation: pmt.TruncationReport
     response_truncation: pmt.TruncationReport
     pre_diag: SpectralDiagnostics
-    clamp_count: int = 0
     notes: tuple = ()
 
     @property
@@ -181,7 +180,7 @@ def _release(
         sigma1, sigma2 = noise_scales(r_x, r_y, n, budget)
         noise_mat = sample_symmetric_gaussian(d, sigma1, rng)
         noise_vec = sample_gaussian_vector(d, sigma2, rng)
-        post_diag = diagnostics(SymmetricMatrix(second.entries + noise_mat.entries))
+        post_diag = diagnostics(SymmetricMatrix(second.entries + noise_mat))
         post_diags.append(post_diag)
         try:
             betas.append(solve(post_diag, cross + noise_vec))
@@ -218,7 +217,7 @@ def dp_pmtolse(
     if public.response_moment <= 0:
         raise UnstableInversionError("response_moment must be positive to rescale responses")
 
-    pre, clamp_count = inv_sqrt_clamped(public.feature_moment)
+    pre = inv_sqrt_clamped(public.feature_moment)
     out = _release(
         pmt.transform(data.features, pre),
         data.responses / public.response_moment,
@@ -228,7 +227,6 @@ def dp_pmtolse(
     return replace(
         out,
         betas=tuple(None if b is None else sigma_b * (pre.entries @ b) for b in out.betas),
-        clamp_count=clamp_count,
     )
 
 

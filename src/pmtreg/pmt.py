@@ -35,7 +35,12 @@ def truncation_radius(d: int, n: int, eta: float) -> float:
         raise ValueError(f"d and n must be positive, got d={d}, n={n}")
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    return math.sqrt(d * (1.0 + math.log(2.0 * n / eta)))
+    radius = math.sqrt(d * (1.0 + math.log(2.0 * n / eta)))
+    if not math.isfinite(radius):
+        raise ValueError(
+            f"eta={eta} is too small: the radius sqrt(d (1 + ln(2n/eta))) overflows"
+        )
+    return radius
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import SymmetricMatrix
-
 __all__ = [
     "PrivacyBudget",
     "zcdp_to_dp",
@@ -30,13 +28,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """A zCDP budget, parameterized by rho > 0."""
+    """A zCDP budget, parameterized by rho > 0 with 2 rho finite: above that,
+    sqrt(2 rho) overflows and :func:`noise_scales` would add no noise at all."""
 
     rho: float
 
     def __post_init__(self):
         if not (self.rho > 0 and math.isfinite(self.rho)):
             raise ValueError(f"rho must be a positive finite real, got {self.rho}")
+        if not math.isfinite(2.0 * self.rho):
+            raise ValueError(
+                f"rho must be below 2**1023, so that 2 rho is finite, got {self.rho}"
+            )
 
 
 def zcdp_to_dp(budget: PrivacyBudget, delta: float) -> float:
@@ -83,10 +86,8 @@ def _upper_triangle(d: int):
     return rows, cols
 
 
-def sample_symmetric_gaussian(
-    d: int, sigma: float, rng: np.random.Generator
-) -> SymmetricMatrix:
-    """Symmetric noise matrix with every entry (diagonal included) N(0, sigma^2).
+def sample_symmetric_gaussian(d: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Symmetric d x d noise with every entry (diagonal included) N(0, sigma^2).
 
     The upper triangle is drawn i.i.d. in row-major order and mirrored, so
     the output equals its transpose bit-exactly.
@@ -97,7 +98,7 @@ def sample_symmetric_gaussian(
     noise = np.empty((d, d))
     noise[rows, cols] = draws
     noise[cols, rows] = draws
-    return SymmetricMatrix(noise)
+    return noise
 
 
 def sample_gaussian_vector(d: int, sigma: float, rng: np.random.Generator) -> np.ndarray:

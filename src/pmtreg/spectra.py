@@ -95,16 +95,9 @@ def eig_sym(m: SymmetricMatrix):
     return lam, vec
 
 
-def inv_sqrt_clamped(m: SymmetricMatrix):
-    """Inverse square root with eigenvalue clamping.
-
-    Eigenvalues below 1e-10 * lambda_max are clamped up to it before taking
-    lambda^{-1/2}; the number of clamped eigenvalues is returned so callers
-    can record it in provenance.
-
-    Returns:
-        (SymmetricMatrix, clamped_count)
-    """
+def inv_sqrt_clamped(m: SymmetricMatrix) -> SymmetricMatrix:
+    """Inverse square root with eigenvalues below 1e-10 * lambda_max clamped
+    up to it before taking lambda^{-1/2}."""
     lam, vec = eig_sym(m)
     lam_max = lam[-1]
     if lam_max <= 0:
@@ -113,10 +106,9 @@ def inv_sqrt_clamped(m: SymmetricMatrix):
             "matrix has no inverse square root"
         )
     floor = 1e-10 * lam_max
-    clamped = int(np.sum(lam < floor))
     lam_eff = np.maximum(lam, floor)
     out = (vec * lam_eff ** -0.5) @ vec.T
-    return SymmetricMatrix(out), clamped
+    return SymmetricMatrix(out)
 
 
 def sqrt_sym(m: SymmetricMatrix) -> SymmetricMatrix:

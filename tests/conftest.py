@@ -29,7 +29,7 @@ def noiseless():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
             pmtreg.estimators, "sample_symmetric_gaussian",
-            lambda d, sigma, rng: SymmetricMatrix(np.zeros((d, d))),
+            lambda d, sigma, rng: np.zeros((d, d)),
         )
         mp.setattr(
             pmtreg.estimators, "sample_gaussian_vector", lambda d, sigma, rng: np.zeros(d)

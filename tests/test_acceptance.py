@@ -119,7 +119,7 @@ def test_criterion_2_noise_calibration():
     entries = []
     draws = 0
     while len(entries) < 10**5:
-        m = sample_symmetric_gaussian(10, sigma, rng).entries
+        m = sample_symmetric_gaussian(10, sigma, rng)
         assert np.array_equal(m, m.T)
         entries.extend(m[np.triu_indices(10)])
         draws += 1
@@ -317,7 +317,7 @@ def test_criterion_8_spectral_oracle():
         d = int(rng.integers(1, 51))
         m = _random_spd(rng, d, max_cond=1e6)
         root = sqrt_sym(m)
-        inv_root, _ = inv_sqrt_clamped(m)
+        inv_root = inv_sqrt_clamped(m)
         eye = np.eye(d)
         inv = solve(diagnostics(m), eye)
         norm_m = np.linalg.norm(m.entries)

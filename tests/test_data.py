@@ -187,6 +187,11 @@ class TestIngestCsv:
         with pytest.raises(CsvParseError, match="response column 'quality' repeats"):
             ingest_csv(p)
 
+    def test_response_only_file(self, tmp_path):
+        p = self._write(tmp_path, "quality\n5\n6\n")
+        with pytest.raises(CsvParseError, match="no feature column besides 'quality'"):
+            ingest_csv(p)
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(CsvParseError, match="empty"):
             ingest_csv(self._write(tmp_path, ""))
@@ -264,6 +269,16 @@ class TestNormalize:
         with pytest.raises(ValueError, match="zero-variance"):
             normalize(data)
         data = LabeledDataset(features=[[1.0], [2.0]], responses=[3.0, 3.0])
+        with pytest.raises(ValueError, match="zero-variance response column"):
+            normalize(data)
+        # a constant 0.1 has a computed std of about 1e-17, not 0
+        data = LabeledDataset(
+            features=[[1.0, 0.1], [2.0, 0.1], [4.0, 0.1]], responses=[1.0, 2.0, 3.0]
+        )
+        named = r"zero-variance feature column\(s\) at index \[1\]"
+        with pytest.raises(ValueError, match=named):
+            normalize(data)
+        data = LabeledDataset(features=[[1.0], [2.0], [4.0]], responses=[0.1, 0.1, 0.1])
         with pytest.raises(ValueError, match="zero-variance response column"):
             normalize(data)
 

@@ -154,7 +154,7 @@ class TestDpSecondMoment:
             np.random.default_rng(9),
         )
 
-        pre, _ = inv_sqrt_clamped(moment)
+        pre = inv_sqrt_clamped(moment)
         r_x, r_y = truncation_radius(4, 100, 0.05), truncation_radius(1, 100, 0.05)
         a, _ = clip_rows(transform(x, pre), r_x)
         b, _ = clip_rows((y / 1.7)[:, None], r_y)
@@ -162,7 +162,7 @@ class TestDpSecondMoment:
         replay = np.random.default_rng(9)
         w_mat = sample_symmetric_gaussian(4, sigma1, replay)
         w_vec = sample_gaussian_vector(4, sigma2, replay)
-        noisy = SymmetricMatrix(a.T @ a / 100 + w_mat.entries)
+        noisy = SymmetricMatrix(a.T @ a / 100 + w_mat)
         beta_tilde = solve(diagnostics(noisy), a.T @ b[:, 0] / 100 + w_vec)
         assert np.array_equal(out.betas[0], 1.7 * (pre.entries @ beta_tilde))
 
@@ -349,7 +349,7 @@ def test_singular_noisy_moment_fails_only_its_budget(release, monkeypatch):
     def second_draw_cancels_the_moment(d, sigma, rng):
         noise = real(d, sigma, rng)  # the stream advances as it would
         calls.append(sigma)
-        return SymmetricMatrix(-np.eye(d)) if len(calls) == 2 else noise
+        return -np.eye(d) if len(calls) == 2 else noise
 
     monkeypatch.setattr(
         pmtreg.estimators, "sample_symmetric_gaussian", second_draw_cancels_the_moment

@@ -517,6 +517,10 @@ class TestCli:
                 ["real", "--n-pub", "40", "--n-priv", "1000"],
                 "largest split needs 1040 rows but dataset has 300",
             ),
+            (
+                ["synth", "--d", "3", "--rho", "1e308", "--n-priv", "100", "--n-pub", "20"],
+                "rho must be below 2**1023, so that 2 rho is finite, got 1e+308",
+            ),
         ],
     )
     def test_bad_grid_exits_2_before_any_trial(

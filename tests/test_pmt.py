@@ -14,10 +14,6 @@ from pmtreg.privacy import PrivacyBudget
 from pmtreg.spectra import SymmetricMatrix, inv_sqrt_clamped
 
 
-def inv_sqrt(m):
-    return inv_sqrt_clamped(m)[0]
-
-
 class TestPolicy:
     def test_radius_frozen(self):
         # sqrt(10 * (1 + ln 4000))
@@ -41,6 +37,11 @@ class TestPolicy:
         radius = truncation_radius(1, 1, 1.0 - 1e-12)
         assert radius == pytest.approx(math.sqrt(1.0 + math.log(2.0)), rel=1e-9)
 
+    def test_eta_whose_log_overflows_rejected(self):
+        # 2n / eta is inf, so the radius would be inf
+        with pytest.raises(ValueError, match="eta=1e-310 is too small"):
+            truncation_radius(10, 3000, 1e-310)
+
     def test_invalid_eta(self):
         for d, n, eta in [(2, 10, 1.5), (2, 10, 0.0), (2, 10, math.nan), (0, 10, 0.05), (2, 0, 0.05)]:
             with pytest.raises(ValueError):
@@ -50,7 +51,7 @@ class TestPolicy:
 class TestTransform:
     def test_scalar_scaling(self):
         # public moment 4I -> inverse sqrt is I/2
-        pre = inv_sqrt(SymmetricMatrix(np.diag([4.0, 4.0])))
+        pre = inv_sqrt_clamped(SymmetricMatrix(np.diag([4.0, 4.0])))
         out = transform(np.array([[2.0, 0.0]]), pre)
         assert np.allclose(out, [[1.0, 0.0]], atol=1e-12)
 
@@ -60,7 +61,7 @@ class TestTransform:
         assert np.array_equal(out, samples)
 
     def test_diagonal_scaling(self):
-        pre = inv_sqrt(SymmetricMatrix(np.diag([4.0, 9.0])))
+        pre = inv_sqrt_clamped(SymmetricMatrix(np.diag([4.0, 9.0])))
         out = transform(np.array([[2.0, 3.0]]), pre)
         assert np.allclose(out, [[1.0, 1.0]], atol=1e-12)
 
@@ -70,7 +71,7 @@ class TestTransform:
 
     def test_second_moment_covariance(self, rng):
         samples = rng.standard_normal((200, 4)) @ np.diag([1.0, 2.0, 3.0, 4.0])
-        pre = inv_sqrt(random_spd(rng, 4, max_cond=100.0))
+        pre = inv_sqrt_clamped(random_spd(rng, 4, max_cond=100.0))
         out = transform(samples, pre)
         n = samples.shape[0]
         expected = pre.entries @ (samples.T @ samples / n) @ pre.entries
@@ -147,7 +148,7 @@ class TestPipeline:
 
     def test_identity_passthrough(self, rng):
         samples = rng.standard_normal((50, 3)) * 0.2
-        pre = inv_sqrt(SymmetricMatrix(np.eye(3)))
+        pre = inv_sqrt_clamped(SymmetricMatrix(np.eye(3)))
         out, report = clip_rows(transform(samples, pre), truncation_radius(3, 50, 0.05))
         assert np.array_equal(out, samples)
         assert report.truncated == 0
@@ -155,7 +156,7 @@ class TestPipeline:
     def test_scalar_walkthrough(self):
         # 1x1: moment 4 -> transform 10/2 = 5; eta with radius 3 clips to 3
         eta = 2.0 * math.exp(-(3.0**2 - 1.0))  # radius sqrt(1 + ln(2/eta)) = 3
-        pre = inv_sqrt(SymmetricMatrix([[4.0]]))
+        pre = inv_sqrt_clamped(SymmetricMatrix([[4.0]]))
         out, report = clip_rows(transform(np.array([[10.0]]), pre), truncation_radius(1, 1, eta))
         assert out[0, 0] == pytest.approx(3.0, rel=1e-12)
         assert report.truncated == 1
@@ -168,7 +169,7 @@ class TestPipeline:
         public = PublicMoments(feature_moment=moment, response_moment=1.0, n_pub=40)
         out = dp_pmtolse(data, public, 0.05, (PrivacyBudget(1.0),), rng)
         _, via_steps = clip_rows(
-            transform(samples, inv_sqrt(moment)), truncation_radius(4, 40, 0.05)
+            transform(samples, inv_sqrt_clamped(moment)), truncation_radius(4, 40, 0.05)
         )
         assert out.feature_truncation == via_steps
 

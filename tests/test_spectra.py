@@ -23,10 +23,6 @@ def rel_frob(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
-def inv_sqrt(m):
-    return inv_sqrt_clamped(m)[0]
-
-
 def inverse(m):
     """M^-1 through the production solver."""
     return solve(diagnostics(m), np.eye(m.dim))
@@ -77,26 +73,26 @@ class TestEigSym:
 
 class TestInvSqrt:
     def test_identity(self):
-        out = inv_sqrt(SymmetricMatrix(np.eye(4)))
+        out = inv_sqrt_clamped(SymmetricMatrix(np.eye(4)))
         assert np.allclose(out.entries, np.eye(4), atol=1e-12)
 
     def test_diagonal_analytic(self):
-        out = inv_sqrt(SymmetricMatrix(np.diag([4.0, 9.0])))
+        out = inv_sqrt_clamped(SymmetricMatrix(np.diag([4.0, 9.0])))
         assert np.allclose(out.entries, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
 
     def test_whitening_identity(self):
         m = SymmetricMatrix([[2.0, 1.0], [1.0, 2.0]])
-        r = inv_sqrt(m)
+        r = inv_sqrt_clamped(m)
         assert np.linalg.norm(r.entries @ m.entries @ r.entries - np.eye(2)) < 1e-8
 
     def test_clamp_count(self):
-        m = SymmetricMatrix(np.diag([1.0, 1e-15]))
-        _, clamped = inv_sqrt_clamped(m)
-        assert clamped == 1
+        # 1e-15 is clamped up to 1e-10 * lambda_max, so its root reads 1e5
+        out = inv_sqrt_clamped(SymmetricMatrix(np.diag([1.0, 1e-15])))
+        assert np.allclose(out.entries, np.diag([1.0, 1e5]), rtol=1e-12, atol=0.0)
 
     def test_all_nonpositive_rejected(self):
         with pytest.raises(UnstableInversionError):
-            inv_sqrt(SymmetricMatrix(np.diag([-1.0, -2.0])))
+            inv_sqrt_clamped(SymmetricMatrix(np.diag([-1.0, -2.0])))
 
 
 class TestSqrtSym:
@@ -221,7 +217,7 @@ def test_round_trip_properties(d, seed):
     m = random_spd(rng, d)
     root = sqrt_sym(m)
     assert rel_frob(root.entries @ root.entries, m.entries) < 1e-8
-    w = inv_sqrt(m)
+    w = inv_sqrt_clamped(m)
     assert np.linalg.norm(w.entries @ m.entries @ w.entries - np.eye(d)) / np.sqrt(d) < 1e-8
     # inverse square root equals inverse of the square root
     alt = inverse(root)
