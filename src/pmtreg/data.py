@@ -111,12 +111,21 @@ def default_synthetic(d: int = 10, mu_scale: float = 2.0) -> SyntheticModelSpec:
     if not math.isfinite(mu_scale):  # else the spec names the mean, not mu_scale
         raise ValueError(f"mu_scale must be finite: the mean must be finite, got {mu_scale}")
     psi = np.geomspace(0.2, 2.0, d)
-    return SyntheticModelSpec(
+    spec = SyntheticModelSpec(
         d=d,
         mean=np.full(d, mu_scale),
         covariance=SymmetricMatrix(np.diag(psi)),
         noise_std=0.05,
     )
+    try:  # else the second moment fails unnamed, or inside eigh
+        with np.errstate(over="ignore"):
+            spec.second_moment()
+    except ValueError:
+        raise ValueError(
+            f"mu_scale={mu_scale} is too large: the second moment "
+            "covariance + mean mean^T overflows"
+        ) from None
+    return spec
 
 
 def ingest_csv(
@@ -196,18 +205,22 @@ def normalize(data: LabeledDataset) -> LabeledDataset:
     Uses population variance (divide by n) over the full dataset.
     A column is rejected when its max equals its min, which is exact (the
     computed std of a constant can be a rounding residue such as 1e-17), or
-    when its std underflows to 0.
+    when its std underflows to 0 or overflows.
     """
     x, y = data.features, data.responses
-    x_mean = x.mean(axis=0)
-    x_std = x.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        x_mean, x_std = x.mean(axis=0), x.std(axis=0)
+        y_mean, y_std = float(y.mean()), float(y.std())
     zero = np.flatnonzero((x.max(axis=0) == x.min(axis=0)) | (x_std == 0))
     if zero.size:
         raise ValueError(f"zero-variance feature column(s) at index {zero.tolist()}")
-    y_mean = float(y.mean())
-    y_std = float(y.std())
+    huge = np.flatnonzero(~np.isfinite(x_std))
+    if huge.size:
+        raise ValueError(f"overflowing-variance feature column(s) at index {huge.tolist()}")
     if y.max() == y.min() or y_std == 0:
         raise ValueError("zero-variance response column")
+    if not math.isfinite(y_std):
+        raise ValueError("overflowing-variance response column")
     return LabeledDataset(features=(x - x_mean) / x_std, responses=(y - y_mean) / y_std)
 
 

@@ -117,28 +117,16 @@ class PublicMoments:
 
 @dataclass(frozen=True)
 class EstimatorOutput:
-    """One DP call: a beta and a noisy spectrum per budget (beta None where
-    :func:`solve` refused that spectrum), and the rho-independent stage once."""
+    """One DP call: a beta and a noisy spectrum per budget, in the caller's
+    order (beta None where :func:`solve` refused that spectrum), and the
+    rho-independent stage once."""
 
-    budgets: tuple[PrivacyBudget, ...]
     betas: tuple[np.ndarray | None, ...]
     post_diags: tuple[SpectralDiagnostics, ...]
     feature_truncation: pmt.TruncationReport
     response_truncation: pmt.TruncationReport
     pre_diag: SpectralDiagnostics
     notes: tuple = ()
-
-    @property
-    def ledger(self) -> tuple[tuple[str, float], ...]:
-        """(statistic, rho) per release: two per budget."""
-        return tuple(
-            (s, float(b.rho)) for b in self.budgets for s in ("second_moment", "cross_moment")
-        )
-
-    @property
-    def rho_total(self) -> float:
-        """The ledger's sum, exactly rounded: the order of budgets cannot change it."""
-        return math.fsum(rho for _, rho in self.ledger)
 
 
 def olse(data: LabeledDataset) -> np.ndarray:
@@ -187,8 +175,7 @@ def _release(
         except UnstableInversionError:
             betas.append(None)
     return EstimatorOutput(
-        tuple(budgets), tuple(betas), tuple(post_diags),
-        feat_report, resp_report, pre_diag, notes=notes,
+        tuple(betas), tuple(post_diags), feat_report, resp_report, pre_diag, notes=notes
     )
 
 

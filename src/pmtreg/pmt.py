@@ -49,7 +49,6 @@ class TruncationReport:
 
     total: int
     truncated: int
-    max_norm_seen: float
 
     def __post_init__(self):
         if not (0 <= self.truncated <= self.total):
@@ -86,15 +85,15 @@ def clip_rows(samples: np.ndarray, radius: float):
         raise ValueError(f"expected an n x d matrix, got shape {samples.shape}")
     # Screen with squared norms, then take the exact norm (numpy's pairwise
     # row sum, as np.linalg.norm computes it) only of rows that could reach
-    # the radius or hold the largest norm.  Both sums of d nonnegative terms
-    # are within about (d - 1) eps of the true sum, relatively, so a 1e-9
-    # margin is safe for any d below about 10^6.  That bound fails for
-    # non-finite and subnormal sums, which take exact norms for every row, as
-    # do non-C-ordered inputs, whose pairwise row sums follow another order.
+    # the radius.  Both sums of d nonnegative terms are within about
+    # (d - 1) eps of the true sum, relatively, so a 1e-9 margin is safe for
+    # any d below about 10^6.  A nan row screens out and its exact norm would
+    # not clip it either.  The bound fails for a subnormal or overflowing
+    # radius^2, which takes exact norms for every row, as do non-C-ordered
+    # inputs, whose pairwise row sums follow another order.
     sq = np.einsum("ij,ij->i", samples, samples)
-    top = sq.max(initial=0.0)
-    low = min(radius * radius, top) * (1.0 - 1e-9)
-    if low >= _TINY and math.isfinite(top) and samples.flags.c_contiguous:
+    low = radius * radius * (1.0 - 1e-9)
+    if _TINY <= low < math.inf and samples.flags.c_contiguous:
         rows = np.flatnonzero(sq >= low)
         norms = np.linalg.norm(samples[rows], axis=1)
     else:
@@ -106,9 +105,4 @@ def clip_rows(samples: np.ndarray, radius: float):
         clipped = rows[over]
         out = samples.copy()
         out[clipped] = samples[clipped] * (radius / norms[over])[:, None]
-    report = TruncationReport(
-        total=samples.shape[0],
-        truncated=int(np.count_nonzero(over)),
-        max_norm_seen=float(norms.max(initial=0.0)),
-    )
-    return out, report
+    return out, TruncationReport(samples.shape[0], int(np.count_nonzero(over)))

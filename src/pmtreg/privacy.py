@@ -63,7 +63,7 @@ def noise_scales(r_x: float, r_y: float, n: int, budget: PrivacyBudget) -> tuple
     The matrix constant 2 r_x^2 / n is the paper's, and it is loose: since
     ||x x^T - x' x'^T||_F^2 = ||x||^4 + ||x'||^4 - 2 (x . x')^2 <= 2 r_x^4,
     the tight replace-one bound is sqrt(2) r_x^2 / n, so the matrix release
-    meets rho / 2-zCDP while the ledger books rho.  The vector constant is
+    meets rho / 2-zCDP while this scale charges it rho.  The vector constant is
     tight (take x' = -x).
     """
     scale = n * math.sqrt(2.0 * budget.rho)

@@ -30,7 +30,8 @@ class SymmetricMatrix:
     """A d x d real symmetric matrix, symmetrized on construction.
 
     The input is replaced by (M + M^T)/2, which is symmetric bit-exactly
-    because float addition commutes.
+    because float addition commutes.  M + M^T must be finite, so finite
+    entries whose sum overflows are rejected as well.
     """
 
     entries: np.ndarray
@@ -39,9 +40,10 @@ class SymmetricMatrix:
         a = np.asarray(self.entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = a + a.T
         if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite")
-        a = a + a.T
+            raise ValueError("matrix entries must be finite, and so must M + M^T")
         a *= 0.5
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import pmtreg.estimators
+import pmtreg.pmt
+from pmtreg.privacy import noise_scales
 from pmtreg.spectra import SymmetricMatrix
 
 
@@ -24,8 +26,8 @@ def rng():
 @contextmanager
 def noiseless():
     """Both DP estimators add zero noise and draw nothing from their rng, so
-    each release solves its clipped statistics exactly.  The ledger still
-    books rho: this is a test double, never a private release."""
+    each release solves its clipped statistics exactly.  noise_scales still
+    charges rho: this is a test double, never a private release."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
             pmtreg.estimators, "sample_symmetric_gaussian",
@@ -42,3 +44,41 @@ def no_noise():
     """The noiseless mechanism for one test; see :func:`noiseless`."""
     with noiseless():
         yield
+
+
+@contextmanager
+def recorded_spend():
+    """Record, in call order, what the DP estimators spend: each row clip as
+    ("clip", radius) and each noise draw as ("matrix", sigma) or
+    ("vector", sigma).  The clips and draws themselves are unchanged."""
+    spend = []
+
+    def recorded(kind, real):
+        def call(first, scale, *rest):
+            spend.append((kind, scale))
+            return real(first, scale, *rest)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pmtreg.pmt, "clip_rows", recorded("clip", pmtreg.pmt.clip_rows))
+        for kind, name in (
+            ("matrix", "sample_symmetric_gaussian"), ("vector", "sample_gaussian_vector")
+        ):
+            mp.setattr(pmtreg.estimators, name, recorded(kind, getattr(pmtreg.estimators, name)))
+        yield spend
+
+
+def assert_calibrated(spend, n, budgets):
+    """``spend`` is one DP call on n rows: a feature clip to r_x and a
+    response clip to r_y, then for each budget in order one matrix draw at
+    sigma_1 and one vector draw at sigma_2, as noise_scales(r_x, r_y, n, budget)
+    gives them.  Returns (r_x, r_y)."""
+    (clip_x, r_x), (clip_y, r_y) = spend[:2]
+    assert clip_x == clip_y == "clip"
+    draws = []
+    for budget in budgets:
+        sigma1, sigma2 = noise_scales(r_x, r_y, n, budget)
+        draws += [("matrix", sigma1), ("vector", sigma2)]
+    assert spend[2:] == draws
+    return r_x, r_y

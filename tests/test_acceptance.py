@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import recorded_spend
 from pmtreg.cli import EXIT_OK, main
 from pmtreg.data import (
     default_synthetic,
@@ -138,24 +139,33 @@ def test_criterion_3_budget_accounting():
     spec = replace(default_synthetic(), coefficients=np.ones(10))
     public = generate(spec, 50, rng)
     private = generate(spec, 400, rng)
-    rho = 1.25
-    pmt_out = dp_pmtolse(
-        private, public_moments(public), 0.05, (PrivacyBudget(rho),), rng
-    )
-    base_out = dp_olse_baseline(private, 0.05, (PrivacyBudget(rho),), rng)
+    rho, n = 1.25, private.n
+    spends = []
+    for release in (
+        lambda: dp_pmtolse(private, public_moments(public), 0.05, (PrivacyBudget(rho),), rng),
+        lambda: dp_olse_baseline(private, 0.05, (PrivacyBudget(rho),), rng),
+    ):
+        with recorded_spend() as spend:
+            release()
+        spends.append(spend)
+
+    def two_draws_at_rho(spend):
+        """Both clips, then one matrix and one vector draw, each at rho."""
+        if [kind for kind, _ in spend] != ["clip", "clip", "matrix", "vector"]:
+            return False
+        (_, r_x), (_, r_y), (_, sigma1), (_, sigma2) = spend
+        scale = n * math.sqrt(2 * rho)
+        return math.isclose(sigma1 * scale, 2 * r_x * r_x, rel_tol=1e-12) and math.isclose(
+            sigma2 * scale, 2 * r_x * r_y, rel_tol=1e-12
+        )
+
     eps = zcdp_to_dp(PrivacyBudget(1.0), math.exp(-1.0))
-    ok = (
-        pmt_out.rho_total == 2 * rho
-        and base_out.rho_total == 2 * rho
-        and len(pmt_out.ledger) == 2
-        and len(base_out.ledger) == 2
-        and eps == 3.0
-    )
+    ok = all(two_draws_at_rho(spend) for spend in spends) and eps == 3.0
     _report(
         "criterion 3 (budget accounting)",
         ok,
-        f"rho_total {pmt_out.rho_total}/{base_out.rho_total} (expect {2 * rho}), "
-        f"ledger sizes {len(pmt_out.ledger)}/{len(base_out.ledger)}, "
+        f"draws {[[kind for kind, _ in spend] for spend in spends]} "
+        f"(expect two clips, one matrix and one vector draw at rho={rho} each), "
         f"epsilon at rho=1, delta=e^-1 is {eps} (expect 3.0 exactly)",
     )
 

@@ -44,6 +44,8 @@ class TestSyntheticSpec:
                 covariance=SymmetricMatrix(np.eye(2)),
                 coefficients=np.zeros(3),
             )
+        with pytest.raises(ValueError, match="covariance dimension does not match d"):
+            SyntheticModelSpec(d=2, mean=np.zeros(2), covariance=SymmetricMatrix(np.eye(3)))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -164,6 +166,10 @@ class TestIngestCsv:
         p = self._write(tmp_path, "a;quality\n1;2\noops;4\n")
         with pytest.raises(CsvParseError, match=r"row 3.*'a'.*'oops'"):
             ingest_csv(p)
+        # a bad cell after a good one in its row: the later column is named
+        p = self._write(tmp_path, "a;quality\n1;2\n3;oops\n")
+        with pytest.raises(CsvParseError, match=r"row 3, column 'quality'.*'oops'"):
+            ingest_csv(p)
 
     def test_non_finite_cell_names_row_and_column(self, tmp_path):
         for cell, shown in (("nan", "nan"), ("inf", "inf"), ("-Infinity", "-inf")):
@@ -282,6 +288,18 @@ class TestNormalize:
         with pytest.raises(ValueError, match="zero-variance response column"):
             normalize(data)
 
+    def test_overflowing_variance_rejected(self, rng):
+        # (1e200)^2 overflows: the std would be inf and every column would
+        # standardize to zeros; refused without a RuntimeWarning
+        x = rng.standard_normal((40, 3))
+        x[:10, 1] = np.where(np.arange(10) % 2, 1e200, -1e200)
+        named = r"overflowing-variance feature column\(s\) at index \[1\]"
+        with pytest.raises(ValueError, match=named):
+            normalize(LabeledDataset(features=x, responses=rng.standard_normal(40)))
+        y = np.where(np.arange(40) % 2, 1e200, -1e200)
+        with pytest.raises(ValueError, match="overflowing-variance response column"):
+            normalize(LabeledDataset(features=rng.standard_normal((40, 3)), responses=y))
+
 
 class TestSplit:
     def _data(self, n=100, d=3):
@@ -359,6 +377,10 @@ class TestPublicMoments:
         assert not np.allclose(
             base.feature_moment.entries, shifted.feature_moment.entries
         )
+
+    def test_nonpositive_n_pub_rejected(self):
+        with pytest.raises(ValueError, match="n_pub must be positive"):
+            PublicMoments(SymmetricMatrix(np.eye(3)), 1.0, 0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_response_moment_rejected(self, value):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import noiseless, random_spd
+from conftest import assert_calibrated, noiseless, random_spd, recorded_spend
 from pmtreg.data import default_synthetic, generate, public_moments
 from pmtreg.estimators import (
     LabeledDataset,
@@ -58,6 +58,20 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match=r"features.*row 1, column 2"):
             LabeledDataset(x, np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "features, responses, named",
+        [
+            (np.ones(3), np.ones(3), r"features must be an n x d matrix, got shape \(3,\)"),
+            (np.ones((3, 2)), np.ones(2), r"responses must be a vector of length 3"),
+            (np.ones((3, 2)), np.ones((3, 1)), r"responses must be a vector of length 3"),
+            (np.ones((0, 2)), np.ones(0), "need n >= 1 and d >= 1"),
+            (np.ones((3, 0)), np.ones(3), "need n >= 1 and d >= 1"),
+        ],
+    )
+    def test_bad_shape_rejected(self, features, responses, named):
+        with pytest.raises(ValueError, match=named):
+            LabeledDataset(features, responses)
+
 
 @pytest.mark.parametrize("eta", [0.0, 1.0, -0.1, math.nan])
 @pytest.mark.parametrize("method", [Method.DP_PMTOLSE, Method.DP_OLSE])
@@ -88,11 +102,14 @@ RADII = "truncation radii derived from unprivatized private moments"
 def test_only_the_baseline_notes_a_caveat_and_both_book_two_rho(rng):
     spec = replace(default_synthetic(), coefficients=np.ones(10))
     public, private = generate(spec, 40, rng), generate(spec, 400, rng)
-    pmt_out = dp_pmtolse(private, public_moments(public), 0.05, (BUDGET,), rng)
-    base_out = dp_olse_baseline(private, 0.05, (BUDGET,), rng)
+    with recorded_spend() as pmt_spend:
+        pmt_out = dp_pmtolse(private, public_moments(public), 0.05, (BUDGET,), rng)
+    with recorded_spend() as base_spend:
+        base_out = dp_olse_baseline(private, 0.05, (BUDGET,), rng)
     assert pmt_out.notes == ()
     assert base_out.notes == (RADII,)
-    assert pmt_out.rho_total == base_out.rho_total == 2 * BUDGET.rho
+    for spend in (pmt_spend, base_spend):  # rho for each of the two statistics
+        assert_calibrated(spend, 400, (BUDGET,))
 
 
 class TestOlse:
@@ -213,9 +230,10 @@ class TestDpPmtolse:
         spec = replace(default_synthetic(), coefficients=np.ones(10))
         public = generate(spec, 50, rng)
         private = generate(spec, 300, rng)
-        out = dp_pmtolse(private, public_moments(public), 0.05, (PrivacyBudget(0.7),), rng)
-        assert out.rho_total == pytest.approx(1.4, abs=1e-15)
-        assert out.ledger == (("second_moment", 0.7), ("cross_moment", 0.7))
+        with recorded_spend() as spend:
+            dp_pmtolse(private, public_moments(public), 0.05, (PrivacyBudget(0.7),), rng)
+        r_x, r_y = assert_calibrated(spend, 300, (PrivacyBudget(0.7),))
+        assert (r_x, r_y) == (truncation_radius(10, 300, 0.05), truncation_radius(1, 300, 0.05))
 
     def test_requires_enough_public(self, rng):
         data = LabeledDataset(
@@ -287,9 +305,15 @@ class TestDpOlseBaseline:
     def test_budget_accounting(self, rng):
         spec = replace(default_synthetic(), coefficients=np.ones(10))
         private = generate(spec, 300, rng)
-        out = dp_olse_baseline(private, 0.05, (PrivacyBudget(5.0),), rng)
-        assert out.rho_total == 10.0
-        assert len(out.ledger) == 2
+        with recorded_spend() as spend:
+            dp_olse_baseline(private, 0.05, (PrivacyBudget(5.0),), rng)
+        r_x, r_y = assert_calibrated(spend, 300, (PrivacyBudget(5.0),))
+        log_term = math.log(2 * 300 / 0.05)
+        trace = float(np.sum(private.features**2)) / 300
+        assert r_x == pytest.approx(math.sqrt(trace + 10 * log_term), rel=1e-12)
+        assert r_y == pytest.approx(
+            math.sqrt(float(np.mean(private.responses**2)) + log_term), rel=1e-12
+        )
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -354,40 +378,30 @@ def test_singular_noisy_moment_fails_only_its_budget(release, monkeypatch):
     monkeypatch.setattr(
         pmtreg.estimators, "sample_symmetric_gaussian", second_draw_cancels_the_moment
     )
-    out = release(data, np.random.default_rng(5))
+    with recorded_spend() as spend:
+        out = release(data, np.random.default_rng(5))
     first, failed, last = out.betas
     assert failed is None
     assert np.all(out.post_diags[1].eigenvalues == 0.0)  # the refused spectrum
     assert np.array_equal(first, plain.betas[0])
     assert np.array_equal(last, plain.betas[2])
-    # the refused budget's noise was still released, so the ledger books it
-    assert out.ledger == plain.ledger
-    assert out.rho_total == 25.0
+    # the refused budget's noise was still drawn at its own scale: it is spent
+    assert_calibrated(spend, data.n, BUDGETS)
 
 
-def test_rho_independent_stage_shared_by_all_budgets(rng, monkeypatch):
-    import pmtreg.pmt
-
+def test_rho_independent_stage_shared_by_all_budgets(rng):
     spec = replace(default_synthetic(), coefficients=np.ones(10))
     public, private = generate(spec, 40, rng), generate(spec, 400, rng)
-    real, clips = pmtreg.pmt.clip_rows, []
-
-    def counted(*args):
-        clips.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(pmtreg.pmt, "clip_rows", counted)
     for release in (
         lambda: dp_pmtolse(private, public_moments(public), 0.05, BUDGETS, rng),
         lambda: dp_olse_baseline(private, 0.05, BUDGETS, rng),
     ):
-        clips.clear()
-        out = release()
-        assert len(clips) == 2  # features and responses, once for all budgets
-        assert out.budgets == BUDGETS
+        with recorded_spend() as spend:
+            out = release()
+        # features and responses clipped once for all budgets, then two draws
+        # per budget in the caller's order
+        assert_calibrated(spend, 400, BUDGETS)
         assert len(out.betas) == len(out.post_diags) == 3
-        assert [rho for _, rho in out.ledger] == [0.5, 0.5, 2.0, 2.0, 10.0, 10.0]
-        assert out.rho_total == 25.0
         assert len({d.eigenvalues[0] for d in out.post_diags}) == 3
 
 

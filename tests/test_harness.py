@@ -175,6 +175,10 @@ class TestRunGrid:
         (r,) = run_grid(grid, spec)
         assert r.mean_err < 1e-8  # noiseless model, noiseless mechanism
 
+    def test_unsupported_source_rejected(self):
+        with pytest.raises(TypeError, match="unsupported source type dict"):
+            run_grid(small_grid(), {"d": 10})
+
     def test_truth_reference_rejected_for_dataset_source(self, rng):
         from pmtreg.estimators import LabeledDataset
         from pmtreg.harness import DatasetSource
@@ -520,6 +524,14 @@ class TestCli:
             (
                 ["synth", "--d", "3", "--rho", "1e308", "--n-priv", "100", "--n-pub", "20"],
                 "rho must be below 2**1023, so that 2 rho is finite, got 1e+308",
+            ),
+            (
+                ["synth", "--mu-scale", "1e154"],
+                "mu_scale=1e+154 is too large: the second moment covariance + mean mean^T",
+            ),
+            (
+                ["diagnose", "--mu-scale", "1e154"],
+                "mu_scale=1e+154 is too large: the second moment covariance + mean mean^T",
             ),
         ],
     )

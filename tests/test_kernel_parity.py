@@ -1,7 +1,7 @@
 """The per-release kernels against the plain formulas they replace, bit for bit.
 
 ``clip_rows`` screens rows by squared norm and takes exact norms only where
-the clip decision or the largest norm could depend on them; the noise sampler
+the clip decision could depend on them; the noise sampler
 writes one draw into both triangles; ``SymmetricMatrix`` halves in place.
 The references below are the plain formulas: an exact norm and a copy for
 every row, a zero-filled upper triangle plus its transpose, and
@@ -30,11 +30,7 @@ def reference_clip_rows(samples, radius):
     out = samples.copy()
     if np.any(over):
         out[over] = samples[over] * (radius / norms[over])[:, None]
-    report = TruncationReport(
-        total=samples.shape[0],
-        truncated=int(np.count_nonzero(over)),
-        max_norm_seen=float(norms.max(initial=0.0)),
-    )
+    report = TruncationReport(total=samples.shape[0], truncated=int(np.count_nonzero(over)))
     return out, report
 
 
@@ -58,8 +54,7 @@ def assert_same_clip(samples, radius):
     out, report = clip_rows(samples, radius)
     ref_out, ref_report = reference_clip_rows(samples, radius)
     assert same_bits(out, ref_out)
-    assert (report.total, report.truncated) == (ref_report.total, ref_report.truncated)
-    assert same_bits(report.max_norm_seen, ref_report.max_norm_seen)  # nan != nan
+    assert report == ref_report
     assert same_bits(samples, before)
     if report.truncated == 0:
         assert out is samples
@@ -116,18 +111,18 @@ class TestClipRowsParity:
     @pytest.mark.parametrize("d", DIMS)
     def test_empty_and_zero_rows(self, d):
         assert assert_same_clip(np.zeros((0, d)), 1.0).total == 0
-        assert assert_same_clip(np.zeros((3, d)), 1.0).max_norm_seen == 0.0
+        assert assert_same_clip(np.zeros((3, d)), 1.0).truncated == 0
 
     @pytest.mark.parametrize("d", DIMS)
     def test_nan_and_overflowing_rows(self, d):
         rows = np.random.default_rng(d).standard_normal((6, d))
         rows[1] = math.nan
         rows[3] = 1e200  # x^2 overflows: the exact norm is inf
-        report = assert_same_clip(rows, 2.0)
-        assert math.isnan(report.max_norm_seen)
-        rows = rows.copy()
-        rows[1] = 0.0
-        assert assert_same_clip(rows, 2.0).max_norm_seen == math.inf
+        assert_same_clip(rows, 2.0)
+        out, _ = clip_rows(rows, 2.0)
+        assert np.isnan(out[1]).all()  # a nan norm never reaches the radius
+        assert np.array_equal(out[3], np.zeros(d))  # scaled by 2 / inf
+        assert_same_clip(rows, 1e160)  # radius^2 overflows too
 
     def test_read_only_input_is_never_written(self):
         rows = np.array([[3.0, 4.0], [0.3, 0.4]])
@@ -163,8 +158,12 @@ class TestSymmetricGaussianParity:
 )
 @settings(max_examples=200, deadline=None)
 def test_symmetrization_matches_half_sum(entries):
+    # the same bits wherever M + M^T is finite; where it overflows, a refusal
     a = np.array(entries).reshape(3, 3)
     with np.errstate(over="ignore"):
         expected = (a + a.T) / 2.0
-        got = SymmetricMatrix(a).entries
-    assert same_bits(got, expected)
+    if not np.isfinite(expected).all():
+        with pytest.raises(ValueError, match="must be finite"):
+            SymmetricMatrix(a)
+        return
+    assert same_bits(SymmetricMatrix(a).entries, expected)

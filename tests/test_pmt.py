@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_spd
 from pmtreg.data import default_synthetic, generate, public_moments
 from pmtreg.estimators import LabeledDataset, PublicMoments, dp_pmtolse
-from pmtreg.pmt import clip_rows, transform, truncation_radius
+from pmtreg.pmt import TruncationReport, clip_rows, transform, truncation_radius
 from pmtreg.privacy import PrivacyBudget
 from pmtreg.spectra import SymmetricMatrix, inv_sqrt_clamped
 
@@ -68,6 +68,8 @@ class TestTransform:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             transform(rng.standard_normal((4, 3)), SymmetricMatrix(np.eye(2)))
+        with pytest.raises(ValueError, match=r"expected an n x d sample matrix, got shape \(3,\)"):
+            transform(np.ones(3), SymmetricMatrix(np.eye(3)))
 
     def test_second_moment_covariance(self, rng):
         samples = rng.standard_normal((200, 4)) @ np.diag([1.0, 2.0, 3.0, 4.0])
@@ -86,7 +88,6 @@ class TestTruncate:
         out, report = clip_rows(samples, radius)
         assert out[0, 0] == pytest.approx(radius, rel=1e-12)
         assert report.truncated == 1
-        assert report.max_norm_seen == pytest.approx(20.0)
 
     def test_inside_untouched_bit_exact(self, rng):
         radius = truncation_radius(3, 50, 0.05)
@@ -114,6 +115,15 @@ class TestTruncate:
         message = f"radius must be a positive finite real, got {radius}"
         with pytest.raises(ValueError, match=message):
             clip_rows(np.array(rows), radius)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_samples_not_a_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"expected an n x d matrix, got shape"):
+            clip_rows(np.ones(shape), 1.0)
+
+    def test_report_counts_at_most_every_row(self):
+        with pytest.raises(ValueError, match="truncated count out of range"):
+            TruncationReport(total=2, truncated=3)
 
     def test_direction_preserved(self, rng):
         radius = truncation_radius(5, 10, 0.05)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_calibrated, recorded_spend
 from pmtreg.estimators import LabeledDataset, PublicMoments, dp_olse_baseline, dp_pmtolse
 from pmtreg.pmt import clip_rows, truncation_radius
 from pmtreg.privacy import (
@@ -190,29 +191,43 @@ class TestSampling:
             sampler(2, sigma, rng)
 
 
-def _output(budgets):
-    """One DP call on a tiny dataset; its ledger is read off its budgets."""
+def _spend(budgets):
+    """What one DP call on a tiny dataset (n = 6) spends, in order."""
     data = LabeledDataset(np.vstack([np.eye(2)] * 3), np.ones(6))
-    return dp_olse_baseline(data, 0.05, tuple(budgets), np.random.default_rng(0))
+    with recorded_spend() as spend:
+        dp_olse_baseline(data, 0.05, tuple(budgets), np.random.default_rng(0))
+    return spend
+
+
+def _charged_rho(spend, n=6):
+    """The rho each draw costs at its clip radii: (Delta / sigma)^2 / 2."""
+    (_, r_x), (_, r_y) = spend[:2]
+    delta = {"matrix": 2 * r_x * r_x / n, "vector": 2 * r_x * r_y / n}
+    return [(delta[kind] / sigma) ** 2 / 2 for kind, sigma in spend[2:]]
 
 
 class TestLedger:
+    """Each budget's spend, read off the noise it draws."""
+
     def test_equal_split_totals_two_rho(self):
-        out = _output([PrivacyBudget(1.0)])
-        assert out.rho_total == 2.0
-        assert out.ledger == (("second_moment", 1.0), ("cross_moment", 1.0))
+        spend = _spend([PrivacyBudget(1.0)])
+        assert_calibrated(spend, 6, [PrivacyBudget(1.0)])
+        assert _charged_rho(spend) == pytest.approx([1.0, 1.0], rel=1e-15)
 
     def test_fractional_sum(self):
-        out = _output([PrivacyBudget(0.15), PrivacyBudget(0.35)])
-        assert abs(out.rho_total - 1.0) < 1e-15
+        budgets = [PrivacyBudget(0.15), PrivacyBudget(0.35)]
+        spend = _spend(budgets)
+        assert_calibrated(spend, 6, budgets)
+        assert abs(math.fsum(_charged_rho(spend)) - 1.0) < 1e-15
 
     @given(st.lists(st.floats(min_value=1e-6, max_value=10.0), min_size=1, max_size=8))
     @settings(max_examples=40, deadline=None)
     def test_order_independent_total(self, rhos):
         budgets = [PrivacyBudget(r) for r in rhos]
-        fwd, rev = _output(budgets), _output(reversed(budgets))
-        assert len(fwd.ledger) == 2 * len(rhos)
-        assert abs(fwd.rho_total - rev.rho_total) < 1e-15 * max(1.0, fwd.rho_total)
+        fwd, rev = _spend(budgets), _spend(reversed(budgets))
+        assert_calibrated(fwd, 6, budgets)
+        assert_calibrated(rev, 6, budgets[::-1])
+        assert math.fsum(_charged_rho(fwd)) == math.fsum(_charged_rho(rev))
 
 
 class TestEmpiricalAudit:

@@ -39,6 +39,13 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError):
             SymmetricMatrix([[1.0, np.nan], [np.nan, 1.0]])
 
+    @pytest.mark.parametrize("entries", [np.full((2, 2), 1e308), [[1.0, -1e308], [-1e308, 1.0]]])
+    def test_rejects_entries_whose_sum_overflows(self, entries):
+        # finite entries, but M + M^T overflows: it would hold inf
+        with pytest.raises(ValueError, match="must be finite"):
+            SymmetricMatrix(entries)
+        assert SymmetricMatrix(np.full((2, 2), 8e307)).entries[0, 0] == 8e307
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             SymmetricMatrix(np.zeros((2, 3)))
