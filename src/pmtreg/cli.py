@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/validation error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import sys
@@ -149,7 +150,15 @@ def _cmd_synth(args) -> int:
             raise ValueError(
                 f"--psi-spec values must be finite and nonnegative, got {bad[0]}"
             )
-        spec = replace(spec, covariance=SymmetricMatrix(np.diag(psi)))
+        try:  # the values are finite and nonnegative, so only an overflow fails here
+            spec = replace(spec, covariance=SymmetricMatrix(np.diag(psi)))
+            with np.errstate(over="ignore"):
+                spec.second_moment()
+        except ValueError:
+            raise ValueError(
+                f"--psi-spec value {max(psi)} is too large: the second moment "
+                "covariance + mean mean^T overflows"
+            ) from None
     grid = _grid(args, Reference(args.reference))
     emit_csv(run_grid(grid, spec), args.out)
     return EXIT_OK
@@ -182,7 +191,27 @@ def _cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+def _keep_freed_heap() -> None:
+    """Keep freed heap pages in the process instead of returning them.
+
+    By default glibc hands a freed heap top back to the kernel and serves
+    each large array from a fresh mapping, so every trial of a sweep faults
+    the same pages in again.  Setting the trim threshold alone would fix the
+    mmap threshold at its 128 KiB default and map every larger array afresh,
+    so both are set.  A C library without ``mallopt`` is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no process handle
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's largest allowed on 64-bit
+    mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD: never trim
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

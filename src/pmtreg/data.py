@@ -82,20 +82,33 @@ class SyntheticModelSpec:
         return SymmetricMatrix(self.covariance.entries + np.outer(self.mean, self.mean))
 
 
-def generate(
-    spec: SyntheticModelSpec, n: int, rng: np.random.Generator
-) -> LabeledDataset:
+# Rows are drawn in blocks of this many, and each block's features come from
+# their own BLAS call, so a row's bits do not depend on how many rows are drawn.
+_BLOCK_ROWS = 64
+
+
+def generate(spec: SyntheticModelSpec, n: int, rng) -> LabeledDataset:
     """Draw n samples from the spec's linear model.
+
+    ``rng`` is a Generator or anything ``np.random.default_rng`` accepts,
+    such as the seed entropy list the harness passes.  The draw is one
+    standard normal array of ceil(n/64) blocks of 64 rows; each row holds d
+    feature normals, then the normal of its response noise.  Each block's
+    features are mapped through the covariance root by their own 64 x d
+    product, so the first n rows are the same bits whatever larger n is
+    drawn from the same stream: every smaller dataset is a prefix.
 
     Requires spec.coefficients to be set.
     """
     if spec.coefficients is None:
         raise ValueError("spec.coefficients must be set before generating data")
-    z = rng.standard_normal((n, spec.d))
-    x = spec.mean + z @ spec.covariance_root.entries
-    noise = rng.normal(0.0, spec.noise_std, size=n) if spec.noise_std > 0 else np.zeros(n)
-    y = x @ spec.coefficients + noise
-    return LabeledDataset(features=x, responses=y)
+    d = spec.d
+    blocks = -(-n // _BLOCK_ROWS)
+    g = np.random.default_rng(rng).standard_normal((blocks, _BLOCK_ROWS, d + 1))
+    x = g[..., :d] @ spec.covariance_root.entries  # a stacked matmul, one gemm per block
+    x += spec.mean
+    y = x @ spec.coefficients + spec.noise_std * g[..., d]
+    return LabeledDataset(features=x.reshape(-1, d)[:n], responses=y.reshape(-1)[:n])
 
 
 def default_synthetic(d: int = 10, mu_scale: float = 2.0) -> SyntheticModelSpec:
@@ -104,12 +117,21 @@ def default_synthetic(d: int = 10, mu_scale: float = 2.0) -> SyntheticModelSpec:
     mean = mu_scale * ones and a geometric ladder of covariance eigenvalues
     from 0.2 to 2.0; the rank-one mean term gives the second moment one
     dominant eigenvalue, so its averaged condition number lands well above
-    10.  Coefficients are left unset (sampled per experiment).
+    10.  Coefficients are left unset (sampled per experiment).  A mu_scale
+    for which that eigenvalue, about d * mu_scale^2, or an entry of the
+    second moment overflows is refused by name.
     """
     if d < 1:  # checked here: d sizes the arrays before the spec sees it
         raise ValueError(f"d must be >= 1, got {d}")
     if not math.isfinite(mu_scale):  # else the spec names the mean, not mu_scale
         raise ValueError(f"mu_scale must be finite: the mean must be finite, got {mu_scale}")
+    too_large = ValueError(
+        f"mu_scale={mu_scale} is too large: the second moment "
+        "covariance + mean mean^T overflows, or its top eigenvalue d * mu_scale^2 does"
+    )
+    mu = float(mu_scale)  # Python floats overflow to inf without a warning
+    if not math.isfinite(d * mu * mu):  # else eigh returns inf and diagnose prints it
+        raise too_large
     psi = np.geomspace(0.2, 2.0, d)
     spec = SyntheticModelSpec(
         d=d,
@@ -121,10 +143,7 @@ def default_synthetic(d: int = 10, mu_scale: float = 2.0) -> SyntheticModelSpec:
         with np.errstate(over="ignore"):
             spec.second_moment()
     except ValueError:
-        raise ValueError(
-            f"mu_scale={mu_scale} is too large: the second moment "
-            "covariance + mean mean^T overflows"
-        ) from None
+        raise too_large from None
     return spec
 
 
@@ -228,21 +247,29 @@ def split(
     data: LabeledDataset,
     n_pub: int,
     n_priv: int,
-    seed: int,
+    seed,
     mode: SplitMode = SplitMode.RANDOM_WITHOUT_REPLACEMENT,
 ):
-    """Deterministic disjoint public/private split; returns (public, private)."""
+    """Deterministic disjoint public/private split; returns (public, private).
+
+    In random mode ``seed`` is anything ``np.random.default_rng`` accepts
+    (the harness passes its per-trial key), and draws one permutation of the
+    rows: the private rows are its first n_priv and the public rows its last
+    n_pub, last first.  So for one seed each set is a prefix of any larger
+    set of its kind, and the two stay disjoint while n_pub + n_priv <= n.
+    Head mode takes the first n_pub rows as public and the next n_priv as
+    private, whatever the seed.
+    """
     n = data.n
     if n_pub < 1 or n_priv < 1:
         raise ValueError(f"split sizes must be positive, got n_pub={n_pub}, n_priv={n_priv}")
     if n_pub + n_priv > n:
         raise ValueError(f"split sizes {n_pub}+{n_priv} exceed dataset size {n}")
     if mode is SplitMode.HEAD_TAIL:
-        idx = np.arange(n)
+        pub_idx, priv_idx = np.arange(n_pub), np.arange(n_pub, n_pub + n_priv)
     else:
-        idx = np.random.default_rng(np.random.SeedSequence(seed)).permutation(n)
-    pub_idx = idx[:n_pub]
-    priv_idx = idx[n_pub : n_pub + n_priv]
+        perm = np.random.default_rng(seed).permutation(n)
+        pub_idx, priv_idx = perm[::-1][:n_pub], perm[:n_priv]
     public = LabeledDataset(
         features=np.take(data.features, pub_idx, axis=0),
         responses=np.take(data.responses, pub_idx),

@@ -75,9 +75,17 @@ class LabeledDataset:
             )
         if x.shape[0] < 1 or x.shape[1] < 1:
             raise ValueError("need n >= 1 and d >= 1")
-        for name, values in (("features", x), ("responses", y[:, None])):
-            if not np.isfinite(values).all():
-                row, col = np.argwhere(~np.isfinite(values))[0]
+        # A sum of squares is finite only if every term is, so the cells are
+        # scanned only when it is not: to name the bad cell, or to find none
+        # when finite entries overflowed the sum.
+        with np.errstate(over="ignore"):
+            totals = [np.dot(v, v) for v in (x.reshape(-1), y)]
+        for name, values, total in zip(("features", "responses"), (x, y[:, None]), totals):
+            if math.isfinite(total):
+                continue
+            bad = np.argwhere(~np.isfinite(values))
+            if bad.size:
+                row, col = bad[0]
                 raise ValueError(
                     f"{name} must be finite: {values[row, col]} at row {row}, column {col}"
                 )

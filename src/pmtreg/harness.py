@@ -1,14 +1,25 @@
 """Multi-trial experiment orchestration and CSV emission.
 
 A grid is the cross product (method, rho, n_priv, n_pub); each cell runs
-``trials`` trials.  The unit of work is a dataset, keyed by
-(seed, n_priv, n_pub, trial): it is drawn (or split) once, its reference is
-computed once, and every (method, rho) cell's trial runs on it.  One rng
-stream per dataset, derived from that key, draws the public rows, then the
-private rows (or the split seed), then for each method and each rho in grid
-order the matrix noise and the vector noise.  The grid keeps its values in
-a canonical order, so neither the order in which they are listed nor the
-order in which datasets run changes a number.
+``trials`` trials.  Trials run outermost.  Each trial's rows come from
+streams keyed by (seed, trial) alone, so a dataset does not depend on which
+other sizes the grid holds:
+
+- synthetic: one public and one private stream, keys (seed, 3, trial, 0)
+  and (seed, 3, trial, 1), each drawn once per trial at the grid's largest
+  n_pub or n_priv; every dataset of the trial takes the first n_pub public
+  and the first n_priv private rows (``generate`` makes them prefix-stable);
+- real: one permutation per (seed, trial), key (seed, 3, trial, 2); the
+  private rows come from its front and the public rows from its back, so
+  they are disjoint at every size and each set is prefix-stable in its own.
+
+The unit of work is a dataset, keyed by (seed, n_priv, n_pub, trial): its
+reference is computed once, and every (method, rho) cell's trial runs on it.
+One rng stream per dataset, keyed (seed, 2, n_priv, n_pub, trial), draws for
+each method and each rho in grid order the matrix noise and the vector
+noise.  The grid keeps its values in a canonical order, so neither the order
+in which they are listed nor the order in which datasets run changes a
+number.
 """
 
 from __future__ import annotations
@@ -140,6 +151,12 @@ def _grid_beta(grid: ExperimentGrid, d: int) -> np.ndarray:
     return rng.standard_normal(d)
 
 
+def _trial_key(grid: ExperimentGrid, trial: int, stream: int) -> list:
+    """Seed entropy of one per-trial row stream: 0 public rows, 1 private
+    rows, 2 the real-data permutation."""
+    return [grid.seed & _SEED_MASK, 3, trial, stream]
+
+
 def _validate(grid: ExperimentGrid, source):
     if isinstance(source, SyntheticModelSpec):
         d = source.d
@@ -169,25 +186,26 @@ def _validate(grid: ExperimentGrid, source):
         )
 
 
-def _run_trial(grid, source, n_priv, n_pub, trial):
+def _run_trial(grid, source, n_priv, n_pub, trial, drawn):
     """One dataset and every (method, rho) cell's trial on it.
 
-    Returns {(method, rho): (err, truncated fraction, pre-noise avg_cond)},
-    with None for a cell whose trial failed: a singular noisy moment fails
-    only its own (method, rho); a singular reference or public moment (or
-    all-zero public responses) fails every cell it feeds.
+    ``drawn`` is the trial's (public, private) synthetic draw at the grid's
+    largest sizes, or None for a ``DatasetSource``.  Returns
+    {(method, rho): (err, truncated fraction, pre-noise avg_cond)}, with None
+    for a cell whose trial failed: a singular noisy moment fails only its
+    own (method, rho); a singular reference or public moment (or all-zero
+    public responses) fails every cell it feeds.
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence([grid.seed & _SEED_MASK, 2, n_priv, n_pub, trial])
-    )
-    if isinstance(source, SyntheticModelSpec):
-        public = generate(source, n_pub, rng)
-        private = generate(source, n_priv, rng)
-    else:
-        split_seed = int(rng.integers(0, 2**63))
+    if drawn is None:
         public, private = split(
-            source.dataset, n_pub, n_priv, split_seed, source.split_mode
+            source.dataset, n_pub, n_priv, _trial_key(grid, trial, 2), source.split_mode
         )
+    else:  # a dataset at the drawn size is the draw itself
+        public, private = (
+            rows if rows.n == n else LabeledDataset(rows.features[:n], rows.responses[:n])
+            for rows, n in zip(drawn, (n_pub, n_priv))
+        )
+    rng = np.random.default_rng([grid.seed & _SEED_MASK, 2, n_priv, n_pub, trial])
 
     outcomes = dict.fromkeys(product(grid.methods, grid.rho_values))
     if grid.reference is Reference.TRUE_BETA:
@@ -222,9 +240,10 @@ def run_grid(
     (unstable-inversion) trials are counted per cell and excluded from the
     mean/std, never silently dropped.
 
-    A synthetic spec is resampled for every dataset; if its coefficients are
-    unset, beta is drawn once per grid from a standard normal, using a stream
-    keyed off the grid seed.
+    A synthetic spec is drawn from once per trial and stream, and each
+    dataset takes its prefix; if its coefficients are unset, beta is drawn
+    once per grid from a standard normal, using a stream keyed off the grid
+    seed.
     """
     _validate(grid, source)
 
@@ -232,10 +251,16 @@ def run_grid(
         source = replace(source, coefficients=_grid_beta(grid, source.d))
 
     outcomes = {cell: [] for cell in grid.cells()}
-    for n_priv, n_pub in product(grid.n_priv_values, grid.n_pub_values):
-        for trial in range(grid.trials):
+    for trial in range(grid.trials):
+        drawn = None
+        if isinstance(source, SyntheticModelSpec):
+            drawn = (
+                generate(source, max(grid.n_pub_values), _trial_key(grid, trial, 0)),
+                generate(source, max(grid.n_priv_values), _trial_key(grid, trial, 1)),
+            )
+        for n_priv, n_pub in product(grid.n_priv_values, grid.n_pub_values):
             for (method, rho), outcome in _run_trial(
-                grid, source, n_priv, n_pub, trial
+                grid, source, n_priv, n_pub, trial, drawn
             ).items():
                 outcomes[method, rho, n_priv, n_pub].append(outcome)
 

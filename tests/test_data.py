@@ -117,6 +117,17 @@ class TestGenerate:
         target = spec.second_moment().entries
         assert np.linalg.norm(emp - target) <= 0.05 * np.linalg.norm(target)
 
+    @pytest.mark.parametrize("d", [1, 10, 50])
+    def test_smaller_draw_is_a_prefix_of_a_larger_one(self, d):
+        spec = replace(default_synthetic(d), coefficients=np.linspace(-1.0, 1.0, d))
+        sizes = (1, 63, 64, 65, 1000)
+        draws = {n: generate(spec, n, [d, 3, 0, 1]) for n in sizes}
+        for n in sizes:
+            assert draws[n].n == n
+            for m in sizes[sizes.index(n) + 1 :]:
+                assert np.array_equal(draws[n].features, draws[m].features[:n]), (n, m)
+                assert np.array_equal(draws[n].responses, draws[m].responses[:n]), (n, m)
+
     def test_response_model(self):
         beta = np.arange(1.0, 4.0)
         spec = SyntheticModelSpec(
@@ -341,6 +352,21 @@ class TestSplit:
     def test_nonpositive_size_rejected(self, n_pub, n_priv):
         with pytest.raises(ValueError, match=f"n_pub={n_pub}, n_priv={n_priv}"):
             split(self._data(), n_pub, n_priv, 0)
+
+    def test_private_from_front_public_from_back_of_one_permutation(self):
+        data, key = self._data(), [5, 3, 2, 2]
+        perm = np.random.default_rng(key).permutation(data.n)
+        seen = {}
+        for n_pub, n_priv in [(10, 20), (10, 90), (40, 60), (1, 1)]:
+            pub, priv = split(data, n_pub, n_priv, key)
+            assert np.array_equal(priv.responses, perm[:n_priv])
+            assert np.array_equal(pub.responses, perm[::-1][:n_pub])
+            assert set(pub.responses.tolist()).isdisjoint(priv.responses.tolist())
+            seen[n_pub, n_priv] = pub, priv
+        # each set is a prefix of a larger set of its kind, whatever the other size
+        assert np.array_equal(seen[10, 90][1].features[:20], seen[10, 20][1].features)
+        assert np.array_equal(seen[40, 60][0].features[:10], seen[10, 20][0].features)
+        assert np.array_equal(seen[10, 20][0].features, seen[10, 90][0].features)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)

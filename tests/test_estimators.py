@@ -51,6 +51,24 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match=r"responses.*nan.*row 2"):
             LabeledDataset(x, [1.0, 2.0, np.nan, -np.inf])
 
+    @pytest.mark.parametrize(
+        "bad", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)], ids=repr
+    )
+    def test_names_bad_cell_whatever_the_sum(self, bad):
+        # each makes a sum over the cells non-finite (the pair cancels to nan in a plain sum)
+        x, y = np.ones((6, 2)), np.zeros(6)
+        for i, value in enumerate(bad):
+            x[3 + i, 1 - i] = y[3 + i] = value
+        with pytest.raises(ValueError, match=rf"features.*{bad[0]} at row 3, column 1"):
+            LabeledDataset(x, np.zeros(6))
+        with pytest.raises(ValueError, match=rf"responses.*{bad[0]} at row 3, column 0"):
+            LabeledDataset(np.ones((6, 2)), y)
+
+    def test_finite_entries_whose_sum_overflows_accepted(self):
+        x = np.array([[1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]])
+        data = LabeledDataset(x, x[:, 0])
+        assert np.array_equal(data.features, x) and np.array_equal(data.responses, x[:, 0])
+
     def test_names_first_bad_cell(self):
         x = np.zeros((3, 3))
         x[1, 2] = np.nan

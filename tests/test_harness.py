@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -270,7 +271,32 @@ class TestDatasetSharing:
         grid = small_grid(rho_values=(2.0, 10.0), n_priv_values=(400, 800), trials=3)
         run_grid(grid, default_synthetic())
         assert len(datasets) == 2 * 3  # n_priv x trials, not x methods x rho
-        assert len(generated) == 2 * len(datasets)  # public, then private
+        assert len(generated) == 2 * grid.trials  # per trial: public, then private
+
+    @pytest.mark.parametrize(
+        "command, flag, alone, grid",
+        [
+            ("synth", "--n-priv", "3000", "3000,5000,10000"),
+            ("synth", "--n-pub", "20", "20,40"),
+            ("real", "--n-priv", "100", "100,200"),
+        ],
+    )
+    def test_row_does_not_depend_on_the_grids_other_sizes(
+        self, command, flag, alone, grid, tmp_path
+    ):
+        # every dataset of a trial is a prefix of that trial's rows
+        argv = [command, "--trials", "3", "--seed", "5", "--rho", "2,10"]
+        if command == "real":
+            argv += ["--n-pub", "40", "--data", str(write_toy_csv(tmp_path / "toy.csv"))]
+        lines = []
+        for values in (alone, grid):
+            out = tmp_path / f"{values}.csv"
+            assert main(argv + [flag, values, "--out", str(out)]) == EXIT_OK
+            lines.append(out.read_text().splitlines())
+        column = 2 if flag == "--n-priv" else 3
+        shared = [line for line in lines[1] if line.split(",")[column] == alone]
+        assert len(lines[0]) == 1 + 2 * 2 and len(lines[1]) > len(lines[0])
+        assert shared == lines[0][1:]
 
     def test_real_dataset_split_once_with_one_reference(self, monkeypatch, rng):
         from pmtreg.harness import DatasetSource
@@ -533,6 +559,12 @@ class TestCli:
                 ["diagnose", "--mu-scale", "1e154"],
                 "mu_scale=1e+154 is too large: the second moment covariance + mean mean^T",
             ),
+            (["synth", "--mu-scale", "5e153"], "mu_scale=5e+153 is too large"),
+            (["diagnose", "--mu-scale", "5e153"], "its top eigenvalue d * mu_scale^2 does"),
+            (
+                ["synth", "--d", "3", "--psi-spec", "1,2,1e308"],
+                "--psi-spec value 1e+308 is too large: the second moment",
+            ),
         ],
     )
     def test_bad_grid_exits_2_before_any_trial(
@@ -733,6 +765,27 @@ class TestCli:
         assert main(["diagnose", "--data", str(p)]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["eigenvalues"]) == 2
+
+    def test_heap_setting_skipped_without_mallopt(self, tmp_path, monkeypatch):
+        from pmtreg import cli
+
+        args = ["synth", "--n-priv", "300", "--trials", "3", "--seed", "4"]
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        outputs = []
+        glibc = SimpleNamespace(mallopt=mallopt)
+        for libc in (glibc, object()):  # then a C library without mallopt
+            monkeypatch.setattr(cli.ctypes, "CDLL", lambda name, libc=libc: libc)
+            out = tmp_path / f"{len(outputs)}.csv"
+            assert main(args + ["--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        # both thresholds are set: the trim one alone would pin the mmap one at 128 KiB
+        assert calls == [(-3, 32 << 20), (-1, 2**31 - 1)]
+        assert outputs[0] == outputs[1]
 
     def test_byte_identical_reruns(self, tmp_path):
         args = [
