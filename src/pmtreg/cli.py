@@ -174,10 +174,9 @@ def _cmd_real(args) -> int:
 def _cmd_diagnose(args) -> int:
     if args.data is not None:
         dataset = _load(args)
-        x, n = dataset.features, dataset.n
-        matrix = SymmetricMatrix(x.T @ x / n)
+        matrix = dataset.second_moment
         d = dataset.d
-        n_pub = args.n_pub if args.n_pub is not None else n
+        n_pub = args.n_pub if args.n_pub is not None else dataset.n
     else:
         spec = default_synthetic(d=args.d, mu_scale=args.mu_scale)
         matrix = spec.second_moment()

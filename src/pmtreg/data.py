@@ -258,7 +258,8 @@ def split(
     n_pub, last first.  So for one seed each set is a prefix of any larger
     set of its kind, and the two stay disjoint while n_pub + n_priv <= n.
     Head mode takes the first n_pub rows as public and the next n_priv as
-    private, whatever the seed.
+    private, whatever the seed.  The rows come from a checked dataset, so
+    their cells are not scanned again.
     """
     n = data.n
     if n_pub < 1 or n_priv < 1:
@@ -270,22 +271,14 @@ def split(
     else:
         perm = np.random.default_rng(seed).permutation(n)
         pub_idx, priv_idx = perm[::-1][:n_pub], perm[:n_priv]
-    public = LabeledDataset(
-        features=np.take(data.features, pub_idx, axis=0),
-        responses=np.take(data.responses, pub_idx),
-    )
-    private = LabeledDataset(
-        features=np.take(data.features, priv_idx, axis=0),
-        responses=np.take(data.responses, priv_idx),
-    )
-    return public, private
+    return data.take(pub_idx), data.take(priv_idx)
 
 
 def public_moments(public: LabeledDataset) -> PublicMoments:
     """Uncentered second moments of the public rows (no mean subtraction)."""
-    x, y, n = public.features, public.responses, public.n
+    y = public.responses
     return PublicMoments(
-        feature_moment=SymmetricMatrix(x.T @ x / n),
+        feature_moment=public.second_moment,
         response_moment=float(np.sqrt(np.mean(y**2))),
-        n_pub=n,
+        n_pub=public.n,
     )

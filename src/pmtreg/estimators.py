@@ -12,8 +12,16 @@ passes raw rows with radii taken from the private data's own moments.
 
 Each DP estimator takes a tuple of budgets and returns one
 :class:`EstimatorOutput`.  The work that does not depend on rho (whitening,
-clipping, the two moments, the pre-noise spectrum) is done and held once; the
-noise, the noisy spectrum and the solve once per budget.
+clipping, the two moments) is done and held once, and the noise is drawn per
+budget.  The pre-noise moment and every budget's noisy moment are then
+decomposed as one stack, in one eigendecomposition call, and each budget is
+solved through its own eigenpairs.
+
+A :class:`LabeledDataset` forms X^T X / n, X^T y / n and the spectrum of
+X^T X / n once each, on first read.  A release reads the moments of the rows
+it releases, and a clip that changes no row hands back the same rows, so
+:func:`olse` and a release that clips nothing (the baseline on standardized
+real data) share one Gram, one cross moment and one spectrum.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +46,7 @@ from .spectra import (
     UnstableInversionError,
     diagnostics,
     inv_sqrt_clamped,
+    shifted_diagnostics,
     solve,
 )
 
@@ -59,7 +69,12 @@ class Method(enum.Enum):
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """A design matrix with its response vector."""
+    """A design matrix with its response vector, both read-only.
+
+    The moments and the spectrum below are computed once each, on first
+    read, and kept; :meth:`head` and :meth:`take` make subsets of the rows
+    without checking their cells again.
+    """
 
     features: np.ndarray
     responses: np.ndarray
@@ -102,6 +117,55 @@ class LabeledDataset:
     def d(self) -> int:
         return self.features.shape[1]
 
+    @classmethod
+    def _unchecked(cls, features: np.ndarray, responses: np.ndarray) -> LabeledDataset:
+        """Float64 rows taken from a checked dataset or computed from one,
+        made read-only but not scanned again."""
+        data = object.__new__(cls)
+        features.flags.writeable = responses.flags.writeable = False
+        object.__setattr__(data, "features", features)
+        object.__setattr__(data, "responses", responses)
+        return data
+
+    def head(self, n: int) -> LabeledDataset:
+        """The first n rows: this dataset itself when it has n rows, else views."""
+        if n == self.n:
+            return self
+        return self._unchecked(self.features[:n], self.responses[:n])
+
+    def take(self, index: np.ndarray) -> LabeledDataset:
+        """The rows at ``index``, gathered into new arrays."""
+        return self._unchecked(
+            np.take(self.features, index, axis=0), np.take(self.responses, index)
+        )
+
+    @cached_property
+    def second_moment(self) -> SymmetricMatrix:
+        """X^T X / n."""
+        x = self.features
+        return SymmetricMatrix(x.T @ x / self.n)
+
+    @cached_property
+    def cross_moment(self) -> np.ndarray:
+        """X^T y / n."""
+        return self.features.T @ self.responses / self.n
+
+    @cached_property
+    def spectrum(self) -> SpectralDiagnostics:
+        """The eigendecomposition of :attr:`second_moment`."""
+        return diagnostics(self.second_moment)
+
+    def noisy_spectra(self, noises) -> tuple[SpectralDiagnostics, list[SpectralDiagnostics]]:
+        """:attr:`spectrum`, and the spectrum of second_moment + E for each
+        exactly symmetric E in ``noises``, from one stacked eigendecomposition
+        that takes in the second moment too unless its spectrum was read
+        before."""
+        pre = self.__dict__.get("spectrum")  # where cached_property keeps it
+        post = shifted_diagnostics(self.second_moment, noises, include_m=pre is None)
+        if pre is None:
+            pre = self.__dict__["spectrum"] = post.pop(0)
+        return pre, post
+
 
 @dataclass(frozen=True)
 class PublicMoments:
@@ -139,13 +203,11 @@ class EstimatorOutput:
 
 def olse(data: LabeledDataset) -> np.ndarray:
     """Plain least squares via the guarded normal-equations solve; returns beta."""
-    x, y, n = data.features, data.responses, data.n
-    return solve(diagnostics(SymmetricMatrix(x.T @ x / n)), x.T @ y / n)
+    return solve(data.spectrum, data.cross_moment)
 
 
 def _release(
-    features: np.ndarray,
-    responses: np.ndarray,
+    data: LabeledDataset,
     r_x: float,
     r_y: float,
     budgets: tuple[PrivacyBudget, ...],
@@ -154,32 +216,35 @@ def _release(
 ) -> EstimatorOutput:
     """The Gaussian sufficient-statistics mechanism both DP estimators share.
 
-    Clips feature rows to r_x and responses to r_y and forms X^T X / n,
-    X^T y / n and the pre-noise spectrum once.  Then, for each budget in
-    order, releases both statistics with the noise of :func:`noise_scales`
-    (rho each, matrix noise drawn first) and solves the noisy normal equations
-    through their eigenpairs.  Every budget gets its own independent noise,
-    so each budget is a standalone release at its rho.  A budget whose noisy
-    moment :func:`solve` refuses gets beta None; the other budgets stand.
+    Clips feature rows to r_x and responses to r_y, once.  For each budget in
+    order it draws the noise of :func:`noise_scales` (rho each, matrix noise
+    first), so every budget is a standalone release at its rho.  The clipped
+    rows' pre-noise moment and the noisy moments are decomposed together
+    (see :meth:`LabeledDataset.noisy_spectra`); when neither clip changed a
+    row, the clipped rows are ``data`` itself, with any moment or spectrum it
+    already holds.  Each budget then solves its noisy normal equations
+    through its eigenpairs.  A budget whose noisy moment :func:`solve`
+    refuses gets beta None; the other budgets stand.
     """
-    n, d = features.shape
+    n, d = data.n, data.d
     if n <= d:
         raise ValueError(f"need n > d private samples, got n={n}, d={d}")
-    x, feat_report = pmt.clip_rows(features, r_x)
-    y, resp_report = pmt.clip_rows(responses[:, None], r_y)
-    second = SymmetricMatrix(x.T @ x / n)
-    cross = x.T @ y[:, 0] / n
-    pre_diag = diagnostics(second)
+    x, feat_report = pmt.clip_rows(data.features, r_x)
+    y, resp_report = pmt.clip_rows(data.responses[:, None], r_y)
+    if feat_report.truncated or resp_report.truncated:
+        data = LabeledDataset._unchecked(x, y[:, 0])
 
-    betas, post_diags = [], []
+    noise = []
     for budget in budgets:
         sigma1, sigma2 = noise_scales(r_x, r_y, n, budget)
-        noise_mat = sample_symmetric_gaussian(d, sigma1, rng)
-        noise_vec = sample_gaussian_vector(d, sigma2, rng)
-        post_diag = diagnostics(SymmetricMatrix(second.entries + noise_mat))
-        post_diags.append(post_diag)
+        noise.append(
+            (sample_symmetric_gaussian(d, sigma1, rng), sample_gaussian_vector(d, sigma2, rng))
+        )
+    pre_diag, post_diags = data.noisy_spectra([mat for mat, _ in noise])
+    betas = []
+    for post_diag, (_, vec) in zip(post_diags, noise):
         try:
-            betas.append(solve(post_diag, cross + noise_vec))
+            betas.append(solve(post_diag, data.cross_moment + vec))
         except UnstableInversionError:
             betas.append(None)
     return EstimatorOutput(
@@ -213,11 +278,10 @@ def dp_pmtolse(
         raise UnstableInversionError("response_moment must be positive to rescale responses")
 
     pre = inv_sqrt_clamped(public.feature_moment)
-    out = _release(
-        pmt.transform(data.features, pre),
-        data.responses / public.response_moment,
-        r_x, r_y, budgets, rng,
+    whitened = LabeledDataset._unchecked(
+        pmt.transform(data.features, pre), data.responses / public.response_moment
     )
+    out = _release(whitened, r_x, r_y, budgets, rng)
     sigma_b = public.response_moment
     return replace(
         out,
@@ -244,8 +308,7 @@ def dp_olse_baseline(
     trace_a = float(np.sum(data.features**2)) / n
     sigma_a_sq = float(np.mean(data.responses**2))
     return _release(
-        data.features,
-        data.responses,
+        data,
         math.sqrt(trace_a + d * log_term),
         math.sqrt(sigma_a_sq + log_term),
         budgets, rng,

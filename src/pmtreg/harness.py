@@ -190,24 +190,23 @@ def _run_trial(grid, source, n_priv, n_pub, trial, drawn):
     """One dataset and every (method, rho) cell's trial on it.
 
     ``drawn`` is the trial's (public, private) synthetic draw at the grid's
-    largest sizes, or None for a ``DatasetSource``.  Returns
-    {(method, rho): (err, truncated fraction, pre-noise avg_cond)}, with None
-    for a cell whose trial failed: a singular noisy moment fails only its
-    own (method, rho); a singular reference or public moment (or all-zero
-    public responses) fails every cell it feeds.
+    largest sizes, or None for a ``DatasetSource``.  Returns one outcome per
+    cell, in the order of product(grid.methods, grid.rho_values): (err,
+    truncated fraction, pre-noise avg_cond), or None for a cell whose trial
+    failed.  A singular noisy moment fails only its own (method, rho); a
+    singular reference or public moment (or all-zero public responses) fails
+    every cell it feeds.
     """
     if drawn is None:
         public, private = split(
             source.dataset, n_pub, n_priv, _trial_key(grid, trial, 2), source.split_mode
         )
-    else:  # a dataset at the drawn size is the draw itself
-        public, private = (
-            rows if rows.n == n else LabeledDataset(rows.features[:n], rows.responses[:n])
-            for rows, n in zip(drawn, (n_pub, n_priv))
-        )
+    else:
+        public, private = drawn[0].head(n_pub), drawn[1].head(n_priv)
     rng = np.random.default_rng([grid.seed & _SEED_MASK, 2, n_priv, n_pub, trial])
 
-    outcomes = dict.fromkeys(product(grid.methods, grid.rho_values))
+    per_method = len(grid.rho_values)
+    outcomes = [None] * (len(grid.methods) * per_method)
     if grid.reference is Reference.TRUE_BETA:
         ref = source.coefficients
     else:
@@ -216,7 +215,7 @@ def _run_trial(grid, source, n_priv, n_pub, trial, drawn):
         except UnstableInversionError:
             return outcomes
 
-    for method in grid.methods:
+    for i, method in enumerate(grid.methods):
         try:
             if method is Method.DP_PMTOLSE:
                 out = dp_pmtolse(private, public_moments(public), grid.eta, grid.budgets, rng)
@@ -227,9 +226,11 @@ def _run_trial(grid, source, n_priv, n_pub, trial, drawn):
         feat, resp = out.feature_truncation, out.response_truncation
         frac = (feat.truncated + resp.truncated) / (feat.total + resp.total)
         cond = out.pre_diag.avg_cond
-        for rho, beta in zip(grid.rho_values, out.betas):
+        for j, beta in enumerate(out.betas, i * per_method):
             if beta is not None:
-                outcomes[method, rho] = (float(np.linalg.norm(beta - ref)), frac, cond)
+                diff = beta - ref
+                # the formula np.linalg.norm evaluates for a real vector
+                outcomes[j] = (math.sqrt(diff.dot(diff)), frac, cond)
     return outcomes
 
 
@@ -250,7 +251,10 @@ def run_grid(
     if isinstance(source, SyntheticModelSpec) and source.coefficients is None:
         source = replace(source, coefficients=_grid_beta(grid, source.d))
 
-    outcomes = {cell: [] for cell in grid.cells()}
+    sizes = list(product(grid.n_priv_values, grid.n_pub_values))
+    cells = list(product(grid.methods, grid.rho_values))
+    # per dataset size, one list of trial outcomes per (method, rho)
+    outcomes = {size: [[] for _ in cells] for size in sizes}
     for trial in range(grid.trials):
         drawn = None
         if isinstance(source, SyntheticModelSpec):
@@ -258,38 +262,39 @@ def run_grid(
                 generate(source, max(grid.n_pub_values), _trial_key(grid, trial, 0)),
                 generate(source, max(grid.n_priv_values), _trial_key(grid, trial, 1)),
             )
-        for n_priv, n_pub in product(grid.n_priv_values, grid.n_pub_values):
-            for (method, rho), outcome in _run_trial(
-                grid, source, n_priv, n_pub, trial, drawn
-            ).items():
-                outcomes[method, rho, n_priv, n_pub].append(outcome)
+        for size in sizes:
+            trial_outcomes = _run_trial(grid, source, *size, trial, drawn)
+            for cell, outcome in zip(outcomes[size], trial_outcomes):
+                cell.append(outcome)
 
     results = []
-    for (method, rho, n_priv, n_pub), cell in outcomes.items():
-        done = [o for o in cell if o is not None]
-        ok = len(done)
-        if ok:
-            errs, fracs, conds = zip(*done)
-            mean_err = float(np.mean(errs))
-            std_err = float(np.std(errs, ddof=1)) if ok > 1 else 0.0
-            mean_frac = float(np.mean(fracs))
-            mean_cond = float(np.mean(conds))
-        else:
-            mean_err = std_err = mean_frac = mean_cond = math.nan
-        results.append(
-            CellResult(
-                method=method,
-                rho=float(rho),
-                n_priv=int(n_priv),
-                n_pub=int(n_pub),
-                trials_ok=ok,
-                trials_failed=len(cell) - ok,
-                mean_err=mean_err,
-                std_err=std_err,
-                mean_truncated_frac=mean_frac,
-                mean_avg_cond_pre=mean_cond,
+    for i, (method, rho) in enumerate(cells):
+        for n_priv, n_pub in sizes:
+            cell = outcomes[n_priv, n_pub][i]
+            done = [o for o in cell if o is not None]
+            ok = len(done)
+            if ok:
+                errs, fracs, conds = zip(*done)
+                mean_err = float(np.mean(errs))
+                std_err = float(np.std(errs, ddof=1)) if ok > 1 else 0.0
+                mean_frac = float(np.mean(fracs))
+                mean_cond = float(np.mean(conds))
+            else:
+                mean_err = std_err = mean_frac = mean_cond = math.nan
+            results.append(
+                CellResult(
+                    method=method,
+                    rho=float(rho),
+                    n_priv=int(n_priv),
+                    n_pub=int(n_pub),
+                    trials_ok=ok,
+                    trials_failed=len(cell) - ok,
+                    mean_err=mean_err,
+                    std_err=std_err,
+                    mean_truncated_frac=mean_frac,
+                    mean_avg_cond_pre=mean_cond,
+                )
             )
-        )
     return results
 
 

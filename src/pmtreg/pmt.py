@@ -88,13 +88,19 @@ def clip_rows(samples: np.ndarray, radius: float):
     # the radius.  Both sums of d nonnegative terms are within about
     # (d - 1) eps of the true sum, relatively, so a 1e-9 margin is safe for
     # any d below about 10^6.  A nan row screens out and its exact norm would
-    # not clip it either.  The bound fails for a subnormal or overflowing
-    # radius^2, which takes exact norms for every row, as do non-C-ordered
-    # inputs, whose pairwise row sums follow another order.
+    # not clip it either, so when no row passes the screen the input goes
+    # back at once.  (A screen on sq.max() would be wrong: a nan row makes
+    # the maximum nan and hides a row that must clip.)  The bound fails for a
+    # subnormal or overflowing radius^2, which takes exact norms for every
+    # row, as do non-C-ordered inputs, whose pairwise row sums follow
+    # another order.
     sq = np.einsum("ij,ij->i", samples, samples)
     low = radius * radius * (1.0 - 1e-9)
     if _TINY <= low < math.inf and samples.flags.c_contiguous:
-        rows = np.flatnonzero(sq >= low)
+        near = sq >= low
+        if not near.any():
+            return samples, TruncationReport(samples.shape[0], 0)
+        rows = np.flatnonzero(near)
         norms = np.linalg.norm(samples[rows], axis=1)
     else:
         rows = np.arange(samples.shape[0])

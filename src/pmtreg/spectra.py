@@ -8,6 +8,7 @@ derived from the spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +21,13 @@ __all__ = [
     "inv_sqrt_clamped",
     "sqrt_sym",
     "diagnostics",
+    "shifted_diagnostics",
     "solve",
     "theory_bracket",
 ]
+
+
+_NOT_FINITE = "matrix entries must be finite, and so must M + M^T"
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,7 @@ class SymmetricMatrix:
         with np.errstate(over="ignore", invalid="ignore"):
             a = a + a.T
         if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite, and so must M + M^T")
+            raise ValueError(_NOT_FINITE)
         a *= 0.5
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
@@ -70,7 +75,9 @@ class SpectralDiagnostics:
     @property
     def avg_cond(self) -> float:
         lam = self.eigenvalues
-        return float(np.mean(lam / lam[0])) if lam[0] > 0 else np.inf
+        if not lam[0] > 0:
+            return np.inf
+        return float(np.add.reduce(lam / lam[0]) / lam.size)  # np.mean, minus its dispatch
 
     def as_dict(self) -> dict:
         lam = self.eigenvalues
@@ -91,10 +98,14 @@ class UnstableInversionError(RuntimeError):
     """A symmetric system is too close to singular to solve."""
 
 
-def eig_sym(m: SymmetricMatrix):
-    """Eigendecomposition, eigenvalues ascending, eigenvectors as columns."""
-    lam, vec = np.linalg.eigh(m.entries)
-    return lam, vec
+def eig_sym(m: SymmetricMatrix | np.ndarray):
+    """Eigendecomposition, eigenvalues ascending, eigenvectors as columns.
+
+    ``m`` may also be a (k, d, d) stack of exactly symmetric arrays, all
+    decomposed in this one call: numpy runs LAPACK on each matrix of the
+    stack in turn, so each gets the same bits as from a call of its own.
+    """
+    return np.linalg.eigh(m.entries if isinstance(m, SymmetricMatrix) else m)
 
 
 def inv_sqrt_clamped(m: SymmetricMatrix) -> SymmetricMatrix:
@@ -129,6 +140,27 @@ def sqrt_sym(m: SymmetricMatrix) -> SymmetricMatrix:
 def diagnostics(m: SymmetricMatrix) -> SpectralDiagnostics:
     """The eigendecomposition of a symmetric matrix, as a record."""
     return SpectralDiagnostics(*eig_sym(m))
+
+
+def shifted_diagnostics(m: SymmetricMatrix, shifts, include_m: bool) -> list[SpectralDiagnostics]:
+    """The spectra of m (first, if ``include_m``) and of m + s for each
+    exactly symmetric array s, from one stacked :func:`eig_sym` call.
+
+    A sum of two exactly symmetric matrices is exactly symmetric, float
+    addition being commutative, so the sums are not symmetrized again.  As
+    :class:`SymmetricMatrix` does, a sum whose M + M^T is not finite is
+    refused: for a symmetric M that is 2M, finite exactly when 2 max|M| is.
+    """
+    first = int(include_m)
+    stack = np.empty((first + len(shifts), m.dim, m.dim))
+    if include_m:
+        stack[0] = m.entries
+    for out, s in zip(stack[first:], shifts):
+        np.add(m.entries, s, out=out)
+    if not math.isfinite(2.0 * float(np.abs(stack).max(initial=0.0))):
+        raise ValueError(_NOT_FINITE)
+    lam, vec = eig_sym(stack)
+    return [SpectralDiagnostics(*pair) for pair in zip(lam, vec)]
 
 
 def solve(diag: SpectralDiagnostics, rhs: np.ndarray) -> np.ndarray:

@@ -90,6 +90,31 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match=named):
             LabeledDataset(features, responses)
 
+    def test_subsets_are_read_only_rows(self, rng):
+        data = LabeledDataset(rng.standard_normal((8, 3)), rng.standard_normal(8))
+        assert data.head(8) is data
+        index = np.array([5, 0, 7])
+        for subset, rows in ((data.head(3), np.arange(3)), (data.take(index), index)):
+            assert np.array_equal(subset.features, data.features[rows])
+            assert np.array_equal(subset.responses, data.responses[rows])
+            assert (subset.n, subset.d) == (len(rows), 3)
+            for values in (subset.features, subset.responses):
+                assert not values.flags.writeable
+                with pytest.raises(ValueError):
+                    values[0] = 0.0
+        assert np.shares_memory(data.head(3).features, data.features)
+
+    def test_moments_formed_once_on_first_read(self, rng):
+        data = LabeledDataset(rng.standard_normal((30, 3)), rng.standard_normal(30))
+        x, y = data.features, data.responses
+        assert data.second_moment is data.second_moment
+        assert np.array_equal(data.second_moment.entries, SymmetricMatrix(x.T @ x / 30).entries)
+        assert np.array_equal(data.cross_moment, x.T @ y / 30)
+        assert data.spectrum is data.spectrum
+        # the same bits as forming each moment where it is used
+        plain = solve(diagnostics(SymmetricMatrix(x.T @ x / 30)), x.T @ y / 30)
+        assert olse(data).tobytes() == plain.tobytes()
+
 
 @pytest.mark.parametrize("eta", [0.0, 1.0, -0.1, math.nan])
 @pytest.mark.parametrize("method", [Method.DP_PMTOLSE, Method.DP_OLSE])

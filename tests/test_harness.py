@@ -314,6 +314,75 @@ class TestDatasetSharing:
         assert len(datasets) == 3
         assert len(splits) == len(references) == len(datasets)
 
+    @staticmethod
+    def _real_grid_run(monkeypatch, rng):
+        """A real 3-rho grid with both methods whose baseline clips nothing;
+        returns each trial's private rows and baseline output."""
+        from pmtreg.harness import DatasetSource
+
+        x = rng.standard_normal((500, 3))
+        y = 0.1 * (x @ np.ones(3) + rng.standard_normal(500))  # far inside its radius
+        privates, baselines = [], []
+        real_split, real_baseline = harness.split, harness.dp_olse_baseline
+
+        def split(*args):
+            public, private = real_split(*args)
+            privates.append(private)
+            return public, private
+
+        def baseline(*args):
+            baselines.append(real_baseline(*args))
+            return baselines[-1]
+
+        monkeypatch.setattr(harness, "split", split)
+        monkeypatch.setattr(harness, "dp_olse_baseline", baseline)
+        grid = small_grid(
+            rho_values=(1.0, 5.0, 50.0), n_priv_values=(300,), n_pub_values=(50,),
+            reference=Reference.NONPRIVATE_OLSE,
+        )
+        run_grid(grid, DatasetSource(LabeledDataset(features=x, responses=y)))
+        assert len(privates) == len(baselines) == grid.trials
+        for out in baselines:
+            assert out.feature_truncation.truncated == out.response_truncation.truncated == 0
+        return privates, baselines
+
+    def test_real_dataset_eigendecompositions(self, monkeypatch, rng):
+        # per dataset: olse, the public whitening, and one stack per method,
+        # the baseline's without the pre-noise moment, whose spectrum olse
+        # read (one call per matrix makes 10)
+        from pmtreg import spectra
+
+        eigs = []
+        real_eig = spectra.eig_sym
+
+        def eig_sym(m):
+            eigs.append(m)
+            return real_eig(m)
+
+        monkeypatch.setattr(spectra, "eig_sym", eig_sym)
+        privates, _ = self._real_grid_run(monkeypatch, rng)
+        assert len(eigs) == 4 * len(privates)
+
+    def test_real_private_gram_formed_once(self, monkeypatch, rng):
+        # a baseline that clips nothing releases the private rows themselves
+        # and reads the Gram olse formed
+        from functools import cached_property
+
+        grams = []
+        real_gram = LabeledDataset.second_moment.func
+
+        def second_moment(rows):
+            grams.append(rows)
+            return real_gram(rows)
+
+        gram = cached_property(second_moment)
+        gram.__set_name__(LabeledDataset, "second_moment")
+        monkeypatch.setattr(LabeledDataset, "second_moment", gram)
+        privates, baselines = self._real_grid_run(monkeypatch, rng)
+        for private, out in zip(privates, baselines):
+            assert sum(rows is private for rows in grams) == 1
+            assert out.pre_diag is private.spectrum
+
     def test_failed_budget_fails_only_its_cell(self, monkeypatch):
         grid = small_grid(rho_values=(0.5, 2.0, 10.0), trials=4)
         spec = default_synthetic()

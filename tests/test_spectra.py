@@ -13,6 +13,7 @@ from pmtreg.spectra import (
     diagnostics,
     eig_sym,
     inv_sqrt_clamped,
+    shifted_diagnostics,
     solve,
     sqrt_sym,
     theory_bracket,
@@ -76,6 +77,47 @@ class TestEigSym:
         lam, vec = eig_sym(m)
         assert rel_frob((vec * lam) @ vec.T, m.entries) < 1e-10
         assert np.linalg.norm(vec.T @ vec - np.eye(6)) < 1e-10
+
+
+class TestStackedSpectra:
+    """The DP release decomposes its pre-noise moment and every budget's noisy
+    moment in one stacked call; its outputs are the same bits as one call per
+    matrix only because numpy runs LAPACK on each matrix of a stack alone.  A
+    BLAS or numpy for which that fails shows here first."""
+
+    @pytest.mark.parametrize("d", [1, 10, 11, 50])
+    def test_stack_matches_one_call_per_matrix_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        mats = [random_spd(rng, d, max_cond=1e8).entries for _ in range(3)]
+        mats.append(SymmetricMatrix(rng.standard_normal((d, d))).entries)  # indefinite
+        lam, vec = eig_sym(np.stack(mats))
+        for k, m in enumerate(mats):
+            one_lam, one_vec = eig_sym(SymmetricMatrix(m))
+            assert lam[k].tobytes() == one_lam.tobytes()
+            assert vec[k].tobytes() == one_vec.tobytes()
+
+    @pytest.mark.parametrize("include_m", [True, False])
+    def test_shifted_spectra_match_symmetrized_sums(self, include_m, rng):
+        from pmtreg.privacy import sample_symmetric_gaussian
+
+        m = random_spd(rng, 6)
+        shifts = [sample_symmetric_gaussian(6, 0.1, rng) for _ in range(3)]
+        got = shifted_diagnostics(m, shifts, include_m=include_m)
+        want = [m] * include_m + [SymmetricMatrix(m.entries + s) for s in shifts]
+        assert len(got) == len(want)
+        for g, w in zip(got, map(diagnostics, want)):
+            assert g.eigenvalues.tobytes() == w.eigenvalues.tobytes()
+            assert g.eigenvectors.tobytes() == w.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("shift", [1e307, 1e308])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_refuses_a_sum_whose_double_overflows(self, shift):
+        # 8e307 + 1e307 is finite but twice it is not; 8e307 + 1e308 is inf
+        m = SymmetricMatrix(np.full((2, 2), 8e307))
+        with pytest.raises(ValueError, match=r"must be finite, and so must M \+ M\^T"):
+            shifted_diagnostics(m, [np.full((2, 2), shift)], include_m=True)
+        with pytest.raises(ValueError, match=r"must be finite, and so must M \+ M\^T"):
+            SymmetricMatrix(m.entries + np.full((2, 2), shift))
 
 
 class TestInvSqrt:
