@@ -1,4 +1,12 @@
-"""Synthetic data generation, CSV ingestion, normalization, and splitting."""
+"""Synthetic data generation, CSV ingestion, normalization, and splitting.
+
+Every dataset made here is checked, so it holds each row's ||x_i||^2 and
+y_i^2 from the start: a synthetic draw forms them in :func:`generate`, the
+real data in :func:`normalize`, and every prefix or split of the rows takes
+its share of them instead of squaring its rows again.  :func:`split` also
+hands the private rows their X^T X and X^T y from the complement when that
+is the smaller side; see there.
+"""
 
 from __future__ import annotations
 
@@ -259,7 +267,18 @@ def split(
     set of its kind, and the two stay disjoint while n_pub + n_priv <= n.
     Head mode takes the first n_pub rows as public and the next n_priv as
     private, whatever the seed.  The rows come from a checked dataset, so
-    their cells are not scanned again.
+    their cells are not scanned again, and each subset takes its share of
+    the rows' squared norms.
+
+    When the rows the private set leaves out are fewer than its own
+    (n - n_priv < n_priv), the private set gets X^T X and X^T y as the
+    dataset's sums (formed on its first such split and kept) minus the sums
+    over the left-out rows: the public rows, whose sums its public moments
+    read too, and any the split does not use.  Each split then passes over
+    the n - n_priv left-out rows instead of the n_priv private ones.  The
+    difference carries the rounding of sums over all n rows, so its error
+    relative to the private sums is about eps * n / n_priv, which the rule
+    keeps below about 2 eps.
     """
     n = data.n
     if n_pub < 1 or n_priv < 1:
@@ -268,17 +287,32 @@ def split(
         raise ValueError(f"split sizes {n_pub}+{n_priv} exceed dataset size {n}")
     if mode is SplitMode.HEAD_TAIL:
         pub_idx, priv_idx = np.arange(n_pub), np.arange(n_pub, n_pub + n_priv)
+        unused_idx = np.arange(n_pub + n_priv, n)
     else:
         perm = np.random.default_rng(seed).permutation(n)
         pub_idx, priv_idx = perm[::-1][:n_pub], perm[:n_priv]
-    return data.take(pub_idx), data.take(priv_idx)
+        unused_idx = perm[n_priv : n - n_pub]
+    public, private = data.take(pub_idx), data.take(priv_idx)
+    if n - n_priv < n_priv:
+        _sums_from_complement(private, data, public, unused_idx)
+    return public, private
+
+
+def _sums_from_complement(private, data, public, unused_idx) -> None:
+    """Set the private subset's X^T X and X^T y to the dataset's sums less
+    those of the public rows and of the rows at ``unused_idx``."""
+    gram, cross = data.gram - public.gram, data.cross - public.cross
+    if unused_idx.size:
+        x, y = (np.take(v, unused_idx, axis=0) for v in (data.features, data.responses))
+        gram -= x.T @ x
+        cross -= x.T @ y
+    private.__dict__.update(gram=gram, cross=cross)  # where cached_property keeps them
 
 
 def public_moments(public: LabeledDataset) -> PublicMoments:
     """Uncentered second moments of the public rows (no mean subtraction)."""
-    y = public.responses
     return PublicMoments(
         feature_moment=public.second_moment,
-        response_moment=float(np.sqrt(np.mean(y**2))),
+        response_moment=float(np.sqrt(np.mean(public.response_sq))),
         n_pub=public.n,
     )

@@ -17,11 +17,32 @@ budget.  The pre-noise moment and every budget's noisy moment are then
 decomposed as one stack, in one eigendecomposition call, and each budget is
 solved through its own eigenpairs.
 
-A :class:`LabeledDataset` forms X^T X / n, X^T y / n and the spectrum of
-X^T X / n once each, on first read.  A release reads the moments of the rows
-it releases, and a clip that changes no row hands back the same rows, so
-:func:`olse` and a release that clips nothing (the baseline on standardized
-real data) share one Gram, one cross moment and one spectrum.
+A :class:`LabeledDataset` forms X^T X, X^T y, their means over n and the
+spectrum of X^T X / n once each, on first read.  A release reads the moments
+of the rows it releases, and a clip that changes no row hands back the same
+rows, so :func:`olse` and a release that clips nothing (the baseline on
+standardized real data) share one Gram, one cross moment and one spectrum.
+
+Each statistic of a single row is formed once per source of rows.  A checked
+dataset forms every row's ||x_i||^2 and y_i^2 when it checks its cells (a
+synthetic draw in ``data.generate``, the standardized real data in
+``data.normalize``), and :meth:`LabeledDataset.head` and
+:meth:`LabeledDataset.take` hand each subset its slice of them.  A release
+screens both clips with them, and the baseline takes mean y^2 from them.  Its
+mean ||x||^2 is still summed over the cells, as before: another summation
+order moves r_x by an ulp, and where rows clip, the clipped Gram's
+conditioning amplifies that: up to 1.5e-9 relative in the CSV's
+``mean_avg_cond_pre`` on the ill-conditioned design below.  On real data,
+``data.split`` may hand the private rows X^T X and X^T y from the
+complement; see there.
+
+DP_PMTOLSE forms its Gram from the whitened rows, never as P G P from the
+raw Gram G, although that would skip a pass over the rows: P G P carries
+rounding of order eps ||P||^2 ||G||, the ill-conditioning the
+preconditioning exists to absorb.  On a design whose second moment has
+avg_cond 1.5e8 (``pmtreg synth --psi-spec`` geomspace(1e-6, 1)
+``--mu-scale 20``, seeds 0, 1 and 64) it moved DP_PMTOLSE's mean_err by up
+to 1.2e-9 relative, where the row-formed Gram keeps every CSV byte.
 """
 
 from __future__ import annotations
@@ -67,21 +88,32 @@ class Method(enum.Enum):
     DP_PMTOLSE = "DP_PMTOLSE"
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+# Per-row statistics a dataset hands each subset of its rows.
+_ROW_STATISTICS = ("feature_sq_norms", "response_sq")
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
-    """A design matrix with its response vector, both read-only.
+    """A design matrix with its response vector, both read-only and C-ordered.
 
     The moments and the spectrum below are computed once each, on first
-    read, and kept; :meth:`head` and :meth:`take` make subsets of the rows
-    without checking their cells again.
+    read, and kept; the per-row squared norms are formed when the cells are
+    checked (or on first read, for rows that were not checked).
+    :meth:`head` and :meth:`take` make subsets of the rows without checking
+    their cells again, and hand each subset its share of the row norms.
     """
 
     features: np.ndarray
     responses: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.responses, dtype=np.float64)
+        x = np.asarray(self.features, dtype=np.float64, order="C")
+        y = np.asarray(self.responses, dtype=np.float64, order="C")
         if x.ndim != 2:
             raise ValueError(f"features must be an n x d matrix, got shape {x.shape}")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
@@ -108,6 +140,10 @@ class LabeledDataset:
         y.flags.writeable = False
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "responses", y)
+        # the per-row squared norms, formed once for every subset of these rows
+        with np.errstate(over="ignore"):
+            for name in _ROW_STATISTICS:
+                getattr(self, name)
 
     @property
     def n(self) -> int:
@@ -127,28 +163,56 @@ class LabeledDataset:
         object.__setattr__(data, "responses", responses)
         return data
 
+    def _subset(self, pick) -> LabeledDataset:
+        """The rows ``pick`` selects from each per-row array, the row
+        statistics included."""
+        subset = self._unchecked(pick(self.features), pick(self.responses))
+        for name in _ROW_STATISTICS:  # __dict__ is where cached_property keeps them
+            subset.__dict__[name] = _read_only(pick(getattr(self, name)))
+        return subset
+
     def head(self, n: int) -> LabeledDataset:
         """The first n rows: this dataset itself when it has n rows, else views."""
         if n == self.n:
             return self
-        return self._unchecked(self.features[:n], self.responses[:n])
+        return self._subset(lambda values: values[:n])
 
     def take(self, index: np.ndarray) -> LabeledDataset:
         """The rows at ``index``, gathered into new arrays."""
-        return self._unchecked(
-            np.take(self.features, index, axis=0), np.take(self.responses, index)
-        )
+        return self._subset(lambda values: np.take(values, index, axis=0))
+
+    @cached_property
+    def feature_sq_norms(self) -> np.ndarray:
+        """||x_i||^2 for each row, as :func:`pmt.clip_rows` screens rows."""
+        x = self.features
+        return _read_only(np.einsum("ij,ij->i", x, x))
+
+    @cached_property
+    def response_sq(self) -> np.ndarray:
+        """y_i^2 for each row."""
+        y = self.responses
+        return _read_only(y * y)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """X^T X."""
+        x = self.features
+        return x.T @ x
+
+    @cached_property
+    def cross(self) -> np.ndarray:
+        """X^T y."""
+        return self.features.T @ self.responses
 
     @cached_property
     def second_moment(self) -> SymmetricMatrix:
         """X^T X / n."""
-        x = self.features
-        return SymmetricMatrix(x.T @ x / self.n)
+        return SymmetricMatrix(self.gram / self.n)
 
     @cached_property
     def cross_moment(self) -> np.ndarray:
         """X^T y / n."""
-        return self.features.T @ self.responses / self.n
+        return self.cross / self.n
 
     @cached_property
     def spectrum(self) -> SpectralDiagnostics:
@@ -229,8 +293,8 @@ def _release(
     n, d = data.n, data.d
     if n <= d:
         raise ValueError(f"need n > d private samples, got n={n}, d={d}")
-    x, feat_report = pmt.clip_rows(data.features, r_x)
-    y, resp_report = pmt.clip_rows(data.responses[:, None], r_y)
+    x, feat_report = pmt.clip_rows(data.features, r_x, data.feature_sq_norms)
+    y, resp_report = pmt.clip_rows(data.responses[:, None], r_y, data.response_sq)
     if feat_report.truncated or resp_report.truncated:
         data = LabeledDataset._unchecked(x, y[:, 0])
 
@@ -305,8 +369,11 @@ def dp_olse_baseline(
     """
     n, d = data.n, data.d
     log_term = pmt.truncation_radius(1, n, eta) ** 2 - 1.0  # ln(2n/eta), eta checked
+    # tr is summed over the cells, not over the carried row norms: another
+    # summation order moves r_x by an ulp, and once rows clip, a design's
+    # conditioning can make that a 1.5e-9 relative change of avg_cond.
     trace_a = float(np.sum(data.features**2)) / n
-    sigma_a_sq = float(np.mean(data.responses**2))
+    sigma_a_sq = float(np.mean(data.response_sq))
     return _release(
         data,
         math.sqrt(trace_a + d * log_term),

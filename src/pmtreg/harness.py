@@ -161,10 +161,22 @@ def _validate(grid: ExperimentGrid, source):
     if isinstance(source, SyntheticModelSpec):
         d = source.d
         # a singular design fails or blows up every trial: refuse it up front
+        moment = source.second_moment()
         try:
-            solve(diagnostics(source.second_moment()), np.zeros(d))
+            solve(diagnostics(moment), np.zeros(d))
         except UnstableInversionError as exc:
             raise ValueError(f"synthetic second moment is {exc}") from None
+        # The baseline sums the private rows' squared norms, about n_priv
+        # times the trace, and X^T X overflows at the same scale.  Python
+        # floats overflow to inf without a warning.
+        trace = sum(np.diagonal(moment.entries).tolist())
+        n_priv = max(grid.n_priv_values)
+        if not math.isfinite(n_priv * trace):
+            raise ValueError(
+                f"synthetic design is too large: the private rows' sum of squared norms, "
+                f"about largest n_priv x trace of the second moment = {n_priv} x {trace:g}, "
+                "overflows"
+            )
     elif isinstance(source, DatasetSource):
         if grid.reference is Reference.TRUE_BETA:
             raise ValueError("TRUE_BETA reference requires a synthetic source")
@@ -172,6 +184,15 @@ def _validate(grid: ExperimentGrid, source):
         if need > source.dataset.n:
             raise ValueError(
                 f"largest split needs {need} rows but dataset has {source.dataset.n}"
+            )
+        # a split's moments, and the baseline's radii, are sums bounded by
+        # the whole dataset's sums of squared row norms and responses
+        with np.errstate(over="ignore"):
+            totals = [np.sum(source.dataset.feature_sq_norms), np.sum(source.dataset.response_sq)]
+        if not all(map(math.isfinite, totals)):
+            raise ValueError(
+                "dataset is too large: its sum of squared feature-row norms or of "
+                "squared responses overflows"
             )
         d = source.dataset.d
     else:

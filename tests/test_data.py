@@ -377,6 +377,56 @@ class TestSplit:
         assert combined == list(map(float, range(100)))
 
 
+class TestSplitMoments:
+    """The private rows' X^T X and X^T y, from the complement when it is the
+    smaller side, else from the rows on first read."""
+
+    @staticmethod
+    def _data(n=400, d=5, seed=3):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d)) * np.geomspace(0.1, 30.0, d) + 2.0
+        return LabeledDataset(features=x, responses=x @ np.ones(d) + rng.standard_normal(n))
+
+    @pytest.mark.parametrize(
+        "n_pub, n_priv, mode",
+        [
+            (40, 360, SplitMode.RANDOM_WITHOUT_REPLACEMENT),  # every row used
+            (40, 300, SplitMode.RANDOM_WITHOUT_REPLACEMENT),  # 60 middle rows unused
+            (40, 360, SplitMode.HEAD_TAIL),
+            (40, 300, SplitMode.HEAD_TAIL),  # 60 tail rows unused
+            (1, 201, SplitMode.RANDOM_WITHOUT_REPLACEMENT),  # 199 left out < 201
+        ],
+    )
+    def test_complement_matches_the_private_rows(self, n_pub, n_priv, mode):
+        data = self._data()
+        public, private = split(data, n_pub, n_priv, [7, 3, 0, 2], mode)
+        held = private.__dict__  # where cached_property keeps what it holds
+        assert "gram" in held and "cross" in held  # set by split, not formed from rows
+        x, y = private.features, private.responses
+        own_gram, own_cross = x.T @ x, x.T @ y
+        assert np.abs(held["gram"] - own_gram).max() <= 1e-12 * np.abs(own_gram).max()
+        assert np.abs(held["cross"] - own_cross).max() <= 1e-12 * np.abs(own_cross).max()
+        moment = private.second_moment.entries
+        assert np.abs(moment - own_gram / n_priv).max() <= 1e-12 * np.abs(own_gram).max() / n_priv
+        assert np.allclose(olse(private), np.linalg.lstsq(x, y, rcond=None)[0], rtol=1e-10)
+        # the whole dataset's sums are formed once and kept for every split
+        assert data.__dict__["gram"] is data.gram
+        split(data, n_pub, n_priv, [7, 3, 1, 2], mode)
+        assert data.__dict__["gram"] is data.gram
+
+    @pytest.mark.parametrize("mode", list(SplitMode))
+    @pytest.mark.parametrize("n_priv", [200, 100])  # 200 left out is not fewer than 200
+    def test_rows_form_the_moments_when_the_complement_is_not_smaller(self, mode, n_priv):
+        data = self._data()
+        _, private = split(data, 40, n_priv, [7, 3, 0, 2], mode)
+        assert "gram" not in private.__dict__ and "cross" not in private.__dict__
+        assert "gram" not in data.__dict__
+        x, y = private.features, private.responses
+        expected = SymmetricMatrix(x.T @ x / n_priv).entries
+        assert private.second_moment.entries.tobytes() == expected.tobytes()
+        assert private.cross_moment.tobytes() == (x.T @ y / n_priv).tobytes()
+
+
 class TestPublicMoments:
     def test_basis_rows(self):
         data = LabeledDataset(features=np.eye(2), responses=np.array([3.0, 4.0]))

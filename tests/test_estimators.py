@@ -104,6 +104,32 @@ class TestLabeledDataset:
                     values[0] = 0.0
         assert np.shares_memory(data.head(3).features, data.features)
 
+    @pytest.mark.parametrize("d", [1, 3, 10, 11, 50])
+    def test_subsets_carry_their_own_row_norms_bit_for_bit(self, rng, d):
+        spec = replace(default_synthetic(d), coefficients=np.ones(d))
+        draw = generate(spec, 300, rng)
+        real = LabeledDataset(rng.standard_normal((300, d)), rng.standard_normal(300))
+        for data in (draw, real):
+            held = data.__dict__  # where cached_property keeps what it formed
+            assert "feature_sq_norms" in held and "response_sq" in held
+            index = rng.permutation(300)[:97]
+            subsets = [data.head(1), data.head(200), data.take(index), data.take(index[:5])]
+            subsets += [subsets[1].head(64), subsets[2].take(np.array([4, 0, 4]))]
+            for subset in subsets:
+                x, y = subset.features, subset.responses
+                own = subset.__dict__
+                assert own["feature_sq_norms"].tobytes() == np.einsum("ij,ij->i", x, x).tobytes()
+                assert own["response_sq"].tobytes() == np.einsum("i,i->i", y, y).tobytes()
+                for values in (own["feature_sq_norms"], own["response_sq"]):
+                    assert not values.flags.writeable
+
+    def test_rows_never_checked_form_their_norms_on_first_read(self, rng):
+        x = rng.standard_normal((20, 3))
+        rows = LabeledDataset._unchecked(x @ np.diag([1.0, 2.0, 3.0]), np.ones(20))
+        assert "feature_sq_norms" not in rows.__dict__
+        assert np.array_equal(rows.feature_sq_norms, np.einsum("ij,ij->i", *[rows.features] * 2))
+        assert rows.feature_sq_norms is rows.feature_sq_norms
+
     def test_moments_formed_once_on_first_read(self, rng):
         data = LabeledDataset(rng.standard_normal((30, 3)), rng.standard_normal(30))
         x, y = data.features, data.responses

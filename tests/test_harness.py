@@ -190,6 +190,24 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="synthetic"):
             run_grid(small_grid(n_priv_values=(100,)), DatasetSource(data))
 
+    @pytest.mark.parametrize("column", [None, 0, 2])  # responses, or one feature
+    def test_dataset_whose_squares_overflow_refused_before_any_trial(
+        self, column, rng, monkeypatch
+    ):
+        # every cell is finite, but X^T X (or the sum of y^2) would overflow
+        # in the first split; pytest makes any RuntimeWarning an error
+        from pmtreg.harness import DatasetSource
+
+        x, y = rng.standard_normal((500, 3)), rng.standard_normal(500)
+        (y if column is None else x[:, column])[:] *= 1e153
+        calls = count_trials(monkeypatch)
+        grid = small_grid(
+            n_priv_values=(300,), n_pub_values=(50,), reference=Reference.NONPRIVATE_OLSE
+        )
+        with pytest.raises(ValueError, match="dataset is too large: its sum of squared"):
+            run_grid(grid, DatasetSource(LabeledDataset(features=x, responses=y)))
+        assert calls == []
+
     def test_dataset_source_runs(self, rng):
         from pmtreg.estimators import LabeledDataset
         from pmtreg.harness import DatasetSource
@@ -364,24 +382,61 @@ class TestDatasetSharing:
         assert len(eigs) == 4 * len(privates)
 
     def test_real_private_gram_formed_once(self, monkeypatch, rng):
-        # a baseline that clips nothing releases the private rows themselves
-        # and reads the Gram olse formed
+        # the split leaves out 200 rows of 500, fewer than the 300 private
+        # ones, so the private Gram comes from the complement and no pass
+        # over the private rows forms one; a baseline that clips nothing
+        # releases the private rows themselves and reads the spectrum olse
+        # formed from that Gram
         from functools import cached_property
 
         grams = []
-        real_gram = LabeledDataset.second_moment.func
+        real_gram = LabeledDataset.gram.func
 
-        def second_moment(rows):
+        def gram(rows):
             grams.append(rows)
             return real_gram(rows)
 
-        gram = cached_property(second_moment)
-        gram.__set_name__(LabeledDataset, "second_moment")
-        monkeypatch.setattr(LabeledDataset, "second_moment", gram)
+        counted = cached_property(gram)
+        counted.__set_name__(LabeledDataset, "gram")
+        monkeypatch.setattr(LabeledDataset, "gram", counted)
         privates, baselines = self._real_grid_run(monkeypatch, rng)
         for private, out in zip(privates, baselines):
-            assert sum(rows is private for rows in grams) == 1
+            assert not any(rows is private for rows in grams)
+            assert "gram" in private.__dict__
             assert out.pre_diag is private.spectrum
+        # the whole dataset's, then per trial the public rows' and the whitened rows'
+        assert len(grams) == 1 + 2 * len(privates)
+        assert grams[0].n == 500
+
+    def test_complement_moments_only_save_time(self, monkeypatch, rng, tmp_path):
+        # the same real 3-rho grid with the private moments formed from the
+        # private rows: every value agrees to rounding, every count exactly
+        from pmtreg import data as data_module
+        from pmtreg.harness import DatasetSource
+
+        x = rng.standard_normal((500, 3)) * [1.0, 4.0, 0.3] + [0.5, -1.0, 2.0]
+        y = x @ np.array([1.0, -0.5, 2.0]) + 0.3 * rng.standard_normal(500)
+        source = DatasetSource(LabeledDataset(features=x, responses=y))
+        grid = small_grid(
+            rho_values=(1.0, 5.0, 50.0), n_priv_values=(300, 450), n_pub_values=(50,),
+            reference=Reference.NONPRIVATE_OLSE, trials=4,
+        )
+        used = []
+        real_sums = data_module._sums_from_complement
+        monkeypatch.setattr(
+            data_module, "_sums_from_complement", lambda *args: used.append(real_sums(*args))
+        )
+        shipped = run_grid(grid, source)
+        assert len(used) == 2 * grid.trials  # both sizes leave out fewer rows than they keep
+        monkeypatch.setattr(data_module, "_sums_from_complement", lambda *args: None)
+        row_formed = run_grid(grid, source)
+        assert len(shipped) == len(row_formed) == 12
+        for a, b in zip(shipped, row_formed):
+            assert (a.method, a.rho, a.n_priv, a.n_pub) == (b.method, b.rho, b.n_priv, b.n_pub)
+            assert (a.trials_ok, a.trials_failed) == (b.trials_ok, b.trials_failed)
+            assert a.mean_truncated_frac == b.mean_truncated_frac
+            for name in ("mean_err", "std_err", "mean_avg_cond_pre"):
+                assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12, abs=0)
 
     def test_failed_budget_fails_only_its_cell(self, monkeypatch):
         grid = small_grid(rho_values=(0.5, 2.0, 10.0), trials=4)
@@ -633,6 +688,13 @@ class TestCli:
             (
                 ["synth", "--d", "3", "--psi-spec", "1,2,1e308"],
                 "--psi-spec value 1e+308 is too large: the second moment",
+            ),
+            (
+                # every row is finite, but the baseline's sum of squared
+                # norms overflows; pytest makes any RuntimeWarning an error
+                ["synth", "--mu-scale", "0", "--psi-spec", ",".join(["1e305"] * 10)],
+                "synthetic design is too large: the private rows' sum of squared norms, "
+                "about largest n_priv x trace of the second moment = 3000 x 1e+306, overflows",
             ),
         ],
     )
