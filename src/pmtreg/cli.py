@@ -174,20 +174,25 @@ def _cmd_real(args) -> int:
 def _cmd_diagnose(args) -> int:
     if args.data is not None:
         dataset = _load(args)
-        matrix = dataset.second_moment
-        d = dataset.d
-        n_pub = args.n_pub if args.n_pub is not None else dataset.n
+        matrix, d, n_pub = dataset.second_moment, dataset.d, dataset.n
     else:
         spec = default_synthetic(d=args.d, mu_scale=args.mu_scale)
-        matrix = spec.second_moment()
-        d = spec.d
-        n_pub = args.n_pub if args.n_pub is not None else 4 * d
-    diag = diagnostics(matrix)
-    payload = diag.as_dict()
+        matrix, d, n_pub = spec.second_moment(), spec.d, 4 * spec.d
+    n_pub = args.n_pub if args.n_pub is not None else n_pub
+    payload = diagnostics(matrix).as_dict()
     payload["L"], payload["U"] = theory_bracket(d, n_pub, args.eta)
-    json.dump(payload, sys.stdout, indent=2)
+    payload = {name: _json_number(value) for name, value in payload.items()}
+    json.dump(payload, sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")
     return EXIT_OK
+
+
+def _json_number(value):
+    """``value``, or each number of a list, with a non-finite number (an
+    unbounded U, or cond where lambda_min <= 0) as None: standard JSON's null."""
+    if isinstance(value, list):
+        return [_json_number(v) for v in value]
+    return value if math.isfinite(value) else None
 
 
 def _keep_freed_heap() -> None:

@@ -1,11 +1,9 @@
 """Synthetic data generation, CSV ingestion, normalization, and splitting.
 
 Every dataset made here is checked, so it holds each row's ||x_i||^2 and
-y_i^2 from the start: a synthetic draw forms them in :func:`generate`, the
-real data in :func:`normalize`, and every prefix or split of the rows takes
-its share of them instead of squaring its rows again.  :func:`split` also
-hands the private rows their X^T X and X^T y from the complement when that
-is the smaller side; see there.
+y_i^2 from the start (:func:`generate`, :func:`normalize`), and every prefix
+or split of its rows takes its slice of them.  :func:`split` may build the
+private rows' X^T X and X^T y as a complement; see there.
 """
 
 from __future__ import annotations
@@ -13,8 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +49,12 @@ class SyntheticModelSpec:
 
     ``coefficients`` may be None, meaning the caller samples beta (standard
     normal) once per experiment.  The implied feature second moment is
-    covariance + mean mean^T.  The covariance's PSD square root is computed
-    once, at construction, so a covariance that is not PSD fails here.
+    covariance + mean mean^T.  The covariance's PSD square root is formed on
+    first read (by a sweep's check before its first draw), so a spec that
+    draws nothing forms none.  A covariance that is not PSD fails at
+    construction: one whose Gershgorin discs lie in [0, inf), such as a
+    diagonal one with nonnegative entries, is PSD; any other has its root
+    formed there.
     """
 
     d: int
@@ -59,7 +62,6 @@ class SyntheticModelSpec:
     covariance: SymmetricMatrix
     coefficients: np.ndarray | None = None
     noise_std: float = 0.05
-    covariance_root: SymmetricMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -69,10 +71,9 @@ class SyntheticModelSpec:
             raise ValueError(f"mean must be finite, got {mean[~np.isfinite(mean)][0]}")
         if self.covariance.dim != self.d:
             raise ValueError("covariance dimension does not match d")
-        try:
-            root = sqrt_sym(self.covariance)
-        except ValueError as exc:
-            raise ValueError(f"covariance must be PSD: {exc}") from None
+        c, diagonal = self.covariance.entries, np.diagonal(self.covariance.entries)
+        if not (diagonal >= np.abs(c).sum(axis=1) - np.abs(diagonal)).all():
+            self.covariance_root  # not PSD by its discs: formed now, or refused
         if self.coefficients is not None:
             coef = np.asarray(self.coefficients, dtype=np.float64)
             if coef.shape != (self.d,):
@@ -84,7 +85,14 @@ class SyntheticModelSpec:
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance_root", root)
+
+    @cached_property
+    def covariance_root(self) -> SymmetricMatrix:
+        """The covariance's PSD square root."""
+        try:
+            return sqrt_sym(self.covariance)
+        except ValueError as exc:
+            raise ValueError(f"covariance must be PSD: {exc}") from None
 
     def second_moment(self) -> SymmetricMatrix:
         return SymmetricMatrix(self.covariance.entries + np.outer(self.mean, self.mean))
@@ -266,19 +274,20 @@ def split(
     n_pub, last first.  So for one seed each set is a prefix of any larger
     set of its kind, and the two stay disjoint while n_pub + n_priv <= n.
     Head mode takes the first n_pub rows as public and the next n_priv as
-    private, whatever the seed.  The rows come from a checked dataset, so
-    their cells are not scanned again, and each subset takes its share of
-    the rows' squared norms.
+    private, whatever the seed.  Each subset takes its slice of the rows'
+    squared norms, and its cells are not scanned again.
 
     When the rows the private set leaves out are fewer than its own
-    (n - n_priv < n_priv), the private set gets X^T X and X^T y as the
-    dataset's sums (formed on its first such split and kept) minus the sums
-    over the left-out rows: the public rows, whose sums its public moments
-    read too, and any the split does not use.  Each split then passes over
-    the n - n_priv left-out rows instead of the n_priv private ones.  The
-    difference carries the rounding of sums over all n rows, so its error
-    relative to the private sums is about eps * n / n_priv, which the rule
-    keeps below about 2 eps.
+    (n - n_priv < n_priv), its X^T X and X^T y are a complement
+    (``RowStatistics.complement``): the dataset's sums, formed on its first
+    such split and kept, less those of the left-out rows (the public rows
+    and any unused ones).  A split then passes over the n - n_priv left-out
+    rows instead of the n_priv private ones.  The difference's error relative
+    to the private sums is about eps * n / n_priv, below about 2 eps by the
+    rule.  The rule stays because it pays: without it, real-csv
+    ``bench/run.py`` sweeps (the wine grid, 249 of 4,898 rows left out) read
+    a median 5,097 trials/s against 5,530 (-7.8%; 5 of 6 alternating 6 s
+    pairs slower, seed 23, 2 vCPUs, OpenBLAS 0.3.31).
     """
     n = data.n
     if n_pub < 1 or n_priv < 1:
@@ -292,21 +301,10 @@ def split(
         perm = np.random.default_rng(seed).permutation(n)
         pub_idx, priv_idx = perm[::-1][:n_pub], perm[:n_priv]
         unused_idx = perm[n_priv : n - n_pub]
-    public, private = data.take(pub_idx), data.take(priv_idx)
+    public, left_out = data.take(pub_idx), ()
     if n - n_priv < n_priv:
-        _sums_from_complement(private, data, public, unused_idx)
-    return public, private
-
-
-def _sums_from_complement(private, data, public, unused_idx) -> None:
-    """Set the private subset's X^T X and X^T y to the dataset's sums less
-    those of the public rows and of the rows at ``unused_idx``."""
-    gram, cross = data.gram - public.gram, data.cross - public.cross
-    if unused_idx.size:
-        x, y = (np.take(v, unused_idx, axis=0) for v in (data.features, data.responses))
-        gram -= x.T @ x
-        cross -= x.T @ y
-    private.__dict__.update(gram=gram, cross=cross)  # where cached_property keeps them
+        left_out = (public, data.take(unused_idx)) if unused_idx.size else (public,)
+    return public, data.take(priv_idx, left_out)
 
 
 def public_moments(public: LabeledDataset) -> PublicMoments:

@@ -12,45 +12,26 @@ passes raw rows with radii taken from the private data's own moments.
 
 Each DP estimator takes a tuple of budgets and returns one
 :class:`EstimatorOutput`.  The work that does not depend on rho (whitening,
-clipping, the two moments) is done and held once, and the noise is drawn per
-budget.  The pre-noise moment and every budget's noisy moment are then
-decomposed as one stack, in one eigendecomposition call, and each budget is
-solved through its own eigenpairs.
+clipping, the two moments) is done once, the noise is drawn per budget, and
+the noisy moments are decomposed as one stack, in one eigendecomposition
+call.
 
-A :class:`LabeledDataset` forms X^T X, X^T y, their means over n and the
-spectrum of X^T X / n once each, on first read.  A release reads the moments
-of the rows it releases, and a clip that changes no row hands back the same
-rows, so :func:`olse` and a release that clips nothing (the baseline on
-standardized real data) share one Gram, one cross moment and one spectrum.
-
-Each statistic of a single row is formed once per source of rows.  A checked
-dataset forms every row's ||x_i||^2 and y_i^2 when it checks its cells (a
-synthetic draw in ``data.generate``, the standardized real data in
-``data.normalize``), and :meth:`LabeledDataset.head` and
-:meth:`LabeledDataset.take` hand each subset its slice of them.  A release
-screens both clips with them, and the baseline takes mean y^2 from them.  Its
-mean ||x||^2 is still summed over the cells, as before: another summation
-order moves r_x by an ulp, and where rows clip, the clipped Gram's
-conditioning amplifies that: up to 1.5e-9 relative in the CSV's
-``mean_avg_cond_pre`` on the ill-conditioned design below.  On real data,
-``data.split`` may hand the private rows X^T X and X^T y from the
-complement; see there.
-
-DP_PMTOLSE forms its Gram from the whitened rows, never as P G P from the
-raw Gram G, although that would skip a pass over the rows: P G P carries
-rounding of order eps ||P||^2 ||G||, the ill-conditioning the
-preconditioning exists to absorb.  On a design whose second moment has
-avg_cond 1.5e8 (``pmtreg synth --psi-spec`` geomspace(1e-6, 1)
-``--mu-scale 20``, seeds 0, 1 and 64) it moved DP_PMTOLSE's mean_err by up
-to 1.2e-9 relative, where the row-formed Gram keeps every CSV byte.
+A :class:`LabeledDataset` is its rows and the :class:`RowStatistics` it was
+handed for them (row norms, X^T X, X^T y); what it was not handed, and the
+moments and spectrum derived from them, it forms on first read.  A clip
+that changes no row hands back the same rows, so :func:`olse` and a
+baseline release that clips nothing share one Gram and one spectrum.
+Designs not taken (P G P, the summation order of mean ||x||^2): README,
+"Rejected designs".
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +55,7 @@ from .spectra import (
 __all__ = [
     "Method",
     "LabeledDataset",
+    "RowStatistics",
     "PublicMoments",
     "EstimatorOutput",
     "UnstableInversionError",
@@ -93,25 +75,68 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-# Per-row statistics a dataset hands each subset of its rows.
-_ROW_STATISTICS = ("feature_sq_norms", "response_sq")
+class RowStatistics(NamedTuple):
+    """What a :class:`LabeledDataset` of n rows holds instead of forming it
+    from its rows: each row's ||x_i||^2 (``feature_sq_norms``) and y_i^2
+    (``response_sq``), X^T X (``gram``) and X^T y (``cross``).  None marks a
+    statistic the dataset forms on first read.
+
+    Made by :meth:`of_checked_rows`, :meth:`subset` or :meth:`complement`.
+    ``RowStatistics(n)`` holds nothing, for whitened or clipped rows.  A tuple,
+    as a frozen dataclass took 0.6 ms more to define and 2.5x as long per
+    instance (CPython 3.11, 2 vCPUs).
+    """
+
+    n: int
+    feature_sq_norms: np.ndarray | None = None
+    response_sq: np.ndarray | None = None
+    gram: np.ndarray | None = None
+    cross: np.ndarray | None = None
+
+    @classmethod
+    def of_checked_rows(cls, x: np.ndarray, y: np.ndarray) -> RowStatistics:
+        """The row norms of rows whose cells were checked, formed now for
+        every subset of them (inf where a finite entry's square overflows)."""
+        with np.errstate(over="ignore"):
+            return cls(x.shape[0], _read_only(np.einsum("ij,ij->i", x, x)), _read_only(y * y))
+
+    @classmethod
+    def subset(cls, parent: LabeledDataset, pick) -> RowStatistics:
+        """A subset's slice of ``parent``'s row norms, ``pick`` selecting its
+        rows from a per-row array; its sums are formed from its own rows."""
+        sq_norms = _read_only(pick(parent.feature_sq_norms))
+        return cls(sq_norms.shape[0], sq_norms, _read_only(pick(parent.response_sq)))
+
+    @classmethod
+    def complement(cls, parent: LabeledDataset, pick, left_out) -> RowStatistics:
+        """:meth:`subset`, holding X^T X and X^T y as ``parent``'s sums less
+        those of the datasets in ``left_out``, which hold the rows of
+        ``parent`` that ``pick`` leaves out; ``data.split`` says when."""
+        gram, cross = parent.gram, parent.cross
+        for rows in left_out:
+            gram, cross = gram - rows.gram, cross - rows.cross
+        return cls.subset(parent, pick)._replace(gram=gram, cross=cross)
 
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """A design matrix with its response vector, both read-only and C-ordered.
+    """A design matrix with its response vector, both read-only and C-ordered,
+    and the :class:`RowStatistics` it holds for them.
 
-    The moments and the spectrum below are computed once each, on first
-    read, and kept; the per-row squared norms are formed when the cells are
-    checked (or on first read, for rows that were not checked).
-    :meth:`head` and :meth:`take` make subsets of the rows without checking
-    their cells again, and hand each subset its share of the row norms.
+    Built without ``stats``, it checks its cells and forms its row norms;
+    with them, it takes float64 rows from a checked dataset, or computed from
+    one, without scanning them.  What ``stats`` does not hold, and the
+    moments and spectrum below, are formed on first read and kept.
     """
 
     features: np.ndarray
     responses: np.ndarray
+    stats: RowStatistics | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.stats is not None:
+            self.features.flags.writeable = self.responses.flags.writeable = False
+            return
         x = np.asarray(self.features, dtype=np.float64, order="C")
         y = np.asarray(self.responses, dtype=np.float64, order="C")
         if x.ndim != 2:
@@ -136,73 +161,60 @@ class LabeledDataset:
                 raise ValueError(
                     f"{name} must be finite: {values[row, col]} at row {row}, column {col}"
                 )
-        x.flags.writeable = False
-        y.flags.writeable = False
+        x.flags.writeable = y.flags.writeable = False
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "responses", y)
-        # the per-row squared norms, formed once for every subset of these rows
-        with np.errstate(over="ignore"):
-            for name in _ROW_STATISTICS:
-                getattr(self, name)
+        object.__setattr__(self, "stats", RowStatistics.of_checked_rows(x, y))
 
     @property
     def n(self) -> int:
-        return self.features.shape[0]
+        return self.stats.n
 
     @property
     def d(self) -> int:
         return self.features.shape[1]
 
-    @classmethod
-    def _unchecked(cls, features: np.ndarray, responses: np.ndarray) -> LabeledDataset:
-        """Float64 rows taken from a checked dataset or computed from one,
-        made read-only but not scanned again."""
-        data = object.__new__(cls)
-        features.flags.writeable = responses.flags.writeable = False
-        object.__setattr__(data, "features", features)
-        object.__setattr__(data, "responses", responses)
-        return data
-
-    def _subset(self, pick) -> LabeledDataset:
-        """The rows ``pick`` selects from each per-row array, the row
-        statistics included."""
-        subset = self._unchecked(pick(self.features), pick(self.responses))
-        for name in _ROW_STATISTICS:  # __dict__ is where cached_property keeps them
-            subset.__dict__[name] = _read_only(pick(getattr(self, name)))
-        return subset
-
     def head(self, n: int) -> LabeledDataset:
         """The first n rows: this dataset itself when it has n rows, else views."""
-        if n == self.n:
-            return self
-        return self._subset(lambda values: values[:n])
+        return self if n == self.n else self._subset(lambda values: values[:n])
 
-    def take(self, index: np.ndarray) -> LabeledDataset:
-        """The rows at ``index``, gathered into new arrays."""
-        return self._subset(lambda values: np.take(values, index, axis=0))
+    def take(self, index: np.ndarray, left_out=()) -> LabeledDataset:
+        """The rows at ``index``, gathered into new arrays.  If ``left_out``
+        holds the other rows as datasets, the subset's sums are their
+        complement (:meth:`RowStatistics.complement`)."""
+        return self._subset(lambda values: np.take(values, index, axis=0), left_out)
+
+    def _subset(self, pick, left_out=()) -> LabeledDataset:
+        """The rows ``pick`` selects from each per-row array, with their statistics."""
+        if left_out:
+            stats = RowStatistics.complement(self, pick, left_out)
+        else:
+            stats = RowStatistics.subset(self, pick)
+        return LabeledDataset(pick(self.features), pick(self.responses), stats)
 
     @cached_property
     def feature_sq_norms(self) -> np.ndarray:
         """||x_i||^2 for each row, as :func:`pmt.clip_rows` screens rows."""
-        x = self.features
-        return _read_only(np.einsum("ij,ij->i", x, x))
+        x, held = self.features, self.stats.feature_sq_norms
+        return _read_only(np.einsum("ij,ij->i", x, x)) if held is None else held
 
     @cached_property
     def response_sq(self) -> np.ndarray:
         """y_i^2 for each row."""
-        y = self.responses
-        return _read_only(y * y)
+        y, held = self.responses, self.stats.response_sq
+        return _read_only(y * y) if held is None else held
 
     @cached_property
     def gram(self) -> np.ndarray:
         """X^T X."""
-        x = self.features
-        return x.T @ x
+        x, held = self.features, self.stats.gram
+        return x.T @ x if held is None else held
 
     @cached_property
     def cross(self) -> np.ndarray:
         """X^T y."""
-        return self.features.T @ self.responses
+        held = self.stats.cross
+        return self.features.T @ self.responses if held is None else held
 
     @cached_property
     def second_moment(self) -> SymmetricMatrix:
@@ -218,17 +230,6 @@ class LabeledDataset:
     def spectrum(self) -> SpectralDiagnostics:
         """The eigendecomposition of :attr:`second_moment`."""
         return diagnostics(self.second_moment)
-
-    def noisy_spectra(self, noises) -> tuple[SpectralDiagnostics, list[SpectralDiagnostics]]:
-        """:attr:`spectrum`, and the spectrum of second_moment + E for each
-        exactly symmetric E in ``noises``, from one stacked eigendecomposition
-        that takes in the second moment too unless its spectrum was read
-        before."""
-        pre = self.__dict__.get("spectrum")  # where cached_property keeps it
-        post = shifted_diagnostics(self.second_moment, noises, include_m=pre is None)
-        if pre is None:
-            pre = self.__dict__["spectrum"] = post.pop(0)
-        return pre, post
 
 
 @dataclass(frozen=True)
@@ -277,18 +278,22 @@ def _release(
     budgets: tuple[PrivacyBudget, ...],
     rng: np.random.Generator,
     notes: tuple = (),
+    shared: bool = False,
 ) -> EstimatorOutput:
     """The Gaussian sufficient-statistics mechanism both DP estimators share.
 
     Clips feature rows to r_x and responses to r_y, once.  For each budget in
     order it draws the noise of :func:`noise_scales` (rho each, matrix noise
-    first), so every budget is a standalone release at its rho.  The clipped
-    rows' pre-noise moment and the noisy moments are decomposed together
-    (see :meth:`LabeledDataset.noisy_spectra`); when neither clip changed a
-    row, the clipped rows are ``data`` itself, with any moment or spectrum it
-    already holds.  Each budget then solves its noisy normal equations
-    through its eigenpairs.  A budget whose noisy moment :func:`solve`
-    refuses gets beta None; the other budgets stand.
+    first), so every budget is a standalone release at its rho.  The noisy
+    moments are decomposed in one :func:`shifted_diagnostics` stack, and each
+    budget is solved through its eigenpairs; one whose noisy moment
+    :func:`solve` refuses gets beta None, and the others stand.
+
+    A clip that changes no row releases ``data`` itself, with whatever it
+    holds.  ``shared`` marks ``data`` as the caller's rows, whose spectrum
+    the caller may have formed (:func:`olse` reads it): unclipped, it is read
+    from ``data``.  Rows new here (whitened or clipped) decompose their
+    pre-noise moment in the stack.
     """
     n, d = data.n, data.d
     if n <= d:
@@ -296,7 +301,7 @@ def _release(
     x, feat_report = pmt.clip_rows(data.features, r_x, data.feature_sq_norms)
     y, resp_report = pmt.clip_rows(data.responses[:, None], r_y, data.response_sq)
     if feat_report.truncated or resp_report.truncated:
-        data = LabeledDataset._unchecked(x, y[:, 0])
+        data, shared = LabeledDataset(x, y[:, 0], RowStatistics(n)), False
 
     noise = []
     for budget in budgets:
@@ -304,7 +309,8 @@ def _release(
         noise.append(
             (sample_symmetric_gaussian(d, sigma1, rng), sample_gaussian_vector(d, sigma2, rng))
         )
-    pre_diag, post_diags = data.noisy_spectra([mat for mat, _ in noise])
+    spectra = shifted_diagnostics(data.second_moment, [mat for mat, _ in noise], not shared)
+    pre_diag, post_diags = (data.spectrum, spectra) if shared else (spectra[0], spectra[1:])
     betas = []
     for post_diag, (_, vec) in zip(post_diags, noise):
         try:
@@ -342,10 +348,8 @@ def dp_pmtolse(
         raise UnstableInversionError("response_moment must be positive to rescale responses")
 
     pre = inv_sqrt_clamped(public.feature_moment)
-    whitened = LabeledDataset._unchecked(
-        pmt.transform(data.features, pre), data.responses / public.response_moment
-    )
-    out = _release(whitened, r_x, r_y, budgets, rng)
+    x, y = pmt.transform(data.features, pre), data.responses / public.response_moment
+    out = _release(LabeledDataset(x, y, RowStatistics(n)), r_x, r_y, budgets, rng)
     sigma_b = public.response_moment
     return replace(
         out,
@@ -369,9 +373,7 @@ def dp_olse_baseline(
     """
     n, d = data.n, data.d
     log_term = pmt.truncation_radius(1, n, eta) ** 2 - 1.0  # ln(2n/eta), eta checked
-    # tr is summed over the cells, not over the carried row norms: another
-    # summation order moves r_x by an ulp, and once rows clip, a design's
-    # conditioning can make that a 1.5e-9 relative change of avg_cond.
+    # tr is summed over the cells, not the row norms: README, "Rejected designs"
     trace_a = float(np.sum(data.features**2)) / n
     sigma_a_sq = float(np.mean(data.response_sq))
     return _release(
@@ -380,4 +382,5 @@ def dp_olse_baseline(
         math.sqrt(sigma_a_sq + log_term),
         budgets, rng,
         notes=("truncation radii derived from unprivatized private moments",),
+        shared=True,
     )

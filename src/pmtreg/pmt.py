@@ -98,11 +98,10 @@ def clip_rows(samples: np.ndarray, radius: float, sq_norms: np.ndarray | None = 
     # (d - 1) eps of the true sum, relatively, so a 1e-9 margin is safe for
     # any d below about 10^6.  A nan row screens out and its exact norm would
     # not clip it either, so when no row passes the screen the input goes
-    # back at once.  (A screen on sq.max() would be wrong: a nan row makes
-    # the maximum nan and hides a row that must clip.)  The bound fails for a
-    # subnormal or overflowing radius^2, which takes exact norms for every
-    # row, as do non-C-ordered inputs, whose pairwise row sums follow
-    # another order.
+    # back at once (not screened on sq.max(): README, "Rejected designs").
+    # The bound fails for a subnormal or overflowing radius^2, which takes
+    # exact norms for every row, as do non-C-ordered inputs, whose pairwise
+    # row sums follow another order.
     low = radius * radius * (1.0 - 1e-9)
     if _TINY <= low < math.inf and samples.flags.c_contiguous:
         if sq_norms is None:

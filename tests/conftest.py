@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -82,3 +83,21 @@ def assert_calibrated(spend, n, budgets):
         draws += [("matrix", sigma1), ("vector", sigma2)]
     assert spend[2:] == draws
     return r_x, r_y
+
+
+def formed_grams(monkeypatch) -> list:
+    """The datasets that form X^T X from their rows, in order, as they do it;
+    a dataset whose statistics hold X^T X reads it and is not listed."""
+    LabeledDataset = pmtreg.estimators.LabeledDataset
+    formed = []
+    real = LabeledDataset.gram.func
+
+    def gram(rows):
+        if rows.stats.gram is None:
+            formed.append(rows)
+        return real(rows)
+
+    counted = cached_property(gram)
+    counted.__set_name__(LabeledDataset, "gram")
+    monkeypatch.setattr(LabeledDataset, "gram", counted)
+    return formed

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import formed_grams
 from pmtreg.data import (
     CsvParseError,
     SplitMode,
@@ -64,6 +65,32 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError, match="covariance must be PSD.*lambda_min=-5"):
             SyntheticModelSpec(
                 d=3, mean=np.zeros(3), covariance=SymmetricMatrix(np.diag([1.0, 2.0, -5.0]))
+            )
+
+    def test_root_formed_at_construction_only_where_the_discs_do_not_show_psd(
+        self, monkeypatch
+    ):
+        import pmtreg.data
+
+        roots = []
+        real = pmtreg.data.sqrt_sym
+        monkeypatch.setattr(pmtreg.data, "sqrt_sym", lambda m: roots.append(m) or real(m))
+        # diagonally dominant with a nonnegative diagonal: PSD without a root
+        dominant = SymmetricMatrix([[2.0, -1.0], [-1.0, 3.0]])
+        spec = SyntheticModelSpec(d=2, mean=np.zeros(2), covariance=dominant)
+        assert roots == []
+        root = spec.covariance_root
+        assert spec.covariance_root is root and len(roots) == 1
+        assert np.allclose(root.entries @ root.entries, dominant.entries, rtol=1e-14)
+        # PSD but not dominant: its root is formed at construction, once
+        rank_one = SymmetricMatrix([[1.0, 2.0], [2.0, 4.0]])
+        spec = SyntheticModelSpec(d=2, mean=np.zeros(2), covariance=rank_one)
+        assert len(roots) == 2
+        spec.covariance_root
+        assert len(roots) == 2
+        with pytest.raises(ValueError, match="covariance must be PSD.*lambda_min=-1"):
+            SyntheticModelSpec(
+                d=2, mean=np.zeros(2), covariance=SymmetricMatrix([[1.0, 2.0], [2.0, 1.0]])
             )
 
     @pytest.mark.parametrize("d", [0, -1])
@@ -397,34 +424,43 @@ class TestSplitMoments:
             (1, 201, SplitMode.RANDOM_WITHOUT_REPLACEMENT),  # 199 left out < 201
         ],
     )
-    def test_complement_matches_the_private_rows(self, n_pub, n_priv, mode):
+    def test_complement_matches_the_private_rows(self, n_pub, n_priv, mode, monkeypatch):
         data = self._data()
+        formed = formed_grams(monkeypatch)
         public, private = split(data, n_pub, n_priv, [7, 3, 0, 2], mode)
-        held = private.__dict__  # where cached_property keeps what it holds
-        assert "gram" in held and "cross" in held  # set by split, not formed from rows
+        held = private.stats  # built by split as a complement, not formed from rows
+        assert held.gram is not None and held.cross is not None
+        assert private.gram is held.gram and private.cross is held.cross
+        assert not any(rows is private for rows in formed)
         x, y = private.features, private.responses
         own_gram, own_cross = x.T @ x, x.T @ y
-        assert np.abs(held["gram"] - own_gram).max() <= 1e-12 * np.abs(own_gram).max()
-        assert np.abs(held["cross"] - own_cross).max() <= 1e-12 * np.abs(own_cross).max()
+        assert np.abs(held.gram - own_gram).max() <= 1e-12 * np.abs(own_gram).max()
+        assert np.abs(held.cross - own_cross).max() <= 1e-12 * np.abs(own_cross).max()
         moment = private.second_moment.entries
         assert np.abs(moment - own_gram / n_priv).max() <= 1e-12 * np.abs(own_gram).max() / n_priv
         assert np.allclose(olse(private), np.linalg.lstsq(x, y, rcond=None)[0], rtol=1e-10)
         # the whole dataset's sums are formed once and kept for every split
-        assert data.__dict__["gram"] is data.gram
+        assert [rows is data for rows in formed].count(True) == 1
+        whole = data.gram
         split(data, n_pub, n_priv, [7, 3, 1, 2], mode)
-        assert data.__dict__["gram"] is data.gram
+        assert data.gram is whole
+        assert [rows is data for rows in formed].count(True) == 1
 
     @pytest.mark.parametrize("mode", list(SplitMode))
     @pytest.mark.parametrize("n_priv", [200, 100])  # 200 left out is not fewer than 200
-    def test_rows_form_the_moments_when_the_complement_is_not_smaller(self, mode, n_priv):
+    def test_rows_form_the_moments_when_the_complement_is_not_smaller(
+        self, mode, n_priv, monkeypatch
+    ):
         data = self._data()
+        formed = formed_grams(monkeypatch)
         _, private = split(data, 40, n_priv, [7, 3, 0, 2], mode)
-        assert "gram" not in private.__dict__ and "cross" not in private.__dict__
-        assert "gram" not in data.__dict__
+        assert private.stats.gram is None and private.stats.cross is None
+        assert formed == []  # neither the whole dataset's sums nor any other
         x, y = private.features, private.responses
         expected = SymmetricMatrix(x.T @ x / n_priv).entries
         assert private.second_moment.entries.tobytes() == expected.tobytes()
         assert private.cross_moment.tobytes() == (x.T @ y / n_priv).tobytes()
+        assert formed == [private]
 
 
 class TestPublicMoments:

@@ -15,10 +15,11 @@ import pytest
 
 from dataclasses import replace
 
+from conftest import formed_grams
 from pmtreg import harness
 from pmtreg.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 from pmtreg.data import default_synthetic
-from pmtreg.estimators import LabeledDataset, Method
+from pmtreg.estimators import LabeledDataset, Method, RowStatistics
 from pmtreg.harness import (
     CellResult,
     ExperimentGrid,
@@ -387,31 +388,20 @@ class TestDatasetSharing:
         # over the private rows forms one; a baseline that clips nothing
         # releases the private rows themselves and reads the spectrum olse
         # formed from that Gram
-        from functools import cached_property
-
-        grams = []
-        real_gram = LabeledDataset.gram.func
-
-        def gram(rows):
-            grams.append(rows)
-            return real_gram(rows)
-
-        counted = cached_property(gram)
-        counted.__set_name__(LabeledDataset, "gram")
-        monkeypatch.setattr(LabeledDataset, "gram", counted)
+        grams = formed_grams(monkeypatch)
         privates, baselines = self._real_grid_run(monkeypatch, rng)
         for private, out in zip(privates, baselines):
             assert not any(rows is private for rows in grams)
-            assert "gram" in private.__dict__
+            assert private.stats.gram is not None and private.gram is private.stats.gram
             assert out.pre_diag is private.spectrum
-        # the whole dataset's, then per trial the public rows' and the whitened rows'
-        assert len(grams) == 1 + 2 * len(privates)
-        assert grams[0].n == 500
+        # the whole dataset's, then per trial the public rows', the 150
+        # unused rows' (which the complement subtracts) and the whitened rows'
+        assert len(grams) == 1 + 3 * len(privates)
+        assert [rows.n for rows in grams] == [500] + [50, 150, 300] * len(privates)
 
     def test_complement_moments_only_save_time(self, monkeypatch, rng, tmp_path):
         # the same real 3-rho grid with the private moments formed from the
         # private rows: every value agrees to rounding, every count exactly
-        from pmtreg import data as data_module
         from pmtreg.harness import DatasetSource
 
         x = rng.standard_normal((500, 3)) * [1.0, 4.0, 0.3] + [0.5, -1.0, 2.0]
@@ -422,13 +412,19 @@ class TestDatasetSharing:
             reference=Reference.NONPRIVATE_OLSE, trials=4,
         )
         used = []
-        real_sums = data_module._sums_from_complement
-        monkeypatch.setattr(
-            data_module, "_sums_from_complement", lambda *args: used.append(real_sums(*args))
-        )
+        real_complement = RowStatistics.complement
+
+        def complement(cls, *args):
+            used.append(args)
+            return real_complement(*args)
+
+        monkeypatch.setattr(RowStatistics, "complement", classmethod(complement))
         shipped = run_grid(grid, source)
         assert len(used) == 2 * grid.trials  # both sizes leave out fewer rows than they keep
-        monkeypatch.setattr(data_module, "_sums_from_complement", lambda *args: None)
+        monkeypatch.setattr(
+            RowStatistics, "complement",
+            classmethod(lambda cls, parent, pick, left_out: cls.subset(parent, pick)),
+        )
         row_formed = run_grid(grid, source)
         assert len(shipped) == len(row_formed) == 12
         for a, b in zip(shipped, row_formed):
@@ -885,6 +881,42 @@ class TestCli:
         assert len(payload["eigenvalues"]) == 6
         assert 0.0 < payload["L"] < 1.0 < payload["U"]
 
+    @pytest.mark.parametrize("n_pub", [20, 11])
+    def test_diagnose_prints_null_for_an_unbounded_u(self, n_pub, capsys):
+        # sqrt(n_pub) <= sqrt(d) + sqrt(2 ln(1/eta)) at d = 10: U is +inf
+        assert main(["diagnose", "--n-pub", str(n_pub)]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        assert payload["U"] is None
+        assert 0.0 < payload["L"] < 1.0
+
+    def test_diagnose_prints_null_for_unbounded_condition_numbers(self, monkeypatch, capsys):
+        from pmtreg import cli
+        from pmtreg.spectra import SpectralDiagnostics
+
+        lam = np.array([-1.0, 2.0])  # lambda_min <= 0: cond and avg_cond are +inf
+        monkeypatch.setattr(cli, "diagnostics", lambda m: SpectralDiagnostics(lam, np.eye(2)))
+        assert main(["diagnose", "--d", "2", "--n-pub", "400"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        assert payload["cond"] is None and payload["avg_cond"] is None
+        assert payload["eigenvalues"] == [-1.0, 2.0] and payload["lambda_min"] == -1.0
+
+    def test_covariance_root_once_per_sweep_and_none_in_diagnose(
+        self, monkeypatch, tmp_path
+    ):
+        import pmtreg.data
+
+        roots = []
+        real = pmtreg.data.sqrt_sym
+        monkeypatch.setattr(pmtreg.data, "sqrt_sym", lambda m: roots.append(m) or real(m))
+        argv = ["synth", "--d", "3", "--n-priv", "50,80", "--n-pub", "10", "--trials", "3"]
+        for extra in ([], ["--psi-spec", "1,2,30"], ["--reference", "nonprivate_olse"]):
+            roots.clear()
+            assert main(argv + extra + ["--out", str(tmp_path / "x.csv")]) == EXIT_OK
+            assert len(roots) == 1, extra
+        roots.clear()
+        assert main(["diagnose", "--d", "3"]) == EXIT_OK
+        assert roots == []
+
     def test_diagnose_real_file(self, tmp_path, capsys):
         p = tmp_path / "toy.csv"
         rows = ["a;b;quality"]
@@ -984,6 +1016,10 @@ def test_bench_counts_the_unstable_inversion_type():
     assert matched == UnstableInversionError.__name__
 
 
+def _refuse_constant(name):
+    raise ValueError(f"not standard JSON: {name}")
+
+
 def _bench_child():
     spec = importlib.util.spec_from_file_location("bench_child", REPO / "bench" / "child.py")
     child = importlib.util.module_from_spec(spec)
@@ -999,6 +1035,27 @@ def test_bench_traced_bindings_resolve():
     assert len(pairs) >= 19
     for module, attr in pairs:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_bench_traced_bindings_are_called_through(monkeypatch, tmp_path):
+    # a binding can resolve and still be stale, when the layer that called
+    # through it now calls the function some other way: the traced benchmark
+    # then reads 0 calls.  One small sweep of each kind calls through every
+    # pmtreg binding that bench/child.py wraps.
+    child = _bench_child()
+    tracer = child.Tracer()
+    expected = set()
+    for module_name, attr, name in child.TRACED:
+        if module_name.split(".")[0] == "pmtreg":
+            module = importlib.import_module(module_name)
+            monkeypatch.setattr(module, attr, tracer.wrap(name, getattr(module, attr)))
+            expected.add(name)
+    sizes = ["--n-priv", "200", "--n-pub", "40", "--trials", "2"]
+    out = str(tmp_path / "out.csv")
+    assert main(["synth", "--d", "3", *sizes, "--out", out]) == EXIT_OK
+    data = str(write_toy_csv(tmp_path / "toy.csv"))
+    assert main(["real", "--data", data, *sizes, "--out", out]) == EXIT_OK
+    assert expected - {span[0] for span in tracer.spans} == set()
 
 
 def test_bench_clip_note_reads_the_clip_report():
