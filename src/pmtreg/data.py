@@ -26,6 +26,7 @@ __all__ = [
     "SplitMode",
     "CsvParseError",
     "generate",
+    "normals_shape",
     "default_synthetic",
     "ingest_csv",
     "normalize",
@@ -103,24 +104,41 @@ class SyntheticModelSpec:
 _BLOCK_ROWS = 64
 
 
+def normals_shape(d: int, n: int) -> tuple:
+    """The shape of the standard normal array :func:`generate` draws for n
+    rows of dimension d: ceil(n/64) blocks of 64 rows of d + 1 normals."""
+    return (-(-n // _BLOCK_ROWS), _BLOCK_ROWS, d + 1)
+
+
 def generate(spec: SyntheticModelSpec, n: int, rng) -> LabeledDataset:
     """Draw n samples from the spec's linear model.
 
     ``rng`` is a Generator or anything ``np.random.default_rng`` accepts,
-    such as the seed entropy list the harness passes.  The draw is one
-    standard normal array of ceil(n/64) blocks of 64 rows; each row holds d
-    feature normals, then the normal of its response noise.  Each block's
-    features are mapped through the covariance root by their own 64 x d
-    product, so the first n rows are the same bits whatever larger n is
-    drawn from the same stream: every smaller dataset is a prefix.
+    such as the seed entropy list the harness passes; or a callable that
+    returns the draw itself, which is called first, so any wait for a draw
+    made elsewhere is part of this call.  The draw is one standard normal
+    array of shape ``normals_shape(d, n)``: ceil(n/64) blocks of 64 rows,
+    each row holding d feature normals, then the normal of its response
+    noise.  Each block's features are mapped through the covariance root by
+    their own 64 x d product, so the first n rows are the same bits whatever
+    larger n is drawn from the same stream: every smaller dataset is a
+    prefix.  The dataset shares no memory with the draw, which the caller
+    may refill once this returns.
 
     Requires spec.coefficients to be set.
     """
     if spec.coefficients is None:
         raise ValueError("spec.coefficients must be set before generating data")
     d = spec.d
-    blocks = -(-n // _BLOCK_ROWS)
-    g = np.random.default_rng(rng).standard_normal((blocks, _BLOCK_ROWS, d + 1))
+    shape = normals_shape(d, n)
+    if callable(rng):
+        g = rng()
+        if g.shape != shape:
+            raise ValueError(
+                f"{n} rows of dimension {d} need normals of shape {shape}, got {g.shape}"
+            )
+    else:
+        g = np.random.default_rng(rng).standard_normal(shape)
     x = g[..., :d] @ spec.covariance_root.entries  # a stacked matmul, one gemm per block
     x += spec.mean
     y = x @ spec.coefficients + spec.noise_std * g[..., d]

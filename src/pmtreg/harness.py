@@ -20,15 +20,31 @@ each method and each rho in grid order the matrix noise and the vector
 noise.  The grid keeps its values in a canonical order, so neither the order
 in which they are listed nor the order in which datasets run changes a
 number.
+
+A synthetic sweep draws on one worker thread, a trial ahead: while trial t's
+datasets run, the worker builds trial t + 1's noise Generators and draws its
+public and private normals into one buffer per stream, the buffers that
+``generate`` has finished reading.  ``generate`` takes each buffer through a
+callable that waits for its draw, so a wait is part of that call, and
+``generate``'s datasets share no memory with it.  The worker calls numpy's
+``default_rng`` and ``standard_normal`` only.  For the sweep, numpy's bundled
+OpenBLAS runs one thread, so the main thread's BLAS calls do not compete with
+the worker for the second core; the previous thread count is restored when
+the sweep ends, and where no such library is found BLAS is left as it is.
+The worker ends with the sweep, whether it returns or raises, and an
+exception raised in it is raised again by ``run_grid``.  Real-data sweeps
+run on the main thread alone.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
+import threading
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +53,7 @@ from .data import (
     SplitMode,
     SyntheticModelSpec,
     generate,
+    normals_shape,
     public_moments,
     split,
 )
@@ -114,11 +131,6 @@ class ExperimentGrid:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
-    def cells(self):
-        return list(
-            product(self.methods, self.rho_values, self.n_priv_values, self.n_pub_values)
-        )
-
 
 @dataclass(frozen=True)
 class CellResult:
@@ -155,6 +167,119 @@ def _trial_key(grid: ExperimentGrid, trial: int, stream: int) -> list:
     """Seed entropy of one per-trial row stream: 0 public rows, 1 private
     rows, 2 the real-data permutation."""
     return [grid.seed & _SEED_MASK, 3, trial, stream]
+
+
+def _noise_key(grid: ExperimentGrid, n_priv: int, n_pub: int, trial: int) -> list:
+    """Seed entropy of one dataset's noise stream."""
+    return [grid.seed & _SEED_MASK, 2, n_priv, n_pub, trial]
+
+
+def _openblas():
+    """The thread-count getter and setter of the OpenBLAS that numpy's wheel
+    bundles (``scipy_openblas``), or None where no such library is found."""
+    package = Path(np.__file__).parent  # Linux and Windows wheels, then macOS ones
+    found = chain(
+        package.parent.glob("numpy.libs/*scipy_openblas*"),
+        package.glob(".dylibs/*scipy_openblas*"),
+    )
+    path = next(found, None)
+    if path is None:
+        return None
+    suffix = "64_" if "openblas64" in path.name else ""  # the ILP64 build's symbols
+    try:
+        lib = ctypes.CDLL(str(path))  # numpy loaded it already: the same library
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+    except (AttributeError, OSError, TypeError):  # not loadable, or not the library named
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_.argtypes, set_.restype = (ctypes.c_int,), None
+    return get, set_
+
+
+class _DrawThread:
+    """A synthetic sweep's worker thread, which draws each trial's rows and
+    noise Generators while the main thread runs the trial before.
+
+    For each trial in turn it waits until the buffers are free, builds the
+    trial's noise Generators, one per dataset size, then draws the public
+    normals into their buffer and the private ones into theirs, marking each
+    ready.  The main thread takes each buffer through :meth:`public` and
+    :meth:`private`, which wait for it, inside ``generate``; then
+    :meth:`hand_back` returns the Generators and frees both buffers for the
+    next trial.  Used as a context manager, it runs OpenBLAS at one thread,
+    starts the worker, and on exit stops and joins it and restores the
+    thread count.
+    """
+
+    def __init__(self, grid: ExperimentGrid, spec: SyntheticModelSpec, sizes: list):
+        self._grid, self._sizes = grid, sizes
+        self._buffers = tuple(
+            np.empty(normals_shape(spec.d, max(values)))
+            for values in (grid.n_pub_values, grid.n_priv_values)
+        )
+        self._free = threading.Semaphore(1)
+        self._ready = (threading.Semaphore(0), threading.Semaphore(0))
+        self._rngs = self._error = self._blas = None  # _blas: (set, previous count)
+        self._closed = False
+        self._thread = threading.Thread(target=self._work, name="pmtreg-draws")
+
+    def __enter__(self):
+        blas = _openblas()
+        if blas is not None:
+            get, set_ = blas
+            self._blas = (set_, get())
+            set_(1)
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._closed = True
+        self._free.release()
+        self._thread.join()
+        if self._blas is not None:
+            set_, threads = self._blas
+            set_(threads)
+
+    def _work(self):
+        try:
+            for trial in range(self._grid.trials):
+                self._free.acquire()
+                if self._closed:
+                    return
+                self._draw(trial)
+        except BaseException as exc:  # raised again by the main thread's next wait
+            self._error = exc
+            for ready in self._ready:
+                ready.release()
+
+    def _draw(self, trial: int):
+        grid = self._grid
+        self._rngs = [
+            np.random.default_rng(_noise_key(grid, *size, trial)) for size in self._sizes
+        ]
+        for stream, (buffer, ready) in enumerate(zip(self._buffers, self._ready)):
+            np.random.default_rng(_trial_key(grid, trial, stream)).standard_normal(out=buffer)
+            ready.release()
+
+    def _take(self, stream: int) -> np.ndarray:
+        self._ready[stream].acquire()
+        if self._error is not None:
+            raise self._error
+        return self._buffers[stream]
+
+    def public(self) -> np.ndarray:
+        return self._take(0)
+
+    def private(self) -> np.ndarray:
+        return self._take(1)
+
+    def hand_back(self) -> list:
+        """The trial's noise Generators, in the order of the sizes; the
+        buffers go back to the worker, which draws the next trial into them."""
+        rngs = self._rngs
+        self._free.release()
+        return rngs
 
 
 def _validate(grid: ExperimentGrid, source):
@@ -214,8 +339,9 @@ def _run_trial(grid, source, n_priv, n_pub, trial, drawn):
     """One dataset and every (method, rho) cell's trial on it.
 
     ``drawn`` is the trial's (public, private) synthetic draw at the grid's
-    largest sizes, or None for a ``DatasetSource``.  Returns one outcome per
-    cell, in the order of product(grid.methods, grid.rho_values): (err,
+    largest sizes and the dataset's noise Generator, or None for a
+    ``DatasetSource``, whose split and Generator are made here.  Returns one
+    outcome per cell, in the order of product(grid.methods, grid.rho_values): (err,
     truncated fraction, pre-noise avg_cond), or None for a cell whose trial
     failed.  A singular noisy moment fails only its own (method, rho); a
     singular reference or public moment (or all-zero public responses) fails
@@ -225,9 +351,9 @@ def _run_trial(grid, source, n_priv, n_pub, trial, drawn):
         public, private = split(
             source.dataset, n_pub, n_priv, _trial_key(grid, trial, 2), source.split_mode
         )
+        rng = np.random.default_rng(_noise_key(grid, n_priv, n_pub, trial))
     else:
-        public, private = drawn[0].head(n_pub), drawn[1].head(n_priv)
-    rng = np.random.default_rng([grid.seed & _SEED_MASK, 2, n_priv, n_pub, trial])
+        public, private, rng = drawn[0].head(n_pub), drawn[1].head(n_priv), drawn[2]
 
     per_method = len(grid.rho_values)
     outcomes = [None] * (len(grid.methods) * per_method)
@@ -265,10 +391,10 @@ def run_grid(
     (unstable-inversion) trials are counted per cell and excluded from the
     mean/std, never silently dropped.
 
-    A synthetic spec is drawn from once per trial and stream, and each
-    dataset takes its prefix; if its coefficients are unset, beta is drawn
-    once per grid from a standard normal, using a stream keyed off the grid
-    seed.
+    A synthetic spec is drawn from once per trial and stream, a trial ahead
+    on a worker thread (see the module docstring), and each dataset takes
+    its prefix; if its coefficients are unset, beta is drawn once per grid
+    from a standard normal, using a stream keyed off the grid seed.
     """
     if isinstance(source, SyntheticModelSpec) and source.coefficients is None:
         source = replace(source, coefficients=_grid_beta(grid, source.d))
@@ -278,17 +404,22 @@ def run_grid(
     cells = list(product(grid.methods, grid.rho_values))
     # per dataset size, one list of trial outcomes per (method, rho)
     outcomes = {size: [[] for _ in cells] for size in sizes}
-    for trial in range(grid.trials):
-        drawn = None
-        if isinstance(source, SyntheticModelSpec):
-            drawn = (
-                generate(source, max(grid.n_pub_values), _trial_key(grid, trial, 0)),
-                generate(source, max(grid.n_priv_values), _trial_key(grid, trial, 1)),
-            )
-        for size in sizes:
-            trial_outcomes = _run_trial(grid, source, *size, trial, drawn)
-            for cell, outcome in zip(outcomes[size], trial_outcomes):
-                cell.append(outcome)
+
+    def record(size, trial_outcomes):
+        for cell, outcome in zip(outcomes[size], trial_outcomes):
+            cell.append(outcome)
+
+    if isinstance(source, DatasetSource):
+        for trial in range(grid.trials):
+            for size in sizes:
+                record(size, _run_trial(grid, source, *size, trial, None))
+    else:
+        with _DrawThread(grid, source, sizes) as draws:
+            for trial in range(grid.trials):
+                public = generate(source, max(grid.n_pub_values), draws.public)
+                private = generate(source, max(grid.n_priv_values), draws.private)
+                for size, rng in zip(sizes, draws.hand_back()):
+                    record(size, _run_trial(grid, source, *size, trial, (public, private, rng)))
 
     results = []
     for i, (method, rho) in enumerate(cells):

@@ -16,6 +16,7 @@ from pmtreg.data import (
     generate,
     ingest_csv,
     normalize,
+    normals_shape,
     public_moments,
     split,
 )
@@ -154,6 +155,32 @@ class TestGenerate:
             for m in sizes[sizes.index(n) + 1 :]:
                 assert np.array_equal(draws[n].features, draws[m].features[:n]), (n, m)
                 assert np.array_equal(draws[n].responses, draws[m].responses[:n]), (n, m)
+
+    @pytest.mark.parametrize("d, n", [(1, 1), (10, 3000), (50, 130)])
+    def test_draw_handed_in_gives_the_same_rows_and_shares_no_memory(self, d, n):
+        # the harness's draw thread fills one buffer per stream with
+        # standard_normal(out=...) and hands it to generate through a
+        # callable; it refills the buffer once generate returns
+        spec = replace(default_synthetic(d), coefficients=np.linspace(-1.0, 1.0, d))
+        key = [d, 3, 0, 1]
+        normals = np.empty(normals_shape(d, n))
+        np.random.default_rng(key).standard_normal(out=normals)
+        handed = generate(spec, n, lambda: normals)
+        drawn = generate(spec, n, key)
+        assert np.array_equal(handed.features, drawn.features)
+        assert np.array_equal(handed.responses, drawn.responses)
+        assert not np.shares_memory(handed.features, normals)
+        assert not np.shares_memory(handed.responses, normals)
+        normals[...] = np.nan  # the next trial's draw: the dataset keeps its rows
+        assert np.array_equal(handed.features, drawn.features)
+        assert np.array_equal(handed.responses, drawn.responses)
+
+    def test_draw_handed_in_must_have_the_shape_of_n_rows(self):
+        spec = replace(default_synthetic(), coefficients=np.ones(10))
+        short = np.zeros(normals_shape(10, 64))
+        named = r"65 rows of dimension 10 need normals of shape \(2, 64, 11\)"
+        with pytest.raises(ValueError, match=named):
+            generate(spec, 65, lambda: short)
 
     def test_response_model(self):
         beta = np.arange(1.0, 4.0)

@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -71,7 +73,13 @@ def small_grid(**overrides):
 class TestExperimentGrid:
     def test_cell_enumeration(self):
         grid = small_grid(rho_values=(1.0, 2.0), n_priv_values=(100, 200))
-        assert len(grid.cells()) == 2 * 2 * 2 * 1
+        results = run_grid(grid, default_synthetic())
+        cells = [(r.method, r.rho, r.n_priv, r.n_pub) for r in results]
+        assert len(cells) == 2 * 2 * 2 * 1
+        assert set(cells) == {
+            (m, rho, n_priv, 40)
+            for m in Method for rho in (1.0, 2.0) for n_priv in (100, 200)
+        }
 
     def test_one_budget_per_rho_in_canonical_order(self):
         grid = small_grid(rho_values=(10.0, 0.5, 2.0))
@@ -491,6 +499,178 @@ class TestDatasetSharing:
             assert main(argv) == EXIT_OK
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def _delayed(monkeypatch, name, seconds, owner=harness):
+    """Make ``owner.name`` sleep before it runs."""
+    real = getattr(owner, name)
+
+    def slow(*args):
+        time.sleep(seconds)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, slow)
+
+
+def _raising_at(monkeypatch, name, trial, exc, owner=harness, trial_arg=4):
+    """Make ``owner.name`` raise ``exc`` on the given trial (its argument at
+    ``trial_arg``)."""
+    real = getattr(owner, name)
+
+    def failing(*args):
+        if args[trial_arg] == trial:
+            raise exc
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, failing)
+
+
+class TestDrawThread:
+    """A synthetic sweep draws each trial's rows on a worker thread, a trial
+    ahead, and runs OpenBLAS at one thread meanwhile."""
+
+    ARGS = ["synth", "--n-priv", "300,600", "--n-pub", "20,40", "--rho", "2,10",
+            "--trials", "4", "--seed", "4"]
+
+    def _sweep(self, tmp_path, name):
+        out = tmp_path / f"{name}.csv"
+        assert main(self.ARGS + ["--out", str(out)]) == EXIT_OK
+        return out.read_bytes()
+
+    def test_slow_worker_or_slow_main_thread_writes_the_same_bytes(self, tmp_path):
+        plain = self._sweep(tmp_path, "plain")
+        with pytest.MonkeyPatch.context() as mp:
+            _delayed(mp, "_draw", 0.02, owner=harness._DrawThread)
+            assert self._sweep(tmp_path, "slow-worker") == plain
+        with pytest.MonkeyPatch.context() as mp:
+            _delayed(mp, "_run_trial", 0.02)
+            assert self._sweep(tmp_path, "slow-main") == plain
+        interval = sys.getswitchinterval()
+        try:  # the threads swap the interpreter lock as often as they can
+            sys.setswitchinterval(1e-6)
+            assert self._sweep(tmp_path, "fast-switching") == plain
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("trial", [0, 2])
+    def test_worker_exception_is_raised_by_run_grid(self, monkeypatch, trial):
+        class DrawFailed(Exception):
+            pass
+
+        failure = DrawFailed("no normals")
+        _raising_at(monkeypatch, "_draw", trial, failure, owner=harness._DrawThread, trial_arg=1)
+        before = threading.active_count()
+        raised = []
+
+        def sweep():
+            try:
+                run_grid(small_grid(trials=4), default_synthetic())
+            except DrawFailed as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=sweep, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "run_grid hung after its worker raised"
+        assert raised == [failure] and raised[0] is failure
+        assert threading.active_count() == before
+
+    def test_worker_calls_no_traced_binding_and_each_wait_is_inside_generate(
+        self, monkeypatch, tmp_path
+    ):
+        # bench/child.py keeps one span stack for the process, and counts a
+        # wait outside every traced call as untraced time
+        callers, inside, waits = set(), [], []
+        for module_name, attr, _ in _bench_child().TRACED:
+            if module_name.split(".")[0] == "pmtreg":
+                module = importlib.import_module(module_name)
+                real = getattr(module, attr)
+
+                def recorded(*args, real=real, attr=attr, **kwargs):
+                    callers.add(threading.get_ident())
+                    inside.append(attr)
+                    try:
+                        return real(*args, **kwargs)
+                    finally:
+                        inside.pop()
+
+                monkeypatch.setattr(module, attr, recorded)
+        real_take = harness._DrawThread._take
+
+        def take(draws, stream):
+            waits.append(list(inside))
+            return real_take(draws, stream)
+
+        monkeypatch.setattr(harness._DrawThread, "_take", take)
+        self._sweep(tmp_path, "traced")
+        assert callers == {threading.get_ident()}
+        assert len(waits) == 2 * 4 and all(w[-1:] == ["generate"] for w in waits), waits
+
+    def test_no_thread_outlives_run_grid(self, monkeypatch):
+        before = threading.active_count()
+        run_grid(small_grid(trials=3), default_synthetic())
+        assert threading.active_count() == before
+        _raising_at(monkeypatch, "_run_trial", 1, RuntimeError("trial failed"))
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_grid(small_grid(trials=4), default_synthetic())
+        assert threading.active_count() == before
+
+    @staticmethod
+    def _blas_during_trials(monkeypatch, get):
+        seen = []
+        real = harness._run_trial
+
+        def recorded(*args):
+            seen.append(get())
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_run_trial", recorded)
+        return seen
+
+    def test_one_blas_thread_during_a_synthetic_sweep_then_restored(
+        self, monkeypatch, tmp_path
+    ):
+        blas = harness._openblas()
+        if blas is None:
+            pytest.skip("numpy bundles no scipy_openblas here")
+        get, set_ = blas
+        original = get()
+        try:
+            set_(2)
+            seen = self._blas_during_trials(monkeypatch, get)
+            run_grid(small_grid(), default_synthetic())
+            assert seen and set(seen) == {1}
+            assert get() == 2
+            # a real-data sweep leaves BLAS as it is
+            seen.clear()
+            x = np.random.default_rng(3).standard_normal((600, 3))
+            data = LabeledDataset(features=x, responses=x.sum(axis=1))
+            run_grid(
+                small_grid(reference=Reference.NONPRIVATE_OLSE), harness.DatasetSource(data)
+            )
+            assert seen and set(seen) == {2}
+            # and a sweep whose trial raises restores it too
+            _raising_at(monkeypatch, "_run_trial", 1, RuntimeError("trial failed"))
+            with pytest.raises(RuntimeError):
+                run_grid(small_grid(trials=3), default_synthetic())
+            assert get() == 2
+        finally:
+            set_(original)
+
+    def test_sweep_without_openblas_leaves_blas_alone(self, monkeypatch, tmp_path):
+        plain = self._sweep(tmp_path, "plain")
+        blas = harness._openblas()
+
+        def no_library(name):
+            raise OSError(f"cannot load {name}")
+
+        monkeypatch.setattr(harness.ctypes, "CDLL", no_library)
+        assert harness._openblas() is None
+        if blas is not None:
+            seen = self._blas_during_trials(monkeypatch, blas[0])
+        assert self._sweep(tmp_path, "no-blas") == plain
+        if blas is not None:
+            assert set(seen) == {blas[0]()}
 
 
 class TestEmitCsv:
