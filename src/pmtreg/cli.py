@@ -233,6 +233,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"runtime-error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:  # such as a grid whose largest draw cannot be held
+        print(f"runtime-error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +49,8 @@ class SyntheticModelSpec:
 
     ``coefficients`` may be None, meaning the caller samples beta (standard
     normal) once per experiment.  The implied feature second moment is
-    covariance + mean mean^T.  The covariance's PSD square root is formed on
-    first read (by a sweep's check before its first draw), so a spec that
-    draws nothing forms none.  A covariance that is not PSD fails at
-    construction: one whose Gershgorin discs lie in [0, inf), such as a
-    diagonal one with nonnegative entries, is PSD; any other has its root
-    formed there.
+    covariance + mean mean^T.  The covariance's PSD square root is formed
+    once, at construction, so a covariance that is not PSD fails here.
     """
 
     d: int
@@ -63,6 +58,7 @@ class SyntheticModelSpec:
     covariance: SymmetricMatrix
     coefficients: np.ndarray | None = None
     noise_std: float = 0.05
+    covariance_root: SymmetricMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -72,9 +68,10 @@ class SyntheticModelSpec:
             raise ValueError(f"mean must be finite, got {mean[~np.isfinite(mean)][0]}")
         if self.covariance.dim != self.d:
             raise ValueError("covariance dimension does not match d")
-        c, diagonal = self.covariance.entries, np.diagonal(self.covariance.entries)
-        if not (diagonal >= np.abs(c).sum(axis=1) - np.abs(diagonal)).all():
-            self.covariance_root  # not PSD by its discs: formed now, or refused
+        try:
+            root = sqrt_sym(self.covariance)
+        except ValueError as exc:
+            raise ValueError(f"covariance must be PSD: {exc}") from None
         if self.coefficients is not None:
             coef = np.asarray(self.coefficients, dtype=np.float64)
             if coef.shape != (self.d,):
@@ -86,14 +83,7 @@ class SyntheticModelSpec:
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
         object.__setattr__(self, "mean", mean)
-
-    @cached_property
-    def covariance_root(self) -> SymmetricMatrix:
-        """The covariance's PSD square root."""
-        try:
-            return sqrt_sym(self.covariance)
-        except ValueError as exc:
-            raise ValueError(f"covariance must be PSD: {exc}") from None
+        object.__setattr__(self, "covariance_root", root)
 
     def second_moment(self) -> SymmetricMatrix:
         return SymmetricMatrix(self.covariance.entries + np.outer(self.mean, self.mean))

@@ -22,18 +22,18 @@ in which they are listed nor the order in which datasets run changes a
 number.
 
 A synthetic sweep draws on one worker thread, a trial ahead: while trial t's
-datasets run, the worker builds trial t + 1's noise Generators and draws its
-public and private normals into one buffer per stream, the buffers that
-``generate`` has finished reading.  ``generate`` takes each buffer through a
-callable that waits for its draw, so a wait is part of that call, and
-``generate``'s datasets share no memory with it.  The worker calls numpy's
-``default_rng`` and ``standard_normal`` only.  For the sweep, numpy's bundled
-OpenBLAS runs one thread, so the main thread's BLAS calls do not compete with
-the worker for the second core; the previous thread count is restored when
-the sweep ends, and where no such library is found BLAS is left as it is.
-The worker ends with the sweep, whether it returns or raises, and an
-exception raised in it is raised again by ``run_grid``.  Real-data sweeps
-run on the main thread alone.
+datasets run, the worker builds trial t + 1's noise Generators, draws its
+public and private normals into the buffers ``generate`` has finished
+reading, and signals the trial ready.  The public rows' ``generate`` waits
+for that signal, so a wait is part of that call; ``generate``'s datasets
+share no memory with the buffers.  The worker calls numpy's ``default_rng``
+and ``standard_normal`` only.  While any synthetic sweep runs, numpy's
+bundled OpenBLAS runs one thread, so BLAS calls on the main thread do not
+compete with the worker for the second core; the last sweep to end restores
+the count, and where no such library is found BLAS is left alone.  The
+worker ends with the sweep, whether it returns or raises, and an exception
+in it is raised again by ``run_grid``.  Real-data sweeps use the main
+thread alone.
 """
 
 from __future__ import annotations
@@ -197,19 +197,39 @@ def _openblas():
     return get, set_
 
 
+# OpenBLAS has one thread count per process, so the sweeps that pin it are
+# counted per process: the running sweeps, and (set, count) to restore.
+_blas_lock = threading.Lock()
+_blas_sweeps, _blas_restore = 0, None
+
+
+def _pin_blas(step: int):
+    """Count a synthetic sweep in (step 1) or out (step -1): the first in
+    sets numpy's OpenBLAS to one thread, the last out restores the count."""
+    global _blas_sweeps, _blas_restore
+    with _blas_lock:
+        _blas_sweeps += step
+        if step == 1 and _blas_sweeps == 1 and (blas := _openblas()) is not None:
+            get, set_ = blas
+            _blas_restore = (set_, get())
+            set_(1)
+        elif _blas_sweeps == 0 and _blas_restore is not None:
+            set_, threads = _blas_restore
+            set_(threads)
+            _blas_restore = None
+
+
 class _DrawThread:
     """A synthetic sweep's worker thread, which draws each trial's rows and
     noise Generators while the main thread runs the trial before.
 
-    For each trial in turn it waits until the buffers are free, builds the
-    trial's noise Generators, one per dataset size, then draws the public
-    normals into their buffer and the private ones into theirs, marking each
-    ready.  The main thread takes each buffer through :meth:`public` and
-    :meth:`private`, which wait for it, inside ``generate``; then
-    :meth:`hand_back` returns the Generators and frees both buffers for the
-    next trial.  Used as a context manager, it runs OpenBLAS at one thread,
-    starts the worker, and on exit stops and joins it and restores the
-    thread count.
+    For each trial it waits until the buffers are free, builds the trial's
+    noise Generators, one per dataset size, draws the public and then the
+    private normals, and releases one ready signal, as an exception in the
+    worker does too.  :meth:`public` waits for that signal, inside
+    ``generate``; :meth:`hand_back` returns the Generators and frees the
+    buffers.  As a context manager it pins OpenBLAS (:func:`_pin_blas`) and
+    starts the worker, and on exit stops and joins it and unpins.
     """
 
     def __init__(self, grid: ExperimentGrid, spec: SyntheticModelSpec, sizes: list):
@@ -218,18 +238,13 @@ class _DrawThread:
             np.empty(normals_shape(spec.d, max(values)))
             for values in (grid.n_pub_values, grid.n_priv_values)
         )
-        self._free = threading.Semaphore(1)
-        self._ready = (threading.Semaphore(0), threading.Semaphore(0))
-        self._rngs = self._error = self._blas = None  # _blas: (set, previous count)
+        self._free, self._ready = threading.Semaphore(1), threading.Semaphore(0)
+        self._rngs = self._error = None
         self._closed = False
         self._thread = threading.Thread(target=self._work, name="pmtreg-draws")
 
     def __enter__(self):
-        blas = _openblas()
-        if blas is not None:
-            get, set_ = blas
-            self._blas = (set_, get())
-            set_(1)
+        _pin_blas(1)
         self._thread.start()
         return self
 
@@ -237,9 +252,7 @@ class _DrawThread:
         self._closed = True
         self._free.release()
         self._thread.join()
-        if self._blas is not None:
-            set_, threads = self._blas
-            set_(threads)
+        _pin_blas(-1)
 
     def _work(self):
         try:
@@ -248,31 +261,27 @@ class _DrawThread:
                 if self._closed:
                     return
                 self._draw(trial)
+                self._ready.release()
         except BaseException as exc:  # raised again by the main thread's next wait
             self._error = exc
-            for ready in self._ready:
-                ready.release()
+            self._ready.release()
 
     def _draw(self, trial: int):
         grid = self._grid
         self._rngs = [
             np.random.default_rng(_noise_key(grid, *size, trial)) for size in self._sizes
         ]
-        for stream, (buffer, ready) in enumerate(zip(self._buffers, self._ready)):
+        for stream, buffer in enumerate(self._buffers):
             np.random.default_rng(_trial_key(grid, trial, stream)).standard_normal(out=buffer)
-            ready.release()
-
-    def _take(self, stream: int) -> np.ndarray:
-        self._ready[stream].acquire()
-        if self._error is not None:
-            raise self._error
-        return self._buffers[stream]
 
     def public(self) -> np.ndarray:
-        return self._take(0)
+        self._ready.acquire()
+        if self._error is not None:
+            raise self._error
+        return self._buffers[0]
 
     def private(self) -> np.ndarray:
-        return self._take(1)
+        return self._buffers[1]
 
     def hand_back(self) -> list:
         """The trial's noise Generators, in the order of the sizes; the
@@ -284,9 +293,6 @@ class _DrawThread:
 
 def _validate(grid: ExperimentGrid, source):
     if isinstance(source, SyntheticModelSpec):
-        # the covariance root, formed here rather than inside the first draw,
-        # where it raised a synth-headline sweep's peak RSS by about 0.2 MB
-        source.covariance_root
         d = source.d
         # a singular design fails or blows up every trial: refuse it up front
         moment = source.second_moment()
@@ -335,33 +341,22 @@ def _validate(grid: ExperimentGrid, source):
         )
 
 
-def _run_trial(grid, source, n_priv, n_pub, trial, drawn):
+def _run_trial(grid, truth, public, private, rng):
     """One dataset and every (method, rho) cell's trial on it.
 
-    ``drawn`` is the trial's (public, private) synthetic draw at the grid's
-    largest sizes and the dataset's noise Generator, or None for a
-    ``DatasetSource``, whose split and Generator are made here.  Returns one
+    ``truth`` is the reference beta, or None to use the private rows' own
+    least squares; ``rng`` is the dataset's noise Generator.  Returns one
     outcome per cell, in the order of product(grid.methods, grid.rho_values): (err,
     truncated fraction, pre-noise avg_cond), or None for a cell whose trial
     failed.  A singular noisy moment fails only its own (method, rho); a
     singular reference or public moment (or all-zero public responses) fails
     every cell it feeds.
     """
-    if drawn is None:
-        public, private = split(
-            source.dataset, n_pub, n_priv, _trial_key(grid, trial, 2), source.split_mode
-        )
-        rng = np.random.default_rng(_noise_key(grid, n_priv, n_pub, trial))
-    else:
-        public, private, rng = drawn[0].head(n_pub), drawn[1].head(n_priv), drawn[2]
-
     per_method = len(grid.rho_values)
     outcomes = [None] * (len(grid.methods) * per_method)
-    if grid.reference is Reference.TRUE_BETA:
-        ref = source.coefficients
-    else:
+    if truth is None:
         try:
-            ref = olse(private)
+            truth = olse(private)
         except UnstableInversionError:
             return outcomes
 
@@ -378,7 +373,7 @@ def _run_trial(grid, source, n_priv, n_pub, trial, drawn):
         cond = out.pre_diag.avg_cond
         for j, beta in enumerate(out.betas, i * per_method):
             if beta is not None:
-                diff = beta - ref
+                diff = beta - truth
                 # the formula np.linalg.norm evaluates for a real vector
                 outcomes[j] = (math.sqrt(diff.dot(diff)), frac, cond)
     return outcomes
@@ -399,6 +394,7 @@ def run_grid(
     if isinstance(source, SyntheticModelSpec) and source.coefficients is None:
         source = replace(source, coefficients=_grid_beta(grid, source.d))
     _validate(grid, source)
+    truth = source.coefficients if grid.reference is Reference.TRUE_BETA else None
 
     sizes = list(product(grid.n_priv_values, grid.n_pub_values))
     cells = list(product(grid.methods, grid.rho_values))
@@ -411,15 +407,19 @@ def run_grid(
 
     if isinstance(source, DatasetSource):
         for trial in range(grid.trials):
-            for size in sizes:
-                record(size, _run_trial(grid, source, *size, trial, None))
+            for n_priv, n_pub in sizes:
+                key = _trial_key(grid, trial, 2)
+                rows = split(source.dataset, n_pub, n_priv, key, source.split_mode)
+                rng = np.random.default_rng(_noise_key(grid, n_priv, n_pub, trial))
+                record((n_priv, n_pub), _run_trial(grid, truth, *rows, rng))
     else:
         with _DrawThread(grid, source, sizes) as draws:
             for trial in range(grid.trials):
                 public = generate(source, max(grid.n_pub_values), draws.public)
                 private = generate(source, max(grid.n_priv_values), draws.private)
-                for size, rng in zip(sizes, draws.hand_back()):
-                    record(size, _run_trial(grid, source, *size, trial, (public, private, rng)))
+                for (n_priv, n_pub), rng in zip(sizes, draws.hand_back()):
+                    rows = public.head(n_pub), private.head(n_priv)
+                    record((n_priv, n_pub), _run_trial(grid, truth, *rows, rng))
 
     results = []
     for i, (method, rho) in enumerate(cells):

@@ -68,31 +68,42 @@ class TestSyntheticSpec:
                 d=3, mean=np.zeros(3), covariance=SymmetricMatrix(np.diag([1.0, 2.0, -5.0]))
             )
 
-    def test_root_formed_at_construction_only_where_the_discs_do_not_show_psd(
-        self, monkeypatch
-    ):
+    def test_root_formed_once_at_construction(self, monkeypatch):
         import pmtreg.data
 
         roots = []
         real = pmtreg.data.sqrt_sym
         monkeypatch.setattr(pmtreg.data, "sqrt_sym", lambda m: roots.append(m) or real(m))
-        # diagonally dominant with a nonnegative diagonal: PSD without a root
-        dominant = SymmetricMatrix([[2.0, -1.0], [-1.0, 3.0]])
-        spec = SyntheticModelSpec(d=2, mean=np.zeros(2), covariance=dominant)
-        assert roots == []
-        root = spec.covariance_root
-        assert spec.covariance_root is root and len(roots) == 1
-        assert np.allclose(root.entries @ root.entries, dominant.entries, rtol=1e-14)
-        # PSD but not dominant: its root is formed at construction, once
-        rank_one = SymmetricMatrix([[1.0, 2.0], [2.0, 4.0]])
-        spec = SyntheticModelSpec(d=2, mean=np.zeros(2), covariance=rank_one)
-        assert len(roots) == 2
-        spec.covariance_root
-        assert len(roots) == 2
-        with pytest.raises(ValueError, match="covariance must be PSD.*lambda_min=-1"):
-            SyntheticModelSpec(
-                d=2, mean=np.zeros(2), covariance=SymmetricMatrix([[1.0, 2.0], [2.0, 1.0]])
-            )
+        # diagonally dominant, then PSD but not dominant: each root is formed
+        # when its spec is built, and never again
+        for entries in ([[2.0, -1.0], [-1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]]):
+            covariance = SymmetricMatrix(entries)
+            spec = SyntheticModelSpec(d=2, mean=np.zeros(2), covariance=covariance)
+            assert roots[-1:] == [covariance]
+            count = len(roots)
+            root = spec.covariance_root
+            assert spec.covariance_root is root and len(roots) == count
+            assert np.allclose(root.entries @ root.entries, covariance.entries, atol=1e-14)
+            replace(spec, noise_std=0.1)  # a copy builds its own
+            assert len(roots) == count + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        negative=st.floats(1e-6, 1e6),
+        others=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+    )
+    def test_every_non_psd_covariance_refused_at_construction(
+        self, d, seed, negative, others
+    ):
+        # an eigenvalue of -negative below the spectrum's top one, whose
+        # others lie in [-1, 1]: never PSD, whatever its discs show
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+        lam = np.array([-negative, *others[: d - 1]])
+        covariance = SymmetricMatrix((q * lam) @ q.T)
+        with pytest.raises(ValueError, match="covariance must be PSD.*lambda_min=-"):
+            SyntheticModelSpec(d=d, mean=np.zeros(d), covariance=covariance)
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_default_rejects_nonpositive_d(self, d):

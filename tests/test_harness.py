@@ -512,13 +512,16 @@ def _delayed(monkeypatch, name, seconds, owner=harness):
     monkeypatch.setattr(owner, name, slow)
 
 
-def _raising_at(monkeypatch, name, trial, exc, owner=harness, trial_arg=4):
-    """Make ``owner.name`` raise ``exc`` on the given trial (its argument at
-    ``trial_arg``)."""
+def _raising_at(monkeypatch, name, call, exc, owner=harness):
+    """Make ``owner.name`` raise ``exc`` on its call numbered ``call`` (from
+    0); with one dataset per trial, the call of ``_run_trial`` or of
+    ``_DrawThread._draw`` numbered t is trial t's."""
     real = getattr(owner, name)
+    calls = []
 
     def failing(*args):
-        if args[trial_arg] == trial:
+        calls.append(name)
+        if len(calls) == call + 1:
             raise exc
         return real(*args)
 
@@ -558,7 +561,7 @@ class TestDrawThread:
             pass
 
         failure = DrawFailed("no normals")
-        _raising_at(monkeypatch, "_draw", trial, failure, owner=harness._DrawThread, trial_arg=1)
+        _raising_at(monkeypatch, "_draw", trial, failure, owner=harness._DrawThread)
         before = threading.active_count()
         raised = []
 
@@ -595,16 +598,26 @@ class TestDrawThread:
                         inside.pop()
 
                 monkeypatch.setattr(module, attr, recorded)
-        real_take = harness._DrawThread._take
+        real_init = harness._DrawThread.__init__
 
-        def take(draws, stream):
-            waits.append(list(inside))
-            return real_take(draws, stream)
+        def init(draws, *args):
+            real_init(draws, *args)
+            ready = draws._ready
 
-        monkeypatch.setattr(harness._DrawThread, "_take", take)
+            class Counted:  # the worker's ready signal, each wait recorded
+                release = ready.release
+
+                def acquire(self):
+                    waits.append(list(inside))
+                    return ready.acquire()
+
+            draws._ready = Counted()
+
+        monkeypatch.setattr(harness._DrawThread, "__init__", init)
         self._sweep(tmp_path, "traced")
         assert callers == {threading.get_ident()}
-        assert len(waits) == 2 * 4 and all(w[-1:] == ["generate"] for w in waits), waits
+        # one wait per trial, inside the generate call of the public rows
+        assert len(waits) == 4 and all(w[-1:] == ["generate"] for w in waits), waits
 
     def test_no_thread_outlives_run_grid(self, monkeypatch):
         before = threading.active_count()
@@ -655,6 +668,83 @@ class TestDrawThread:
                 run_grid(small_grid(trials=3), default_synthetic())
             assert get() == 2
         finally:
+            set_(original)
+
+    def test_overlapping_sweeps_pin_blas_once_and_the_last_restores_it(self, monkeypatch):
+        blas = harness._openblas()
+        if blas is None:
+            pytest.skip("numpy bundles no scipy_openblas here")
+        get, set_ = blas
+        original = get()
+        try:
+            set_(2)
+            seen = self._blas_during_trials(monkeypatch, get)
+            recorded = harness._run_trial
+            second_started, first_done = threading.Event(), threading.Event()
+
+            def trial(*args):
+                # the first sweep waits in its first trial for the second to
+                # start, and the second waits after its first for the first
+                # to end: they overlap, and the second ends last
+                if threading.current_thread().name == "first":
+                    second_started.wait(timeout=60)
+                elif second_started.is_set():
+                    first_done.wait(timeout=60)
+                second_started.set()
+                return recorded(*args)
+
+            monkeypatch.setattr(harness, "_run_trial", trial)
+            done = []
+
+            def sweep(trials, finished):
+                run_grid(small_grid(trials=trials), default_synthetic())
+                done.append(trials)
+                finished.set()
+
+            first = threading.Thread(target=sweep, args=(3, first_done), name="first")
+            second = threading.Thread(
+                target=sweep, args=(5, threading.Event()), name="second"
+            )
+            first.start()
+            second.start()
+            first.join(timeout=60)
+            second.join(timeout=60)
+            assert done == [3, 5]
+            assert len(seen) == 3 + 5 and set(seen) == {1}
+            assert get() == 2
+        finally:
+            set_(original)
+
+    def test_concurrent_sweeps_keep_blas_pinned_until_the_last_ends(self, monkeypatch):
+        # more sweeping threads than cores, swapping the interpreter lock as
+        # often as they can: a lost update to the count of running sweeps
+        # would unpin BLAS under a running sweep, or never restore it
+        blas = harness._openblas()
+        if blas is None:
+            pytest.skip("numpy bundles no scipy_openblas here")
+        get, set_ = blas
+        original, interval = get(), sys.getswitchinterval()
+        try:
+            set_(2)
+            seen = self._blas_during_trials(monkeypatch, get)
+            done = []
+
+            def sweeps():
+                for _ in range(3):
+                    run_grid(small_grid(trials=2), default_synthetic())
+                done.append(True)
+
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=sweeps) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(done) == 4 and len(seen) == 4 * 3 * 2 and set(seen) == {1}
+            assert get() == 2
+        finally:
+            sys.setswitchinterval(interval)
             set_(original)
 
     def test_sweep_without_openblas_leaves_blas_alone(self, monkeypatch, tmp_path):
@@ -733,7 +823,7 @@ def count_trials(monkeypatch):
     real = harness._run_trial
 
     def counted(*args):
-        calls.append(args[2:5])
+        calls.append(args)
         return real(*args)
 
     monkeypatch.setattr(harness, "_run_trial", counted)
@@ -1041,6 +1131,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("runtime-error: [Errno 28] No space left on device")
 
+    @pytest.mark.parametrize("where", ["buffers", "worker"])
+    def test_sweep_too_large_for_memory_exits_1(self, where, tmp_path, capsys, monkeypatch):
+        # 10^12 private rows need 80 TiB of normals.  Nothing that size is
+        # allocated: past 1 GiB the allocation is refused as numpy refuses
+        # it, and the worker draws nothing, so no page is ever touched.
+        real_empty = np.empty
+
+        def empty(shape, *args, **kwargs):
+            if np.prod(shape, dtype=float) * 8 > 2**30:
+                raise MemoryError(f"Unable to allocate 80.0 TiB for shape {shape}")
+            return real_empty(shape, *args, **kwargs)
+
+        def no_draw(draws, trial):
+            raise MemoryError("Unable to allocate 80.0 TiB")
+
+        monkeypatch.setattr(harness._DrawThread, "_draw", no_draw)
+        n_priv = "1000000000000" if where == "buffers" else "300"
+        if where == "buffers":
+            monkeypatch.setattr(harness.np, "empty", empty)
+        before = threading.active_count()
+        out = tmp_path / "never.csv"
+        argv = ["synth", "--n-priv", n_priv, "--trials", "1", "--out", str(out)]
+        assert main(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime-error: not enough memory: Unable to allocate 80.0 TiB")
+        assert not out.exists() and threading.active_count() == before
+
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["synth", "--bogus", "1", "--out", "x.csv"]) == EXIT_USAGE
 
@@ -1080,7 +1197,7 @@ class TestCli:
         assert payload["cond"] is None and payload["avg_cond"] is None
         assert payload["eigenvalues"] == [-1.0, 2.0] and payload["lambda_min"] == -1.0
 
-    def test_covariance_root_once_per_sweep_and_none_in_diagnose(
+    def test_covariance_root_once_per_spec_built_never_per_draw(
         self, monkeypatch, tmp_path
     ):
         import pmtreg.data
@@ -1088,14 +1205,20 @@ class TestCli:
         roots = []
         real = pmtreg.data.sqrt_sym
         monkeypatch.setattr(pmtreg.data, "sqrt_sym", lambda m: roots.append(m) or real(m))
-        argv = ["synth", "--d", "3", "--n-priv", "50,80", "--n-pub", "10", "--trials", "3"]
-        for extra in ([], ["--psi-spec", "1,2,30"], ["--reference", "nonprivate_olse"]):
-            roots.clear()
-            assert main(argv + extra + ["--out", str(tmp_path / "x.csv")]) == EXIT_OK
-            assert len(roots) == 1, extra
+        argv = ["synth", "--d", "3", "--n-priv", "50,80", "--n-pub", "10"]
+        # synth builds the default spec, then run_grid its copy with beta,
+        # and --psi-spec one more copy; diagnose builds the default spec
+        for extra, specs in (
+            ([], 2), (["--psi-spec", "1,2,30"], 3), (["--reference", "nonprivate_olse"], 2)
+        ):
+            for trials in ("1", "3"):
+                roots.clear()
+                out = str(tmp_path / "x.csv")
+                assert main(argv + extra + ["--trials", trials, "--out", out]) == EXIT_OK
+                assert len(roots) == specs, (extra, trials)
         roots.clear()
         assert main(["diagnose", "--d", "3"]) == EXIT_OK
-        assert roots == []
+        assert len(roots) == 1
 
     def test_diagnose_real_file(self, tmp_path, capsys):
         p = tmp_path / "toy.csv"
