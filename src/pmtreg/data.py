@@ -95,25 +95,21 @@ _BLOCK_ROWS = 64
 
 
 def normals_shape(d: int, n: int) -> tuple:
-    """The shape of the standard normal array :func:`generate` draws for n
+    """The shape of the standard normal array :func:`generate` takes for n
     rows of dimension d: ceil(n/64) blocks of 64 rows of d + 1 normals."""
     return (-(-n // _BLOCK_ROWS), _BLOCK_ROWS, d + 1)
 
 
-def generate(spec: SyntheticModelSpec, n: int, rng) -> LabeledDataset:
-    """Draw n samples from the spec's linear model.
+def generate(spec: SyntheticModelSpec, n: int, normals: np.ndarray) -> LabeledDataset:
+    """n samples of the spec's linear model, made from ``normals``.
 
-    ``rng`` is a Generator or anything ``np.random.default_rng`` accepts,
-    such as the seed entropy list the harness passes; or a callable that
-    returns the draw itself, which is called first, so any wait for a draw
-    made elsewhere is part of this call.  The draw is one standard normal
-    array of shape ``normals_shape(d, n)``: ceil(n/64) blocks of 64 rows,
-    each row holding d feature normals, then the normal of its response
-    noise.  Each block's features are mapped through the covariance root by
-    their own 64 x d product, so the first n rows are the same bits whatever
-    larger n is drawn from the same stream: every smaller dataset is a
-    prefix.  The dataset shares no memory with the draw, which the caller
-    may refill once this returns.
+    ``normals`` is a standard normal array of shape ``normals_shape(d, n)``:
+    ceil(n/64) blocks of 64 rows, each row holding d feature normals, then
+    the normal of its response noise.  Each block's features are mapped
+    through the covariance root by their own 64 x d product, so the first n
+    rows are the same bits whatever larger n is made from the same stream:
+    every smaller dataset is a prefix.  The dataset shares no memory with
+    ``normals``, which the caller may refill once this returns.
 
     Requires spec.coefficients to be set.
     """
@@ -121,17 +117,13 @@ def generate(spec: SyntheticModelSpec, n: int, rng) -> LabeledDataset:
         raise ValueError("spec.coefficients must be set before generating data")
     d = spec.d
     shape = normals_shape(d, n)
-    if callable(rng):
-        g = rng()
-        if g.shape != shape:
-            raise ValueError(
-                f"{n} rows of dimension {d} need normals of shape {shape}, got {g.shape}"
-            )
-    else:
-        g = np.random.default_rng(rng).standard_normal(shape)
-    x = g[..., :d] @ spec.covariance_root.entries  # a stacked matmul, one gemm per block
+    if normals.shape != shape:
+        raise ValueError(
+            f"{n} rows of dimension {d} need normals of shape {shape}, got {normals.shape}"
+        )
+    x = normals[..., :d] @ spec.covariance_root.entries  # a stacked matmul, one gemm per block
     x += spec.mean
-    y = x @ spec.coefficients + spec.noise_std * g[..., d]
+    y = x @ spec.coefficients + spec.noise_std * normals[..., d]
     return LabeledDataset(features=x.reshape(-1, d)[:n], responses=y.reshape(-1)[:n])
 
 
@@ -161,7 +153,6 @@ def default_synthetic(d: int = 10, mu_scale: float = 2.0) -> SyntheticModelSpec:
         d=d,
         mean=np.full(d, mu_scale),
         covariance=SymmetricMatrix(np.diag(psi)),
-        noise_std=0.05,
     )
     try:  # else the second moment fails unnamed, or inside eigh
         with np.errstate(over="ignore"):
@@ -287,7 +278,7 @@ def split(
 
     When the rows the private set leaves out are fewer than its own
     (n - n_priv < n_priv), its X^T X and X^T y are a complement
-    (``RowStatistics.complement``): the dataset's sums, formed on its first
+    (``RowStatistics.subset``): the dataset's sums, formed on its first
     such split and kept, less those of the left-out rows (the public rows
     and any unused ones).  A split then passes over the n - n_priv left-out
     rows instead of the n_priv private ones.  The difference's error relative

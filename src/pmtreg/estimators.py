@@ -76,18 +76,17 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 
 class RowStatistics(NamedTuple):
-    """What a :class:`LabeledDataset` of n rows holds instead of forming it
-    from its rows: each row's ||x_i||^2 (``feature_sq_norms``) and y_i^2
+    """What a :class:`LabeledDataset` holds instead of forming it from its
+    rows: each row's ||x_i||^2 (``feature_sq_norms``) and y_i^2
     (``response_sq``), X^T X (``gram``) and X^T y (``cross``).  None marks a
     statistic the dataset forms on first read.
 
-    Made by :meth:`of_checked_rows`, :meth:`subset` or :meth:`complement`.
-    ``RowStatistics(n)`` holds nothing, for whitened or clipped rows.  A tuple,
-    as a frozen dataclass took 0.6 ms more to define and 2.5x as long per
-    instance (CPython 3.11, 2 vCPUs).
+    Made by :meth:`of_checked_rows` or :meth:`subset`.  ``RowStatistics()``
+    holds nothing, for whitened or clipped rows.  A tuple, as a frozen
+    dataclass took 0.6 ms more to define and 2.5x as long per instance
+    (CPython 3.11, 2 vCPUs).
     """
 
-    n: int
     feature_sq_norms: np.ndarray | None = None
     response_sq: np.ndarray | None = None
     gram: np.ndarray | None = None
@@ -98,24 +97,22 @@ class RowStatistics(NamedTuple):
         """The row norms of rows whose cells were checked, formed now for
         every subset of them (inf where a finite entry's square overflows)."""
         with np.errstate(over="ignore"):
-            return cls(x.shape[0], _read_only(np.einsum("ij,ij->i", x, x)), _read_only(y * y))
+            return cls(_read_only(np.einsum("ij,ij->i", x, x)), _read_only(y * y))
 
     @classmethod
-    def subset(cls, parent: LabeledDataset, pick) -> RowStatistics:
+    def subset(cls, parent: LabeledDataset, pick, left_out) -> RowStatistics:
         """A subset's slice of ``parent``'s row norms, ``pick`` selecting its
-        rows from a per-row array; its sums are formed from its own rows."""
-        sq_norms = _read_only(pick(parent.feature_sq_norms))
-        return cls(sq_norms.shape[0], sq_norms, _read_only(pick(parent.response_sq)))
-
-    @classmethod
-    def complement(cls, parent: LabeledDataset, pick, left_out) -> RowStatistics:
-        """:meth:`subset`, holding X^T X and X^T y as ``parent``'s sums less
-        those of the datasets in ``left_out``, which hold the rows of
-        ``parent`` that ``pick`` leaves out; ``data.split`` says when."""
-        gram, cross = parent.gram, parent.cross
-        for rows in left_out:
-            gram, cross = gram - rows.gram, cross - rows.cross
-        return cls.subset(parent, pick)._replace(gram=gram, cross=cross)
+        rows from a per-row array.  If ``left_out`` holds, as datasets, the
+        rows of ``parent`` that ``pick`` leaves out, its X^T X and X^T y are
+        ``parent``'s sums less theirs (``data.split`` says when); else they
+        are formed from its own rows."""
+        gram = cross = None
+        if left_out:
+            gram, cross = parent.gram, parent.cross
+            for rows in left_out:
+                gram, cross = gram - rows.gram, cross - rows.cross
+        sq_norms, response_sq = pick(parent.feature_sq_norms), pick(parent.response_sq)
+        return cls(_read_only(sq_norms), _read_only(response_sq), gram, cross)
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,7 @@ class LabeledDataset:
 
     @property
     def n(self) -> int:
-        return self.stats.n
+        return self.features.shape[0]
 
     @property
     def d(self) -> int:
@@ -176,20 +173,17 @@ class LabeledDataset:
 
     def head(self, n: int) -> LabeledDataset:
         """The first n rows: this dataset itself when it has n rows, else views."""
-        return self if n == self.n else self._subset(lambda values: values[:n])
+        return self if n == self.n else self._subset(lambda values: values[:n], ())
 
     def take(self, index: np.ndarray, left_out=()) -> LabeledDataset:
         """The rows at ``index``, gathered into new arrays.  If ``left_out``
         holds the other rows as datasets, the subset's sums are their
-        complement (:meth:`RowStatistics.complement`)."""
+        complement (:meth:`RowStatistics.subset`)."""
         return self._subset(lambda values: np.take(values, index, axis=0), left_out)
 
-    def _subset(self, pick, left_out=()) -> LabeledDataset:
+    def _subset(self, pick, left_out) -> LabeledDataset:
         """The rows ``pick`` selects from each per-row array, with their statistics."""
-        if left_out:
-            stats = RowStatistics.complement(self, pick, left_out)
-        else:
-            stats = RowStatistics.subset(self, pick)
+        stats = RowStatistics.subset(self, pick, left_out)
         return LabeledDataset(pick(self.features), pick(self.responses), stats)
 
     @cached_property
@@ -301,7 +295,7 @@ def _release(
     x, feat_report = pmt.clip_rows(data.features, r_x, data.feature_sq_norms)
     y, resp_report = pmt.clip_rows(data.responses[:, None], r_y, data.response_sq)
     if feat_report.truncated or resp_report.truncated:
-        data, shared = LabeledDataset(x, y[:, 0], RowStatistics(n)), False
+        data, shared = LabeledDataset(x, y[:, 0], RowStatistics()), False
 
     noise = []
     for budget in budgets:
@@ -349,7 +343,7 @@ def dp_pmtolse(
 
     pre = inv_sqrt_clamped(public.feature_moment)
     x, y = pmt.transform(data.features, pre), data.responses / public.response_moment
-    out = _release(LabeledDataset(x, y, RowStatistics(n)), r_x, r_y, budgets, rng)
+    out = _release(LabeledDataset(x, y, RowStatistics()), r_x, r_y, budgets, rng)
     sigma_b = public.response_moment
     return replace(
         out,

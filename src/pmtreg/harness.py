@@ -24,9 +24,9 @@ number.
 A synthetic sweep draws on one worker thread, a trial ahead: while trial t's
 datasets run, the worker builds trial t + 1's noise Generators, draws its
 public and private normals into the buffers ``generate`` has finished
-reading, and signals the trial ready.  The public rows' ``generate`` waits
-for that signal, so a wait is part of that call; ``generate``'s datasets
-share no memory with the buffers.  The worker calls numpy's ``default_rng``
+reading, and signals the trial ready.  The main thread waits for that
+signal before the trial's ``generate`` calls; ``generate``'s datasets share
+no memory with the buffers.  The worker calls numpy's ``default_rng``
 and ``standard_normal`` only.  While any synthetic sweep runs, numpy's
 bundled OpenBLAS runs one thread, so BLAS calls on the main thread do not
 compete with the worker for the second core; the last sweep to end restores
@@ -226,10 +226,10 @@ class _DrawThread:
     For each trial it waits until the buffers are free, builds the trial's
     noise Generators, one per dataset size, draws the public and then the
     private normals, and releases one ready signal, as an exception in the
-    worker does too.  :meth:`public` waits for that signal, inside
-    ``generate``; :meth:`hand_back` returns the Generators and frees the
-    buffers.  As a context manager it pins OpenBLAS (:func:`_pin_blas`) and
-    starts the worker, and on exit stops and joins it and unpins.
+    worker does too; :meth:`normals` waits for it and returns both buffers.
+    :meth:`hand_back` returns the Generators and frees the buffers.  As a
+    context manager it pins OpenBLAS (:func:`_pin_blas`) and starts the
+    worker, and on exit stops and joins it and unpins.
     """
 
     def __init__(self, grid: ExperimentGrid, spec: SyntheticModelSpec, sizes: list):
@@ -274,14 +274,11 @@ class _DrawThread:
         for stream, buffer in enumerate(self._buffers):
             np.random.default_rng(_trial_key(grid, trial, stream)).standard_normal(out=buffer)
 
-    def public(self) -> np.ndarray:
+    def normals(self) -> tuple:
         self._ready.acquire()
         if self._error is not None:
             raise self._error
-        return self._buffers[0]
-
-    def private(self) -> np.ndarray:
-        return self._buffers[1]
+        return self._buffers
 
     def hand_back(self) -> list:
         """The trial's noise Generators, in the order of the sizes; the
@@ -415,8 +412,9 @@ def run_grid(
     else:
         with _DrawThread(grid, source, sizes) as draws:
             for trial in range(grid.trials):
-                public = generate(source, max(grid.n_pub_values), draws.public)
-                private = generate(source, max(grid.n_priv_values), draws.private)
+                normals_pub, normals_priv = draws.normals()
+                public = generate(source, max(grid.n_pub_values), normals_pub)
+                private = generate(source, max(grid.n_priv_values), normals_priv)
                 for (n_priv, n_pub), rng in zip(sizes, draws.hand_back()):
                     rows = public.head(n_pub), private.head(n_priv)
                     record((n_priv, n_pub), _run_trial(grid, truth, *rows, rng))

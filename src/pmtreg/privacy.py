@@ -64,10 +64,17 @@ def noise_scales(r_x: float, r_y: float, n: int, budget: PrivacyBudget) -> tuple
     ||x x^T - x' x'^T||_F^2 = ||x||^4 + ||x'||^4 - 2 (x . x')^2 <= 2 r_x^4,
     the tight replace-one bound is sqrt(2) r_x^2 / n, so the matrix release
     meets rho / 2-zCDP while this scale charges it rho.  The vector constant is
-    tight (take x' = -x).
+    tight (take x' = -x).  A scale that overflows is refused, naming rho.
     """
     scale = n * math.sqrt(2.0 * budget.rho)
-    return 2.0 * r_x * r_x / scale, 2.0 * r_x * r_y / scale
+    sigmas = 2.0 * r_x * r_x / scale, 2.0 * r_x * r_y / scale
+    for name, sigma in zip(("matrix", "vector"), sigmas):
+        if not math.isfinite(sigma):
+            raise ValueError(
+                f"rho={budget.rho:g} is too small for radii r_x={r_x:g}, r_y={r_y:g} "
+                f"at n={n}: the {name} noise scale overflows"
+            )
+    return sigmas
 
 
 def _check_sigma(sigma: float) -> None:

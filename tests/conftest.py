@@ -6,6 +6,7 @@ import pytest
 
 import pmtreg.estimators
 import pmtreg.pmt
+from pmtreg.data import generate, normals_shape
 from pmtreg.privacy import noise_scales
 from pmtreg.spectra import SymmetricMatrix
 
@@ -22,6 +23,14 @@ def random_spd(rng: np.random.Generator, d: int, max_cond: float = 1e6) -> Symme
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def generate_from(spec, n: int, rng):
+    """``generate``'s n rows, their normals drawn in one ``standard_normal``
+    call from ``rng``: a Generator, or anything ``np.random.default_rng``
+    accepts, such as a stream key."""
+    normals = np.random.default_rng(rng).standard_normal(normals_shape(spec.d, n))
+    return generate(spec, n, normals)
 
 
 @contextmanager

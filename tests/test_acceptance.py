@@ -14,11 +14,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import recorded_spend
+from conftest import generate_from, recorded_spend
 from pmtreg.cli import EXIT_OK, main
 from pmtreg.data import (
     default_synthetic,
-    generate,
     ingest_csv,
     normalize,
     public_moments,
@@ -137,8 +136,8 @@ def test_criterion_2_noise_calibration():
 def test_criterion_3_budget_accounting():
     rng = np.random.default_rng(1)
     spec = replace(default_synthetic(), coefficients=np.ones(10))
-    public = generate(spec, 50, rng)
-    private = generate(spec, 400, rng)
+    public = generate_from(spec, 50, rng)
+    private = generate_from(spec, 400, rng)
     rho, n = 1.25, private.n
     spends = []
     for release in (
@@ -179,8 +178,8 @@ def test_criterion_4_no_truncation():
     for trial in range(200):
         rng = np.random.default_rng(np.random.SeedSequence([4, trial]))
         trial_spec = replace(spec, coefficients=rng.standard_normal(10))
-        public = generate(trial_spec, 40, rng)
-        private = generate(trial_spec, 2000, rng)
+        public = generate_from(trial_spec, 40, rng)
+        private = generate_from(trial_spec, 2000, rng)
         out = dp_pmtolse(private, public_moments(public), eta, (PrivacyBudget(2.0),), rng)
         report = out.feature_truncation
         fracs.append(report.truncated / report.total)
@@ -207,8 +206,8 @@ def test_criterion_5_conditioning_improvement():
         for trial in range(100):
             rng = np.random.default_rng(np.random.SeedSequence([5, n_pub, trial]))
             trial_spec = replace(spec, coefficients=np.zeros(10))
-            public = generate(trial_spec, n_pub, rng)
-            private = generate(trial_spec, 2000, rng)
+            public = generate_from(trial_spec, n_pub, rng)
+            private = generate_from(trial_spec, 2000, rng)
             out = dp_pmtolse(
                 private, public_moments(public), 0.05, (PrivacyBudget(2.0),), rng
             )

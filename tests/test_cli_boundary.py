@@ -89,6 +89,7 @@ def _synth(*flags, d=3, n_priv=200, n_pub=20):
 @example(argv=_synth("--mu-scale=1e+150"))
 @example(argv=_synth(f"--psi-spec={TINY!r},1,1"))
 @example(argv=_synth(f"--psi-spec={HUGE!r},1,1"))
+@example(argv=_synth("--psi-spec=1e+299,1e+299,1e+299", "--rho=1e-30"))
 @example(argv=_synth("--psi-spec=1e+200,1,1"))
 @example(argv=_synth("--psi-spec=-1.0,1,1"))
 @example(argv=_synth("--psi-spec=0,0,0", "--mu-scale=0"))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import formed_grams
+from conftest import formed_grams, generate_from
 from pmtreg.data import (
     CsvParseError,
     SplitMode,
@@ -128,12 +128,12 @@ class TestSyntheticSpec:
 class TestGenerate:
     def test_requires_coefficients(self, rng):
         with pytest.raises(ValueError):
-            generate(default_synthetic(), 10, rng)
+            generate_from(default_synthetic(), 10, rng)
 
     def test_seed_determinism(self):
         spec = replace(default_synthetic(), coefficients=np.ones(10))
-        a = generate(spec, 50, np.random.default_rng(5))
-        b = generate(spec, 50, np.random.default_rng(5))
+        a = generate_from(spec, 50, np.random.default_rng(5))
+        b = generate_from(spec, 50, np.random.default_rng(5))
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.responses, b.responses)
 
@@ -146,12 +146,12 @@ class TestGenerate:
             coefficients=beta,
             noise_std=0.0,
         )
-        data = generate(spec, 100, rng)
+        data = generate_from(spec, 100, rng)
         assert np.allclose(olse(data), beta, atol=1e-10)
 
     def test_empirical_second_moment(self):
         spec = replace(default_synthetic(), coefficients=np.ones(10))
-        data = generate(spec, 200_000, np.random.default_rng(11))
+        data = generate_from(spec, 200_000, np.random.default_rng(11))
         emp = data.features.T @ data.features / data.n
         target = spec.second_moment().entries
         assert np.linalg.norm(emp - target) <= 0.05 * np.linalg.norm(target)
@@ -160,7 +160,7 @@ class TestGenerate:
     def test_smaller_draw_is_a_prefix_of_a_larger_one(self, d):
         spec = replace(default_synthetic(d), coefficients=np.linspace(-1.0, 1.0, d))
         sizes = (1, 63, 64, 65, 1000)
-        draws = {n: generate(spec, n, [d, 3, 0, 1]) for n in sizes}
+        draws = {n: generate_from(spec, n, [d, 3, 0, 1]) for n in sizes}
         for n in sizes:
             assert draws[n].n == n
             for m in sizes[sizes.index(n) + 1 :]:
@@ -170,14 +170,14 @@ class TestGenerate:
     @pytest.mark.parametrize("d, n", [(1, 1), (10, 3000), (50, 130)])
     def test_draw_handed_in_gives_the_same_rows_and_shares_no_memory(self, d, n):
         # the harness's draw thread fills one buffer per stream with
-        # standard_normal(out=...) and hands it to generate through a
-        # callable; it refills the buffer once generate returns
+        # standard_normal(out=...) and hands it to generate; it refills the
+        # buffer once generate returns
         spec = replace(default_synthetic(d), coefficients=np.linspace(-1.0, 1.0, d))
         key = [d, 3, 0, 1]
         normals = np.empty(normals_shape(d, n))
         np.random.default_rng(key).standard_normal(out=normals)
-        handed = generate(spec, n, lambda: normals)
-        drawn = generate(spec, n, key)
+        handed = generate(spec, n, normals)
+        drawn = generate_from(spec, n, key)
         assert np.array_equal(handed.features, drawn.features)
         assert np.array_equal(handed.responses, drawn.responses)
         assert not np.shares_memory(handed.features, normals)
@@ -191,7 +191,7 @@ class TestGenerate:
         short = np.zeros(normals_shape(10, 64))
         named = r"65 rows of dimension 10 need normals of shape \(2, 64, 11\)"
         with pytest.raises(ValueError, match=named):
-            generate(spec, 65, lambda: short)
+            generate(spec, 65, short)
 
     def test_response_model(self):
         beta = np.arange(1.0, 4.0)
@@ -202,7 +202,7 @@ class TestGenerate:
             coefficients=beta,
             noise_std=0.0,
         )
-        data = generate(spec, 40, np.random.default_rng(2))
+        data = generate_from(spec, 40, np.random.default_rng(2))
         assert np.allclose(data.responses, data.features @ beta, atol=1e-12)
 
 

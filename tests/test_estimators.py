@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_calibrated, noiseless, random_spd, recorded_spend
-from pmtreg.data import default_synthetic, generate, public_moments
+from conftest import (
+    assert_calibrated,
+    generate_from,
+    noiseless,
+    random_spd,
+    recorded_spend,
+)
+from pmtreg.data import default_synthetic, public_moments
 from pmtreg.estimators import (
     LabeledDataset,
     Method,
@@ -108,7 +114,7 @@ class TestLabeledDataset:
     @pytest.mark.parametrize("d", [1, 3, 10, 11, 50])
     def test_subsets_carry_their_own_row_norms_bit_for_bit(self, rng, d):
         spec = replace(default_synthetic(d), coefficients=np.ones(d))
-        draw = generate(spec, 300, rng)
+        draw = generate_from(spec, 300, rng)
         real = LabeledDataset(rng.standard_normal((300, d)), rng.standard_normal(300))
         for data in (draw, real):
             held = data.stats  # formed when the cells were checked
@@ -119,7 +125,7 @@ class TestLabeledDataset:
             for subset in subsets:
                 x, y = subset.features, subset.responses
                 own = subset.stats
-                assert own.n == subset.n == len(y)
+                assert subset.n == len(y) == len(own.feature_sq_norms) == len(own.response_sq)
                 assert own.feature_sq_norms.tobytes() == np.einsum("ij,ij->i", x, x).tobytes()
                 assert own.response_sq.tobytes() == np.einsum("i,i->i", y, y).tobytes()
                 for values in (own.feature_sq_norms, own.response_sq):
@@ -132,7 +138,7 @@ class TestLabeledDataset:
         einsums = []
         real_einsum = np.einsum
         monkeypatch.setattr(np, "einsum", lambda *a: einsums.append(a) or real_einsum(*a))
-        rows = LabeledDataset(x @ np.diag([1.0, 2.0, 3.0]), np.ones(20), RowStatistics(20))
+        rows = LabeledDataset(x @ np.diag([1.0, 2.0, 3.0]), np.ones(20), RowStatistics())
         assert rows.stats.feature_sq_norms is None and einsums == []
         assert np.array_equal(rows.feature_sq_norms, real_einsum("ij,ij->i", *[rows.features] * 2))
         assert rows.feature_sq_norms is rows.feature_sq_norms
@@ -178,7 +184,7 @@ RADII = "truncation radii derived from unprivatized private moments"
 
 def test_only_the_baseline_notes_a_caveat_and_both_book_two_rho(rng):
     spec = replace(default_synthetic(), coefficients=np.ones(10))
-    public, private = generate(spec, 40, rng), generate(spec, 400, rng)
+    public, private = generate_from(spec, 40, rng), generate_from(spec, 400, rng)
     with recorded_spend() as pmt_spend:
         pmt_out = dp_pmtolse(private, public_moments(public), 0.05, (BUDGET,), rng)
     with recorded_spend() as base_spend:
@@ -275,8 +281,8 @@ class TestDpSecondMoment:
 class TestDpPmtolse:
     def test_affine_invariance_zero_noise(self, rng, no_noise):
         spec = replace(default_synthetic(), coefficients=rng.standard_normal(10))
-        public = generate(spec, 60, rng)
-        private = generate(spec, 800, rng)
+        public = generate_from(spec, 60, rng)
+        private = generate_from(spec, 800, rng)
         ref = olse(private)
         out = dp_pmtolse(private, public_moments(public), 0.05, (BUDGET,), rng)
         assert np.linalg.norm(out.betas[0] - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -295,8 +301,8 @@ class TestDpPmtolse:
 
     def test_deterministic_per_seed(self, rng):
         spec = replace(default_synthetic(), coefficients=np.ones(10))
-        public = generate(spec, 50, rng)
-        private = generate(spec, 300, rng)
+        public = generate_from(spec, 50, rng)
+        private = generate_from(spec, 300, rng)
         pm = public_moments(public)
         a = dp_pmtolse(private, pm, 0.05, (BUDGET,), np.random.default_rng(77))
         b = dp_pmtolse(private, pm, 0.05, (BUDGET,), np.random.default_rng(77))
@@ -305,8 +311,8 @@ class TestDpPmtolse:
 
     def test_budget_accounting(self, rng):
         spec = replace(default_synthetic(), coefficients=np.ones(10))
-        public = generate(spec, 50, rng)
-        private = generate(spec, 300, rng)
+        public = generate_from(spec, 50, rng)
+        private = generate_from(spec, 300, rng)
         with recorded_spend() as spend:
             dp_pmtolse(private, public_moments(public), 0.05, (PrivacyBudget(0.7),), rng)
         r_x, r_y = assert_calibrated(spend, 300, (PrivacyBudget(0.7),))
@@ -381,7 +387,7 @@ class TestDpOlseBaseline:
 
     def test_budget_accounting(self, rng):
         spec = replace(default_synthetic(), coefficients=np.ones(10))
-        private = generate(spec, 300, rng)
+        private = generate_from(spec, 300, rng)
         with recorded_spend() as spend:
             dp_olse_baseline(private, 0.05, (PrivacyBudget(5.0),), rng)
         r_x, r_y = assert_calibrated(spend, 300, (PrivacyBudget(5.0),))
@@ -468,7 +474,7 @@ def test_singular_noisy_moment_fails_only_its_budget(release, monkeypatch):
 
 def test_rho_independent_stage_shared_by_all_budgets(rng):
     spec = replace(default_synthetic(), coefficients=np.ones(10))
-    public, private = generate(spec, 40, rng), generate(spec, 400, rng)
+    public, private = generate_from(spec, 40, rng), generate_from(spec, 400, rng)
     for release in (
         lambda: dp_pmtolse(private, public_moments(public), 0.05, BUDGETS, rng),
         lambda: dp_olse_baseline(private, 0.05, BUDGETS, rng),

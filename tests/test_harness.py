@@ -420,18 +420,19 @@ class TestDatasetSharing:
             reference=Reference.NONPRIVATE_OLSE, trials=4,
         )
         used = []
-        real_complement = RowStatistics.complement
+        real_subset = RowStatistics.subset
 
-        def complement(cls, *args):
-            used.append(args)
-            return real_complement(*args)
+        def subset(cls, parent, pick, left_out):
+            if left_out:
+                used.append(left_out)
+            return real_subset(parent, pick, left_out)
 
-        monkeypatch.setattr(RowStatistics, "complement", classmethod(complement))
+        monkeypatch.setattr(RowStatistics, "subset", classmethod(subset))
         shipped = run_grid(grid, source)
         assert len(used) == 2 * grid.trials  # both sizes leave out fewer rows than they keep
         monkeypatch.setattr(
-            RowStatistics, "complement",
-            classmethod(lambda cls, parent, pick, left_out: cls.subset(parent, pick)),
+            RowStatistics, "subset",
+            classmethod(lambda cls, parent, pick, left_out: real_subset(parent, pick, ())),
         )
         row_formed = run_grid(grid, source)
         assert len(shipped) == len(row_formed) == 12
@@ -578,12 +579,13 @@ class TestDrawThread:
         assert raised == [failure] and raised[0] is failure
         assert threading.active_count() == before
 
-    def test_worker_calls_no_traced_binding_and_each_wait_is_inside_generate(
+    def test_worker_calls_no_traced_binding_and_waits_before_generate(
         self, monkeypatch, tmp_path
     ):
-        # bench/child.py keeps one span stack for the process, and counts a
-        # wait outside every traced call as untraced time
-        callers, inside, waits = set(), [], []
+        # bench/child.py keeps one span stack for the process, so the worker
+        # must call no traced binding; the main thread waits for each trial's
+        # normals, then generates its public and its private rows
+        callers, events, waits = set(), [], []
         for module_name, attr, _ in _bench_child().TRACED:
             if module_name.split(".")[0] == "pmtreg":
                 module = importlib.import_module(module_name)
@@ -591,11 +593,9 @@ class TestDrawThread:
 
                 def recorded(*args, real=real, attr=attr, **kwargs):
                     callers.add(threading.get_ident())
-                    inside.append(attr)
-                    try:
-                        return real(*args, **kwargs)
-                    finally:
-                        inside.pop()
+                    if attr == "generate":
+                        events.append(attr)
+                    return real(*args, **kwargs)
 
                 monkeypatch.setattr(module, attr, recorded)
         real_init = harness._DrawThread.__init__
@@ -608,7 +608,8 @@ class TestDrawThread:
                 release = ready.release
 
                 def acquire(self):
-                    waits.append(list(inside))
+                    waits.append(threading.get_ident())
+                    events.append("wait")
                     return ready.acquire()
 
             draws._ready = Counted()
@@ -616,8 +617,9 @@ class TestDrawThread:
         monkeypatch.setattr(harness._DrawThread, "__init__", init)
         self._sweep(tmp_path, "traced")
         assert callers == {threading.get_ident()}
-        # one wait per trial, inside the generate call of the public rows
-        assert len(waits) == 4 and all(w[-1:] == ["generate"] for w in waits), waits
+        # one wait per trial, on the main thread, before that trial's generate calls
+        assert waits == [threading.get_ident()] * 4
+        assert events == ["wait", "generate", "generate"] * 4, events
 
     def test_no_thread_outlives_run_grid(self, monkeypatch):
         before = threading.active_count()

@@ -63,12 +63,26 @@ SYNTHETIC = {
         10, 20.0, ILL, "nonprivate_olse", (3000,), (20,), (2.0, 10.0), 20, 64,
     ),
 }
+# (methods, eta) of the grids that do not run both methods at eta 0.05: a
+# lone method draws its noise first from each dataset's stream, and eta
+# reaches every radius
+OPTIONS = {
+    "DP_PMTOLSE-alone": (("DP_PMTOLSE",), 0.05),
+    "DP_OLSE-alone": (("DP_OLSE",), 0.05),
+    "eta-0.2": (oracle.METHODS, 0.2),
+}
+SYNTHETIC.update(
+    (name, (10, 2.0, None, "true_beta", (3000, 5000), (20,), (2.0, 10.0), 20, 7))
+    for name in OPTIONS
+)
 
 
 @pytest.mark.parametrize("name", SYNTHETIC)
 def test_synthetic_sweep_matches_the_oracle(name, tmp_path):
     d, mu_scale, psi, reference, n_priv, n_pub, rho, trials, seed = SYNTHETIC[name]
+    methods, eta = OPTIONS.get(name, (oracle.METHODS, 0.05))
     argv = ["synth", "--d", str(d), "--mu-scale", str(mu_scale), "--reference", reference]
+    argv += ["--methods", ",".join(methods), "--eta", repr(eta)]
     argv += _grid_argv(n_priv, n_pub, rho, trials, seed)
     spec = default_synthetic(d, mu_scale)
     if psi is not None:
@@ -80,8 +94,7 @@ def test_synthetic_sweep_matches_the_oracle(name, tmp_path):
         n_priv, n_pub, seed,
     )
     expected = oracle.sweep(
-        datasets, oracle.METHODS, rho, 0.05, trials, seed,
-        beta if reference == "true_beta" else None,
+        datasets, methods, rho, eta, trials, seed, beta if reference == "true_beta" else None
     )
     _assert_same_sweep(_cli_table(argv, tmp_path), expected)
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spd
-from pmtreg.data import default_synthetic, generate, public_moments
+from conftest import generate_from, random_spd
+from pmtreg.data import default_synthetic, public_moments
 from pmtreg.estimators import LabeledDataset, PublicMoments, dp_pmtolse
 from pmtreg.pmt import TruncationReport, clip_rows, transform, truncation_radius
 from pmtreg.privacy import PrivacyBudget
@@ -192,8 +192,8 @@ def test_no_truncation_statistical():
     for child in master.spawn(200):
         rng = np.random.default_rng(child)
         beta_spec = replace(spec, coefficients=np.zeros(spec.d))
-        public = generate(beta_spec, 4 * spec.d, rng)
-        private = generate(beta_spec, 500, rng)
+        public = generate_from(beta_spec, 4 * spec.d, rng)
+        private = generate_from(beta_spec, 500, rng)
         out = dp_pmtolse(private, public_moments(public), 0.05, (PrivacyBudget(1.0),), rng)
         report = out.feature_truncation
         truncated_counts.append(report.truncated / report.total)

@@ -103,6 +103,18 @@ class TestNoiseScales:
             delta / math.sqrt(2.0 * rho), rel=1e-15
         )
 
+    @pytest.mark.parametrize(
+        "r_x, r_y, overflows", [(1e150, 1.0, "matrix"), (1.0, 1e300, "vector")]
+    )
+    def test_scale_that_overflows_is_refused_naming_rho(self, r_x, r_y, overflows):
+        # radii taken from the private rows can be large enough that a tiny
+        # rho sends a scale to inf; the sampler would refuse it unnamed
+        budget = PrivacyBudget(1e-30)
+        with pytest.raises(ValueError, match=rf"rho=1e-30 .* the {overflows} noise scale"):
+            noise_scales(r_x, r_y, 200, budget)
+        sigma1, sigma2 = noise_scales(r_x, r_y, 200, PrivacyBudget(1e-20))
+        assert math.isfinite(sigma1) and math.isfinite(sigma2)
+
 
 def _clipped_moments(x, y, r_x, r_y):
     n = x.shape[0]
