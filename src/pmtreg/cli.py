@@ -195,6 +195,15 @@ def _json_number(value):
     return value if math.isfinite(value) else None
 
 
+def _c_function(library: str | None, name: str):
+    """The function ``name`` of the C library at path ``library`` (None: the
+    process's own symbols), or None where it cannot be loaded."""
+    try:
+        return getattr(ctypes.CDLL(library), name)
+    except (AttributeError, OSError, TypeError):  # no such function, library or handle
+        return None
+
+
 def _keep_freed_heap() -> None:
     """Keep freed heap pages in the process instead of returning them.
 
@@ -204,18 +213,52 @@ def _keep_freed_heap() -> None:
     mmap threshold at its 128 KiB default and map every larger array afresh,
     so both are set.  A C library without ``mallopt`` is left as it is.
     """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # no mallopt, or no process handle
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's largest allowed on 64-bit
-    mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD: never trim
+    mallopt = _c_function(None, "mallopt")
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's largest allowed on 64-bit
+        mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD: never trim
+
+
+def _openblas(name: str):
+    """The function ``scipy_openblas_<name>`` of the OpenBLAS that numpy's
+    wheel bundles, or None where no such library or function is found."""
+    package = Path(np.__file__).parent  # Linux and Windows wheels, then macOS ones
+    found = [
+        *package.parent.glob("numpy.libs/*scipy_openblas*"),
+        *package.glob(".dylibs/*scipy_openblas*"),
+    ]
+    if not found:
+        return None
+    suffix = "64_" if "openblas64" in found[0].name else ""  # the ILP64 build's symbols
+    # numpy loaded the library already, so this is the same library
+    return _c_function(str(found[0]), f"scipy_openblas_{name}{suffix}")
+
+
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread.
+
+    A trial's BLAS calls are small, and a synthetic sweep's draw worker needs
+    the second core.  Where no such library is found, as with a numpy built
+    on another BLAS, BLAS is left as it is.
+    """
+    set_threads = _openblas("set_num_threads")
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        set_threads(1)
 
 
 def main(argv=None) -> int:
+    """Run one ``pmtreg`` command and return its exit code.
+
+    It first makes two settings of the process: glibc keeps freed heap
+    pages (:func:`_keep_freed_heap`), and numpy's OpenBLAS runs one thread
+    (:func:`_one_blas_thread`).  Neither is restored: both persist after
+    ``main`` returns, and neither changes an output byte.
+    """
     _keep_freed_heap()
+    _one_blas_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

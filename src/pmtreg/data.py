@@ -283,10 +283,9 @@ def split(
     and any unused ones).  A split then passes over the n - n_priv left-out
     rows instead of the n_priv private ones.  The difference's error relative
     to the private sums is about eps * n / n_priv, below about 2 eps by the
-    rule.  The rule stays because it pays: without it, real-csv
-    ``bench/run.py`` sweeps (the wine grid, 249 of 4,898 rows left out) read
-    a median 5,097 trials/s against 5,530 (-7.8%; 5 of 6 alternating 6 s
-    pairs slower, seed 23, 2 vCPUs, OpenBLAS 0.3.31).
+    rule.  The rule stays because it pays: without it, real-csv sweeps (the
+    wine grid, 249 of 4,898 rows left out) are slower; README's "Rejected
+    designs" gives the figures.
     """
     n = data.n
     if n_pub < 1 or n_priv < 1:

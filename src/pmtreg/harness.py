@@ -27,24 +27,19 @@ public and private normals into the buffers ``generate`` has finished
 reading, and signals the trial ready.  The main thread waits for that
 signal before the trial's ``generate`` calls; ``generate``'s datasets share
 no memory with the buffers.  The worker calls numpy's ``default_rng``
-and ``standard_normal`` only.  While any synthetic sweep runs, numpy's
-bundled OpenBLAS runs one thread, so BLAS calls on the main thread do not
-compete with the worker for the second core; the last sweep to end restores
-the count, and where no such library is found BLAS is left alone.  The
-worker ends with the sweep, whether it returns or raises, and an exception
-in it is raised again by ``run_grid``.  Real-data sweeps use the main
-thread alone.
+and ``standard_normal`` only.  It ends with the sweep, whether the sweep
+returns or raises, and an exception in it is raised again by ``run_grid``.
+Real-data sweeps use the main thread alone.
 """
 
 from __future__ import annotations
 
 import csv
-import ctypes
 import math
 import threading
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -174,51 +169,6 @@ def _noise_key(grid: ExperimentGrid, n_priv: int, n_pub: int, trial: int) -> lis
     return [grid.seed & _SEED_MASK, 2, n_priv, n_pub, trial]
 
 
-def _openblas():
-    """The thread-count getter and setter of the OpenBLAS that numpy's wheel
-    bundles (``scipy_openblas``), or None where no such library is found."""
-    package = Path(np.__file__).parent  # Linux and Windows wheels, then macOS ones
-    found = chain(
-        package.parent.glob("numpy.libs/*scipy_openblas*"),
-        package.glob(".dylibs/*scipy_openblas*"),
-    )
-    path = next(found, None)
-    if path is None:
-        return None
-    suffix = "64_" if "openblas64" in path.name else ""  # the ILP64 build's symbols
-    try:
-        lib = ctypes.CDLL(str(path))  # numpy loaded it already: the same library
-        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-        set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-    except (AttributeError, OSError, TypeError):  # not loadable, or not the library named
-        return None
-    get.argtypes, get.restype = (), ctypes.c_int
-    set_.argtypes, set_.restype = (ctypes.c_int,), None
-    return get, set_
-
-
-# OpenBLAS has one thread count per process, so the sweeps that pin it are
-# counted per process: the running sweeps, and (set, count) to restore.
-_blas_lock = threading.Lock()
-_blas_sweeps, _blas_restore = 0, None
-
-
-def _pin_blas(step: int):
-    """Count a synthetic sweep in (step 1) or out (step -1): the first in
-    sets numpy's OpenBLAS to one thread, the last out restores the count."""
-    global _blas_sweeps, _blas_restore
-    with _blas_lock:
-        _blas_sweeps += step
-        if step == 1 and _blas_sweeps == 1 and (blas := _openblas()) is not None:
-            get, set_ = blas
-            _blas_restore = (set_, get())
-            set_(1)
-        elif _blas_sweeps == 0 and _blas_restore is not None:
-            set_, threads = _blas_restore
-            set_(threads)
-            _blas_restore = None
-
-
 class _DrawThread:
     """A synthetic sweep's worker thread, which draws each trial's rows and
     noise Generators while the main thread runs the trial before.
@@ -228,8 +178,7 @@ class _DrawThread:
     private normals, and releases one ready signal, as an exception in the
     worker does too; :meth:`normals` waits for it and returns both buffers.
     :meth:`hand_back` returns the Generators and frees the buffers.  As a
-    context manager it pins OpenBLAS (:func:`_pin_blas`) and starts the
-    worker, and on exit stops and joins it and unpins.
+    context manager it starts the worker, and on exit stops and joins it.
     """
 
     def __init__(self, grid: ExperimentGrid, spec: SyntheticModelSpec, sizes: list):
@@ -244,7 +193,6 @@ class _DrawThread:
         self._thread = threading.Thread(target=self._work, name="pmtreg-draws")
 
     def __enter__(self):
-        _pin_blas(1)
         self._thread.start()
         return self
 
@@ -252,7 +200,6 @@ class _DrawThread:
         self._closed = True
         self._free.release()
         self._thread.join()
-        _pin_blas(-1)
 
     def _work(self):
         try:

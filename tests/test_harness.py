@@ -18,9 +18,9 @@ import pytest
 from dataclasses import replace
 
 from conftest import formed_grams
-from pmtreg import harness
+from pmtreg import cli, harness
 from pmtreg.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
-from pmtreg.data import default_synthetic
+from pmtreg.data import default_synthetic, ingest_csv, normalize
 from pmtreg.estimators import LabeledDataset, Method, RowStatistics
 from pmtreg.harness import (
     CellResult,
@@ -531,14 +531,14 @@ def _raising_at(monkeypatch, name, call, exc, owner=harness):
 
 class TestDrawThread:
     """A synthetic sweep draws each trial's rows on a worker thread, a trial
-    ahead, and runs OpenBLAS at one thread meanwhile."""
+    ahead; ``main`` runs OpenBLAS at one thread."""
 
     ARGS = ["synth", "--n-priv", "300,600", "--n-pub", "20,40", "--rho", "2,10",
             "--trials", "4", "--seed", "4"]
 
-    def _sweep(self, tmp_path, name):
+    def _sweep(self, tmp_path, name, trials=4):
         out = tmp_path / f"{name}.csv"
-        assert main(self.ARGS + ["--out", str(out)]) == EXIT_OK
+        assert main(self.ARGS + ["--trials", str(trials), "--out", str(out)]) == EXIT_OK
         return out.read_bytes()
 
     def test_slow_worker_or_slow_main_thread_writes_the_same_bytes(self, tmp_path):
@@ -586,7 +586,7 @@ class TestDrawThread:
         # must call no traced binding; the main thread waits for each trial's
         # normals, then generates its public and its private rows
         callers, events, waits = set(), [], []
-        for module_name, attr, _ in _bench_child().TRACED:
+        for module_name, attr, _ in _bench_module("child").TRACED:
             if module_name.split(".")[0] == "pmtreg":
                 module = importlib.import_module(module_name)
                 real = getattr(module, attr)
@@ -642,127 +642,173 @@ class TestDrawThread:
         monkeypatch.setattr(harness, "_run_trial", recorded)
         return seen
 
-    def test_one_blas_thread_during_a_synthetic_sweep_then_restored(
-        self, monkeypatch, tmp_path
+    def test_one_blas_thread_in_every_trial_of_a_synthetic_and_a_real_sweep(
+        self, monkeypatch, tmp_path, openblas
     ):
-        blas = harness._openblas()
-        if blas is None:
-            pytest.skip("numpy bundles no scipy_openblas here")
-        get, set_ = blas
-        original = get()
-        try:
-            set_(2)
-            seen = self._blas_during_trials(monkeypatch, get)
-            run_grid(small_grid(), default_synthetic())
-            assert seen and set(seen) == {1}
-            assert get() == 2
-            # a real-data sweep leaves BLAS as it is
-            seen.clear()
-            x = np.random.default_rng(3).standard_normal((600, 3))
-            data = LabeledDataset(features=x, responses=x.sum(axis=1))
-            run_grid(
-                small_grid(reference=Reference.NONPRIVATE_OLSE), harness.DatasetSource(data)
-            )
-            assert seen and set(seen) == {2}
-            # and a sweep whose trial raises restores it too
-            _raising_at(monkeypatch, "_run_trial", 1, RuntimeError("trial failed"))
-            with pytest.raises(RuntimeError):
-                run_grid(small_grid(trials=3), default_synthetic())
-            assert get() == 2
-        finally:
-            set_(original)
+        get, set_ = openblas
+        seen = self._blas_during_trials(monkeypatch, get)
+        self._sweep(tmp_path, "synth")
+        assert len(seen) == 4 * 4 and set(seen) == {1}
+        # the setting is the process's: main sets it again, and never restores it
+        seen.clear()
+        set_(2)
+        data = str(write_toy_csv(tmp_path / "toy.csv"))
+        out = str(tmp_path / "real.csv")
+        argv = ["real", "--data", data, "--n-priv", "200", "--n-pub", "40", "--trials", "3"]
+        assert main(argv + ["--out", out]) == EXIT_OK
+        assert len(seen) == 3 and set(seen) == {1}
+        assert get() == 1
 
-    def test_overlapping_sweeps_pin_blas_once_and_the_last_restores_it(self, monkeypatch):
-        blas = harness._openblas()
-        if blas is None:
-            pytest.skip("numpy bundles no scipy_openblas here")
-        get, set_ = blas
-        original = get()
-        try:
-            set_(2)
-            seen = self._blas_during_trials(monkeypatch, get)
-            recorded = harness._run_trial
-            second_started, first_done = threading.Event(), threading.Event()
+    def test_overlapping_sweeps_run_one_blas_thread_and_write_the_lone_bytes(
+        self, monkeypatch, tmp_path, openblas
+    ):
+        get, set_ = openblas
+        lone = {trials: self._sweep(tmp_path, f"lone-{trials}", trials) for trials in (3, 5)}
+        set_(2)
+        seen = self._blas_during_trials(monkeypatch, get)
+        recorded = harness._run_trial
+        second_started, first_done = threading.Event(), threading.Event()
 
-            def trial(*args):
-                # the first sweep waits in its first trial for the second to
-                # start, and the second waits after its first for the first
-                # to end: they overlap, and the second ends last
-                if threading.current_thread().name == "first":
-                    second_started.wait(timeout=60)
-                elif second_started.is_set():
-                    first_done.wait(timeout=60)
-                second_started.set()
-                return recorded(*args)
+        def trial(*args):
+            # the first sweep waits in its first trial for the second to
+            # start, and the second waits after its first for the first
+            # to end: they overlap, and the second ends last
+            if threading.current_thread().name == "first":
+                second_started.wait(timeout=60)
+            elif second_started.is_set():
+                first_done.wait(timeout=60)
+            second_started.set()
+            return recorded(*args)
 
-            monkeypatch.setattr(harness, "_run_trial", trial)
-            done = []
+        monkeypatch.setattr(harness, "_run_trial", trial)
+        done = {}
 
-            def sweep(trials, finished):
-                run_grid(small_grid(trials=trials), default_synthetic())
-                done.append(trials)
-                finished.set()
+        def sweep(trials, finished):
+            done[trials] = self._sweep(tmp_path, threading.current_thread().name, trials)
+            finished.set()
 
-            first = threading.Thread(target=sweep, args=(3, first_done), name="first")
-            second = threading.Thread(
-                target=sweep, args=(5, threading.Event()), name="second"
-            )
-            first.start()
-            second.start()
-            first.join(timeout=60)
-            second.join(timeout=60)
-            assert done == [3, 5]
-            assert len(seen) == 3 + 5 and set(seen) == {1}
-            assert get() == 2
-        finally:
-            set_(original)
+        first = threading.Thread(target=sweep, args=(3, first_done), name="first")
+        second = threading.Thread(target=sweep, args=(5, threading.Event()), name="second")
+        first.start()
+        second.start()
+        first.join(timeout=60)
+        second.join(timeout=60)
+        assert list(done) == [3, 5] and done == lone
+        assert len(seen) == 4 * (3 + 5) and set(seen) == {1}
 
-    def test_concurrent_sweeps_keep_blas_pinned_until_the_last_ends(self, monkeypatch):
+    def test_concurrent_sweeps_keep_blas_pinned_until_the_last_ends(
+        self, monkeypatch, tmp_path, openblas
+    ):
         # more sweeping threads than cores, swapping the interpreter lock as
-        # often as they can: a lost update to the count of running sweeps
-        # would unpin BLAS under a running sweep, or never restore it
-        blas = harness._openblas()
-        if blas is None:
-            pytest.skip("numpy bundles no scipy_openblas here")
-        get, set_ = blas
-        original, interval = get(), sys.getswitchinterval()
+        # often as they can: every trial of every sweep runs one BLAS thread,
+        # and every sweep writes the lone sweep's bytes
+        get, set_ = openblas
+        lone = self._sweep(tmp_path, "lone", 2)
+        set_(2)
+        seen = self._blas_during_trials(monkeypatch, get)
+        written = []
+        interval = sys.getswitchinterval()
+
+        def sweeps(k):
+            for i in range(3):
+                written.append(self._sweep(tmp_path, f"sweeper-{k}-{i}", 2))
+
         try:
-            set_(2)
-            seen = self._blas_during_trials(monkeypatch, get)
-            done = []
-
-            def sweeps():
-                for _ in range(3):
-                    run_grid(small_grid(trials=2), default_synthetic())
-                done.append(True)
-
             sys.setswitchinterval(1e-6)
-            threads = [threading.Thread(target=sweeps) for _ in range(4)]
+            threads = [threading.Thread(target=sweeps, args=(k,)) for k in range(4)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=120)
-            assert not any(thread.is_alive() for thread in threads)
-            assert len(done) == 4 and len(seen) == 4 * 3 * 2 and set(seen) == {1}
-            assert get() == 2
         finally:
             sys.setswitchinterval(interval)
-            set_(original)
+        assert not any(thread.is_alive() for thread in threads)
+        assert written == [lone] * 4 * 3
+        assert len(seen) == 4 * 3 * 2 * 4 and set(seen) == {1}
 
     def test_sweep_without_openblas_leaves_blas_alone(self, monkeypatch, tmp_path):
         plain = self._sweep(tmp_path, "plain")
-        blas = harness._openblas()
+        get, set_ = cli._openblas("get_num_threads"), cli._openblas("set_num_threads")
 
         def no_library(name):
             raise OSError(f"cannot load {name}")
 
-        monkeypatch.setattr(harness.ctypes, "CDLL", no_library)
-        assert harness._openblas() is None
-        if blas is not None:
-            seen = self._blas_during_trials(monkeypatch, blas[0])
-        assert self._sweep(tmp_path, "no-blas") == plain
-        if blas is not None:
-            assert set(seen) == {blas[0]()}
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
+        assert cli._openblas("set_num_threads") is None
+        if get is None:
+            assert self._sweep(tmp_path, "no-blas") == plain
+            return
+        original = get()
+        try:
+            set_(2)
+            seen = self._blas_during_trials(monkeypatch, get)
+            assert self._sweep(tmp_path, "no-blas") == plain
+            assert seen and set(seen) == {2}
+        finally:
+            set_(original)
+
+
+@pytest.fixture
+def openblas():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, with
+    the count set to 2 for the test and restored after it."""
+    get, set_ = cli._openblas("get_num_threads"), cli._openblas("set_num_threads")
+    if get is None or set_ is None:
+        pytest.skip("numpy bundles no scipy_openblas here")
+    original = get()
+    set_(2)
+    yield get, set_
+    set_(original)
+
+
+@pytest.fixture(scope="module")
+def wine_shaped(tmp_path_factory):
+    """The benchmark's wine-shaped dataset (4,898 rows, 11 features), normalized."""
+    path = tmp_path_factory.mktemp("wine") / "wine.csv"
+    _bench_module("wine").write_wine_csv(path, 0)
+    return normalize(ingest_csv(path))
+
+
+def _ill_conditioned():
+    """The --psi-spec geomspace(1e-6, 1) --mu-scale 20 design: second moment
+    avg_cond about 1.5e8."""
+    spec = default_synthetic(mu_scale=20.0)
+    return replace(spec, covariance=SymmetricMatrix(np.diag(np.geomspace(1e-6, 1.0, 10))))
+
+
+@pytest.mark.parametrize(
+    "design, sizes",
+    [
+        ("d10", (3000, 20)),
+        ("d50", (2000, 100)),
+        ("ill-conditioned", (3000, 20)),
+        # 249 rows left out: the private moments are a complement
+        pytest.param("real", (4649, 249), id="real-complement"),
+        pytest.param("real", (100, 249), id="real-rows"),
+    ],
+)
+def test_run_grid_results_do_not_depend_on_the_blas_thread_count(
+    design, sizes, openblas, wine_shaped
+):
+    _, set_ = openblas
+    n_priv, n_pub = sizes
+    grid = small_grid(
+        rho_values=(2.0, 1000.0), n_priv_values=(n_priv,), n_pub_values=(n_pub,)
+    )
+    if design == "real":
+        grid = replace(grid, reference=Reference.NONPRIVATE_OLSE)
+        source = harness.DatasetSource(wine_shaped)
+    else:
+        source = {
+            "d10": default_synthetic(d=10),
+            "d50": default_synthetic(d=50),
+            "ill-conditioned": _ill_conditioned(),
+        }[design]
+    results = []
+    for threads in (1, 2):
+        set_(threads)
+        results.append(repr(run_grid(grid, source)))
+    assert results[0] == results[1]
 
 
 class TestEmitCsv:
@@ -1235,8 +1281,6 @@ class TestCli:
         assert len(payload["eigenvalues"]) == 2
 
     def test_heap_setting_skipped_without_mallopt(self, tmp_path, monkeypatch):
-        from pmtreg import cli
-
         args = ["synth", "--n-priv", "300", "--trials", "3", "--seed", "4"]
         calls = []
 
@@ -1325,17 +1369,18 @@ def _refuse_constant(name):
     raise ValueError(f"not standard JSON: {name}")
 
 
-def _bench_child():
-    spec = importlib.util.spec_from_file_location("bench_child", REPO / "bench" / "child.py")
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)
-    return child
+def _bench_module(name):
+    """The module bench/<name>.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", REPO / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_bench_traced_bindings_resolve():
     # bench/child.py wraps these names for the traced benchmark run; a
     # refactor that drops one would otherwise fail only there
-    child = _bench_child()
+    child = _bench_module("child")
     pairs = [(m, a) for m, a, _ in child.TRACED if m.split(".")[0] == "pmtreg"]
     assert len(pairs) >= 19
     for module, attr in pairs:
@@ -1347,7 +1392,7 @@ def test_bench_traced_bindings_are_called_through(monkeypatch, tmp_path):
     # through it now calls the function some other way: the traced benchmark
     # then reads 0 calls.  One small sweep of each kind calls through every
     # pmtreg binding that bench/child.py wraps.
-    child = _bench_child()
+    child = _bench_module("child")
     tracer = child.Tracer()
     expected = set()
     for module_name, attr, name in child.TRACED:
@@ -1368,7 +1413,7 @@ def test_bench_clip_note_reads_the_clip_report():
     # pmt.clip_rows.noop_frac is the share labelled "noop"
     from pmtreg import pmt
 
-    child = _bench_child()
+    child = _bench_module("child")
     rows = np.array([[3.0, 4.0], [0.3, 0.4]])
     assert child._clip_note(pmt.clip_rows(rows, 1.0)) == "clipped"
     assert child._clip_note(pmt.clip_rows(rows, 10.0)) == "noop"

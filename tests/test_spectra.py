@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd
+from pmtreg.data import default_synthetic, generate, normals_shape, public_moments
 from pmtreg.estimators import LabeledDataset, olse
 from pmtreg.spectra import (
     SymmetricMatrix,
@@ -230,6 +232,24 @@ class TestTheoryBracket:
     def test_insufficient_public_data(self):
         with pytest.raises(ValueError, match="n_pub > d"):
             theory_bracket(10, 10, 0.05)
+
+    @pytest.mark.parametrize("n_pub", [20, 40, 100, 400])
+    def test_whitened_population_spectrum_lies_in_the_bracket(self, n_pub):
+        # the paper's claim: with probability at least 1 - eta over the public
+        # draw, P Sigma P has every eigenvalue in [L, U], where P is the public
+        # second moment's inverse square root and Sigma the population's
+        eta, draws = 0.05, 300
+        spec = replace(default_synthetic(), coefficients=np.zeros(10))
+        population = spec.second_moment().entries
+        lower, upper = theory_bracket(spec.d, n_pub, eta)
+        rng = np.random.default_rng([29, n_pub])
+        outside = 0
+        for _ in range(draws):
+            public = generate(spec, n_pub, rng.standard_normal(normals_shape(spec.d, n_pub)))
+            p = inv_sqrt_clamped(public_moments(public).feature_moment).entries
+            lam = np.linalg.eigvalsh(p @ population @ p)
+            outside += not (lower <= lam[0] and lam[-1] <= upper)
+        assert outside <= eta * draws, (outside, lower, upper)
 
 
 class TestStableInverse:
