@@ -1,9 +1,9 @@
 """Synthetic data generation, CSV ingestion, normalization, and splitting.
 
-Every dataset made here is checked, so it holds each row's ||x_i||^2 and
-y_i^2 from the start (:func:`generate`, :func:`normalize`), and every prefix
-or split of its rows takes its slice of them.  :func:`split` may build the
-private rows' X^T X and X^T y as a complement; see there.
+Every dataset made here has its cells checked once (:func:`generate`,
+:func:`normalize`); a prefix or split of its rows is not scanned again.
+:func:`split` may build the private rows' X^T X and X^T y as a complement;
+see there.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import LabeledDataset, PublicMoments
+from .estimators import LabeledDataset, PublicMoments, RowStatistics
 from .spectra import SymmetricMatrix, sqrt_sym
 
 __all__ = [
@@ -273,16 +273,15 @@ def split(
     n_pub, last first.  So for one seed each set is a prefix of any larger
     set of its kind, and the two stay disjoint while n_pub + n_priv <= n.
     Head mode takes the first n_pub rows as public and the next n_priv as
-    private, whatever the seed.  Each subset takes its slice of the rows'
-    squared norms, and its cells are not scanned again.
+    private, whatever the seed.  Neither subset's cells are scanned again.
 
     When the rows the private set leaves out are fewer than its own
-    (n - n_priv < n_priv), its X^T X and X^T y are a complement
-    (``RowStatistics.subset``): the dataset's sums, formed on its first
-    such split and kept, less those of the left-out rows (the public rows
-    and any unused ones).  A split then passes over the n - n_priv left-out
-    rows instead of the n_priv private ones.  The difference's error relative
-    to the private sums is about eps * n / n_priv, below about 2 eps by the
+    (n - n_priv < n_priv), the split forms its X^T X and X^T y as a
+    complement: the dataset's sums, formed on its first such split and
+    kept, less the public rows' (kept for :func:`public_moments`) and less
+    any unused rows'.  A split then passes over the n - n_priv left-out rows
+    instead of the n_priv private ones.  The difference's error relative to
+    the private sums is about eps * n / n_priv, below about 2 eps by the
     rule.  The rule stays because it pays: without it, real-csv sweeps (the
     wine grid, 249 of 4,898 rows left out) are slower; README's "Rejected
     designs" gives the figures.
@@ -299,16 +298,21 @@ def split(
         perm = np.random.default_rng(seed).permutation(n)
         pub_idx, priv_idx = perm[::-1][:n_pub], perm[:n_priv]
         unused_idx = perm[n_priv : n - n_pub]
-    public, left_out = data.take(pub_idx), ()
-    if n - n_priv < n_priv:
-        left_out = (public, data.take(unused_idx)) if unused_idx.size else (public,)
-    return public, data.take(priv_idx, left_out)
+    public, private = data.take(pub_idx), data.take(priv_idx)
+    if n - n_priv >= n_priv:
+        return public, private
+    gram, cross = data.gram - public.gram, data.cross - public.cross
+    if unused_idx.size:
+        unused = data.take(unused_idx)
+        gram, cross = gram - unused.gram, cross - unused.cross
+    stats = RowStatistics(gram, cross)
+    return public, LabeledDataset(private.features, private.responses, stats)
 
 
 def public_moments(public: LabeledDataset) -> PublicMoments:
     """Uncentered second moments of the public rows (no mean subtraction)."""
     return PublicMoments(
         feature_moment=public.second_moment,
-        response_moment=float(np.sqrt(np.mean(public.response_sq))),
+        response_moment=float(np.sqrt(np.mean(public.responses * public.responses))),
         n_pub=public.n,
     )

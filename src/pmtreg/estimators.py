@@ -13,15 +13,17 @@ passes raw rows with radii taken from the private data's own moments.
 Each DP estimator takes a tuple of budgets and returns one
 :class:`EstimatorOutput`.  The work that does not depend on rho (whitening,
 clipping, the two moments) is done once, the noise is drawn per budget, and
-the noisy moments are decomposed as one stack, in one eigendecomposition
-call.
+the pre-noise moment and the noisy ones are decomposed as one stack, in one
+eigendecomposition call.
 
 A :class:`LabeledDataset` is its rows and the :class:`RowStatistics` it was
-handed for them (row norms, X^T X, X^T y); what it was not handed, and the
-moments and spectrum derived from them, it forms on first read.  A clip
-that changes no row hands back the same rows, so :func:`olse` and a
-baseline release that clips nothing share one Gram and one spectrum.
-Designs not taken (P G P, the summation order of mean ||x||^2): README,
+handed for them (X^T X, X^T y); what it was not handed, and the moments
+derived from them, it forms on first read.  Each other statistic is formed
+where it is read: the clip's squared row norms in :func:`pmt.clip_rows`, a
+spectrum in the call that decomposes it.  A clip that changes no row hands
+back the same rows, so :func:`olse` and a baseline release that clips
+nothing share one Gram.  Designs not taken (P G P, the summation order of
+mean ||x||^2, carried row norms, one spectrum for two readers): README,
 "Rejected designs".
 """
 
@@ -70,49 +72,18 @@ class Method(enum.Enum):
     DP_PMTOLSE = "DP_PMTOLSE"
 
 
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
-
-
 class RowStatistics(NamedTuple):
     """What a :class:`LabeledDataset` holds instead of forming it from its
-    rows: each row's ||x_i||^2 (``feature_sq_norms``) and y_i^2
-    (``response_sq``), X^T X (``gram``) and X^T y (``cross``).  None marks a
-    statistic the dataset forms on first read.
+    rows: X^T X (``gram``) and X^T y (``cross``).  None marks a sum the
+    dataset forms on first read; ``RowStatistics()`` holds neither.
 
-    Made by :meth:`of_checked_rows` or :meth:`subset`.  ``RowStatistics()``
-    holds nothing, for whitened or clipped rows.  A tuple, as a frozen
-    dataclass took 0.6 ms more to define and 2.5x as long per instance
-    (CPython 3.11, 2 vCPUs).
+    ``data.split`` hands a private set its sums as a complement.  A tuple,
+    as a frozen dataclass took 0.6 ms more to define and 2.5x as long per
+    instance (CPython 3.11, 2 vCPUs).
     """
 
-    feature_sq_norms: np.ndarray | None = None
-    response_sq: np.ndarray | None = None
     gram: np.ndarray | None = None
     cross: np.ndarray | None = None
-
-    @classmethod
-    def of_checked_rows(cls, x: np.ndarray, y: np.ndarray) -> RowStatistics:
-        """The row norms of rows whose cells were checked, formed now for
-        every subset of them (inf where a finite entry's square overflows)."""
-        with np.errstate(over="ignore"):
-            return cls(_read_only(np.einsum("ij,ij->i", x, x)), _read_only(y * y))
-
-    @classmethod
-    def subset(cls, parent: LabeledDataset, pick, left_out) -> RowStatistics:
-        """A subset's slice of ``parent``'s row norms, ``pick`` selecting its
-        rows from a per-row array.  If ``left_out`` holds, as datasets, the
-        rows of ``parent`` that ``pick`` leaves out, its X^T X and X^T y are
-        ``parent``'s sums less theirs (``data.split`` says when); else they
-        are formed from its own rows."""
-        gram = cross = None
-        if left_out:
-            gram, cross = parent.gram, parent.cross
-            for rows in left_out:
-                gram, cross = gram - rows.gram, cross - rows.cross
-        sq_norms, response_sq = pick(parent.feature_sq_norms), pick(parent.response_sq)
-        return cls(_read_only(sq_norms), _read_only(response_sq), gram, cross)
 
 
 @dataclass(frozen=True)
@@ -120,10 +91,10 @@ class LabeledDataset:
     """A design matrix with its response vector, both read-only and C-ordered,
     and the :class:`RowStatistics` it holds for them.
 
-    Built without ``stats``, it checks its cells and forms its row norms;
-    with them, it takes float64 rows from a checked dataset, or computed from
-    one, without scanning them.  What ``stats`` does not hold, and the
-    moments and spectrum below, are formed on first read and kept.
+    Built without ``stats``, it checks its cells; with them, it takes float64
+    rows from a checked dataset, or computed from one, without scanning them.
+    What ``stats`` does not hold, and the moments below, are formed on first
+    read and kept.
     """
 
     features: np.ndarray
@@ -161,7 +132,7 @@ class LabeledDataset:
         x.flags.writeable = y.flags.writeable = False
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "responses", y)
-        object.__setattr__(self, "stats", RowStatistics.of_checked_rows(x, y))
+        object.__setattr__(self, "stats", RowStatistics())
 
     @property
     def n(self) -> int:
@@ -173,30 +144,14 @@ class LabeledDataset:
 
     def head(self, n: int) -> LabeledDataset:
         """The first n rows: this dataset itself when it has n rows, else views."""
-        return self if n == self.n else self._subset(lambda values: values[:n], ())
+        if n == self.n:
+            return self
+        return LabeledDataset(self.features[:n], self.responses[:n], RowStatistics())
 
-    def take(self, index: np.ndarray, left_out=()) -> LabeledDataset:
-        """The rows at ``index``, gathered into new arrays.  If ``left_out``
-        holds the other rows as datasets, the subset's sums are their
-        complement (:meth:`RowStatistics.subset`)."""
-        return self._subset(lambda values: np.take(values, index, axis=0), left_out)
-
-    def _subset(self, pick, left_out) -> LabeledDataset:
-        """The rows ``pick`` selects from each per-row array, with their statistics."""
-        stats = RowStatistics.subset(self, pick, left_out)
-        return LabeledDataset(pick(self.features), pick(self.responses), stats)
-
-    @cached_property
-    def feature_sq_norms(self) -> np.ndarray:
-        """||x_i||^2 for each row, as :func:`pmt.clip_rows` screens rows."""
-        x, held = self.features, self.stats.feature_sq_norms
-        return _read_only(np.einsum("ij,ij->i", x, x)) if held is None else held
-
-    @cached_property
-    def response_sq(self) -> np.ndarray:
-        """y_i^2 for each row."""
-        y, held = self.responses, self.stats.response_sq
-        return _read_only(y * y) if held is None else held
+    def take(self, index: np.ndarray) -> LabeledDataset:
+        """The rows at ``index``, gathered into new arrays."""
+        rows = (np.take(values, index, axis=0) for values in (self.features, self.responses))
+        return LabeledDataset(*rows, RowStatistics())
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -219,11 +174,6 @@ class LabeledDataset:
     def cross_moment(self) -> np.ndarray:
         """X^T y / n."""
         return self.cross / self.n
-
-    @cached_property
-    def spectrum(self) -> SpectralDiagnostics:
-        """The eigendecomposition of :attr:`second_moment`."""
-        return diagnostics(self.second_moment)
 
 
 @dataclass(frozen=True)
@@ -262,7 +212,7 @@ class EstimatorOutput:
 
 def olse(data: LabeledDataset) -> np.ndarray:
     """Plain least squares via the guarded normal-equations solve; returns beta."""
-    return solve(data.spectrum, data.cross_moment)
+    return solve(diagnostics(data.second_moment), data.cross_moment)
 
 
 def _release(
@@ -272,30 +222,25 @@ def _release(
     budgets: tuple[PrivacyBudget, ...],
     rng: np.random.Generator,
     notes: tuple = (),
-    shared: bool = False,
 ) -> EstimatorOutput:
     """The Gaussian sufficient-statistics mechanism both DP estimators share.
 
     Clips feature rows to r_x and responses to r_y, once.  For each budget in
     order it draws the noise of :func:`noise_scales` (rho each, matrix noise
     first), so every budget is a standalone release at its rho.  The noisy
-    moments are decomposed in one :func:`shifted_diagnostics` stack, and each
-    budget is solved through its eigenpairs; one whose noisy moment
-    :func:`solve` refuses gets beta None, and the others stand.
-
-    A clip that changes no row releases ``data`` itself, with whatever it
-    holds.  ``shared`` marks ``data`` as the caller's rows, whose spectrum
-    the caller may have formed (:func:`olse` reads it): unclipped, it is read
-    from ``data``.  Rows new here (whitened or clipped) decompose their
-    pre-noise moment in the stack.
+    moments are decomposed in one :func:`shifted_diagnostics` stack, after
+    the pre-noise moment, and each budget is solved through its eigenpairs;
+    one whose noisy moment :func:`solve` refuses gets beta None, and the
+    others stand.  A clip that changes no row releases ``data`` itself, with
+    whatever sums it holds.
     """
     n, d = data.n, data.d
     if n <= d:
         raise ValueError(f"need n > d private samples, got n={n}, d={d}")
-    x, feat_report = pmt.clip_rows(data.features, r_x, data.feature_sq_norms)
-    y, resp_report = pmt.clip_rows(data.responses[:, None], r_y, data.response_sq)
+    x, feat_report = pmt.clip_rows(data.features, r_x)
+    y, resp_report = pmt.clip_rows(data.responses[:, None], r_y)
     if feat_report.truncated or resp_report.truncated:
-        data, shared = LabeledDataset(x, y[:, 0], RowStatistics()), False
+        data = LabeledDataset(x, y[:, 0], RowStatistics())
 
     noise = []
     for budget in budgets:
@@ -303,8 +248,7 @@ def _release(
         noise.append(
             (sample_symmetric_gaussian(d, sigma1, rng), sample_gaussian_vector(d, sigma2, rng))
         )
-    spectra = shifted_diagnostics(data.second_moment, [mat for mat, _ in noise], not shared)
-    pre_diag, post_diags = (data.spectrum, spectra) if shared else (spectra[0], spectra[1:])
+    pre_diag, *post_diags = shifted_diagnostics(data.second_moment, [mat for mat, _ in noise])
     betas = []
     for post_diag, (_, vec) in zip(post_diags, noise):
         try:
@@ -369,12 +313,11 @@ def dp_olse_baseline(
     log_term = pmt.truncation_radius(1, n, eta) ** 2 - 1.0  # ln(2n/eta), eta checked
     # tr is summed over the cells, not the row norms: README, "Rejected designs"
     trace_a = float(np.sum(data.features**2)) / n
-    sigma_a_sq = float(np.mean(data.response_sq))
+    sigma_a_sq = float(np.mean(data.responses * data.responses))
     return _release(
         data,
         math.sqrt(trace_a + d * log_term),
         math.sqrt(sigma_a_sq + log_term),
         budgets, rng,
         notes=("truncation radii derived from unprivatized private moments",),
-        shared=True,
     )

@@ -266,7 +266,7 @@ def _validate(grid: ExperimentGrid, source):
         # a split's moments, and the baseline's radii, are sums bounded by
         # the whole dataset's sums of squared row norms and responses
         with np.errstate(over="ignore"):
-            totals = [np.sum(source.dataset.feature_sq_norms), np.sum(source.dataset.response_sq)]
+            totals = [np.sum(v * v) for v in (source.dataset.features, source.dataset.responses)]
         if not all(map(math.isfinite, totals)):
             raise ValueError(
                 "dataset is too large: its sum of squared feature-row norms or of "

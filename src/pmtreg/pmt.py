@@ -71,27 +71,18 @@ def transform(samples: np.ndarray, preconditioner_inv_sqrt: SymmetricMatrix) -> 
     return samples @ preconditioner_inv_sqrt.entries
 
 
-def clip_rows(samples: np.ndarray, radius: float, sq_norms: np.ndarray | None = None):
+def clip_rows(samples: np.ndarray, radius: float):
     """Clip rows with norm >= radius back onto the radius sphere.
 
     Rows strictly inside the radius pass through bit-exactly; clipped rows
     keep their direction.  When no row reaches the radius the input array
     itself is returned, not a copy.  Returns (rows, TruncationReport).
-
-    ``sq_norms``, if given, is each row's squared norm as
-    ``np.einsum("ij,ij->i", samples, samples)`` gives it (a dataset carries
-    them); it saves a pass over the rows and changes no result.
     """
     if not (radius > 0 and math.isfinite(radius)):
         raise ValueError(f"radius must be a positive finite real, got {radius}")
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ValueError(f"expected an n x d matrix, got shape {samples.shape}")
-    if sq_norms is not None and np.shape(sq_norms) != samples.shape[:1]:
-        raise ValueError(
-            f"sq_norms must hold one value per row, got shape {np.shape(sq_norms)} "
-            f"for {samples.shape[0]} rows"
-        )
     # Screen with squared norms, then take the exact norm (numpy's pairwise
     # row sum, as np.linalg.norm computes it) only of rows that could reach
     # the radius.  Both sums of d nonnegative terms are within about
@@ -104,9 +95,7 @@ def clip_rows(samples: np.ndarray, radius: float, sq_norms: np.ndarray | None = 
     # row sums follow another order.
     low = radius * radius * (1.0 - 1e-9)
     if _TINY <= low < math.inf and samples.flags.c_contiguous:
-        if sq_norms is None:
-            sq_norms = np.einsum("ij,ij->i", samples, samples)
-        near = sq_norms >= low
+        near = np.einsum("ij,ij->i", samples, samples) >= low
         if not near.any():
             return samples, TruncationReport(samples.shape[0], 0)
         rows = np.flatnonzero(near)

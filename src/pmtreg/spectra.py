@@ -142,20 +142,18 @@ def diagnostics(m: SymmetricMatrix) -> SpectralDiagnostics:
     return SpectralDiagnostics(*eig_sym(m))
 
 
-def shifted_diagnostics(m: SymmetricMatrix, shifts, include_m: bool) -> list[SpectralDiagnostics]:
-    """The spectra of m (first, if ``include_m``) and of m + s for each
-    exactly symmetric array s, from one stacked :func:`eig_sym` call.
+def shifted_diagnostics(m: SymmetricMatrix, shifts) -> list[SpectralDiagnostics]:
+    """The spectra of m, first, and of m + s for each exactly symmetric
+    array s, from one stacked :func:`eig_sym` call.
 
     A sum of two exactly symmetric matrices is exactly symmetric, float
     addition being commutative, so the sums are not symmetrized again.  As
     :class:`SymmetricMatrix` does, a sum whose M + M^T is not finite is
     refused: for a symmetric M that is 2M, finite exactly when 2 max|M| is.
     """
-    first = int(include_m)
-    stack = np.empty((first + len(shifts), m.dim, m.dim))
-    if include_m:
-        stack[0] = m.entries
-    for out, s in zip(stack[first:], shifts):
+    stack = np.empty((1 + len(shifts), m.dim, m.dim))
+    stack[0] = m.entries
+    for out, s in zip(stack[1:], shifts):
         np.add(m.entries, s, out=out)
     if not math.isfinite(2.0 * float(np.abs(stack).max(initial=0.0))):
         raise ValueError(_NOT_FINITE)

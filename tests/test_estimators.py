@@ -18,7 +18,6 @@ from pmtreg.estimators import (
     LabeledDataset,
     Method,
     PublicMoments,
-    RowStatistics,
     UnstableInversionError,
     dp_olse_baseline,
     dp_pmtolse,
@@ -111,46 +110,12 @@ class TestLabeledDataset:
                     values[0] = 0.0
         assert np.shares_memory(data.head(3).features, data.features)
 
-    @pytest.mark.parametrize("d", [1, 3, 10, 11, 50])
-    def test_subsets_carry_their_own_row_norms_bit_for_bit(self, rng, d):
-        spec = replace(default_synthetic(d), coefficients=np.ones(d))
-        draw = generate_from(spec, 300, rng)
-        real = LabeledDataset(rng.standard_normal((300, d)), rng.standard_normal(300))
-        for data in (draw, real):
-            held = data.stats  # formed when the cells were checked
-            assert held.feature_sq_norms is not None and held.response_sq is not None
-            index = rng.permutation(300)[:97]
-            subsets = [data.head(1), data.head(200), data.take(index), data.take(index[:5])]
-            subsets += [subsets[1].head(64), subsets[2].take(np.array([4, 0, 4]))]
-            for subset in subsets:
-                x, y = subset.features, subset.responses
-                own = subset.stats
-                assert subset.n == len(y) == len(own.feature_sq_norms) == len(own.response_sq)
-                assert own.feature_sq_norms.tobytes() == np.einsum("ij,ij->i", x, x).tobytes()
-                assert own.response_sq.tobytes() == np.einsum("i,i->i", y, y).tobytes()
-                for values in (own.feature_sq_norms, own.response_sq):
-                    assert not values.flags.writeable
-                assert subset.feature_sq_norms is own.feature_sq_norms
-                assert subset.response_sq is own.response_sq
-
-    def test_rows_never_checked_form_their_norms_on_first_read(self, rng, monkeypatch):
-        x = rng.standard_normal((20, 3))
-        einsums = []
-        real_einsum = np.einsum
-        monkeypatch.setattr(np, "einsum", lambda *a: einsums.append(a) or real_einsum(*a))
-        rows = LabeledDataset(x @ np.diag([1.0, 2.0, 3.0]), np.ones(20), RowStatistics())
-        assert rows.stats.feature_sq_norms is None and einsums == []
-        assert np.array_equal(rows.feature_sq_norms, real_einsum("ij,ij->i", *[rows.features] * 2))
-        assert rows.feature_sq_norms is rows.feature_sq_norms
-        assert len(einsums) == 1
-
     def test_moments_formed_once_on_first_read(self, rng):
         data = LabeledDataset(rng.standard_normal((30, 3)), rng.standard_normal(30))
         x, y = data.features, data.responses
         assert data.second_moment is data.second_moment
         assert np.array_equal(data.second_moment.entries, SymmetricMatrix(x.T @ x / 30).entries)
         assert np.array_equal(data.cross_moment, x.T @ y / 30)
-        assert data.spectrum is data.spectrum
         # the same bits as forming each moment where it is used
         plain = solve(diagnostics(SymmetricMatrix(x.T @ x / 30)), x.T @ y / 30)
         assert olse(data).tobytes() == plain.tobytes()

@@ -30,7 +30,7 @@ from pmtreg.harness import (
     run_grid,
 )
 from pmtreg.privacy import PrivacyBudget
-from pmtreg.spectra import SymmetricMatrix
+from pmtreg.spectra import SymmetricMatrix, diagnostics
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -300,6 +300,46 @@ class TestDatasetSharing:
         assert len(datasets) == 2 * 3  # n_priv x trials, not x methods x rho
         assert len(generated) == 2 * grid.trials  # per trial: public, then private
 
+    def test_rows_already_checked_are_never_scanned_again(self, monkeypatch, rng):
+        # only a dataset built without statistics scans its cells: per trial
+        # generate's two draws, and for real rows the normalized dataset;
+        # no head, take, split, whitened or clipped rows
+        from pmtreg.harness import DatasetSource
+
+        x = rng.standard_t(2, (500, 3)) * [1.0, 4.0, 0.3]  # heavy tails: the baseline clips
+        raw = LabeledDataset(x, x @ np.ones(3) + rng.standard_normal(500))
+        scanned, real_check = [], LabeledDataset.__post_init__
+
+        def check(rows):
+            if rows.stats is None:
+                scanned.append(rows)
+            real_check(rows)
+
+        generated, real_generate = [], harness.generate
+
+        def generate(*args):
+            generated.append(real_generate(*args))
+            return generated[-1]
+
+        monkeypatch.setattr(LabeledDataset, "__post_init__", check)
+        monkeypatch.setattr(harness, "generate", generate)
+        grid = small_grid(
+            rho_values=(2.0, 10.0), n_priv_values=(100, 450), n_pub_values=(20, 40)
+        )
+        results = run_grid(grid, default_synthetic())
+        assert max(r.mean_truncated_frac for r in results) > 0
+        assert len(generated) == 2 * grid.trials
+        assert len(scanned) == len(generated)
+        assert all(rows is made for rows, made in zip(scanned, generated))
+
+        scanned.clear()
+        data = normalize(raw)
+        # n_priv 450 of 500 rows takes the complement, 100 does not
+        grid = replace(grid, reference=Reference.NONPRIVATE_OLSE)
+        results = run_grid(grid, DatasetSource(data))
+        assert max(r.mean_truncated_frac for r in results) > 0
+        assert len(scanned) == 1 and scanned[0] is data
+
     @pytest.mark.parametrize(
         "command, flag, alone, grid",
         [
@@ -375,8 +415,7 @@ class TestDatasetSharing:
 
     def test_real_dataset_eigendecompositions(self, monkeypatch, rng):
         # per dataset: olse, the public whitening, and one stack per method,
-        # the baseline's without the pre-noise moment, whose spectrum olse
-        # read (one call per matrix makes 10)
+        # each holding its pre-noise moment first (one call per matrix makes 10)
         from pmtreg import spectra
 
         eigs = []
@@ -389,27 +428,32 @@ class TestDatasetSharing:
         monkeypatch.setattr(spectra, "eig_sym", eig_sym)
         privates, _ = self._real_grid_run(monkeypatch, rng)
         assert len(eigs) == 4 * len(privates)
+        matrices = [1 if isinstance(m, SymmetricMatrix) else len(m) for m in eigs]
+        assert sum(matrices) == 10 * len(privates)
 
     def test_real_private_gram_formed_once(self, monkeypatch, rng):
         # the split leaves out 200 rows of 500, fewer than the 300 private
         # ones, so the private Gram comes from the complement and no pass
         # over the private rows forms one; a baseline that clips nothing
-        # releases the private rows themselves and reads the spectrum olse
-        # formed from that Gram
+        # releases the private rows themselves, so its pre-noise spectrum is
+        # the one olse decomposes, from that Gram
         grams = formed_grams(monkeypatch)
         privates, baselines = self._real_grid_run(monkeypatch, rng)
         for private, out in zip(privates, baselines):
             assert not any(rows is private for rows in grams)
             assert private.stats.gram is not None and private.gram is private.stats.gram
-            assert out.pre_diag is private.spectrum
+            own = diagnostics(private.second_moment)
+            assert out.pre_diag.eigenvalues.tobytes() == own.eigenvalues.tobytes()
+            assert out.pre_diag.eigenvectors.tobytes() == own.eigenvectors.tobytes()
         # the whole dataset's, then per trial the public rows', the 150
         # unused rows' (which the complement subtracts) and the whitened rows'
         assert len(grams) == 1 + 3 * len(privates)
         assert [rows.n for rows in grams] == [500] + [50, 150, 300] * len(privates)
 
-    def test_complement_moments_only_save_time(self, monkeypatch, rng, tmp_path):
+    def test_complement_moments_only_save_time(self, monkeypatch, rng):
         # the same real 3-rho grid with the private moments formed from the
-        # private rows: every value agrees to rounding, every count exactly
+        # private rows: each complement sum agrees to rounding, and so does
+        # every value of the sweep; every count agrees exactly
         from pmtreg.harness import DatasetSource
 
         x = rng.standard_normal((500, 3)) * [1.0, 4.0, 0.3] + [0.5, -1.0, 2.0]
@@ -419,21 +463,29 @@ class TestDatasetSharing:
             rho_values=(1.0, 5.0, 50.0), n_priv_values=(300, 450), n_pub_values=(50,),
             reference=Reference.NONPRIVATE_OLSE, trials=4,
         )
-        used = []
-        real_subset = RowStatistics.subset
+        real_split, held = harness.split, []
 
-        def subset(cls, parent, pick, left_out):
-            if left_out:
-                used.append(left_out)
-            return real_subset(parent, pick, left_out)
+        def split(*args):
+            public, private = real_split(*args)
+            if private.stats.gram is not None:
+                held.append(private)
+            return public, private
 
-        monkeypatch.setattr(RowStatistics, "subset", classmethod(subset))
+        monkeypatch.setattr(harness, "split", split)
         shipped = run_grid(grid, source)
-        assert len(used) == 2 * grid.trials  # both sizes leave out fewer rows than they keep
-        monkeypatch.setattr(
-            RowStatistics, "subset",
-            classmethod(lambda cls, parent, pick, left_out: real_subset(parent, pick, ())),
-        )
+        assert len(held) == 2 * grid.trials  # both sizes leave out fewer rows than they keep
+        for private in held:
+            rows = LabeledDataset(private.features, private.responses, RowStatistics())
+            for name in ("gram", "cross"):
+                want = getattr(rows, name)
+                got = getattr(private.stats, name)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        def row_formed_split(*args):
+            public, private = real_split(*args)
+            return public, LabeledDataset(private.features, private.responses, RowStatistics())
+
+        monkeypatch.setattr(harness, "split", row_formed_split)
         row_formed = run_grid(grid, source)
         assert len(shipped) == len(row_formed) == 12
         for a, b in zip(shipped, row_formed):

@@ -4,7 +4,9 @@ what a sweep computes.
 Each grid runs through ``pmtreg.cli.main`` and through the oracle, from the
 same spec fields or normalized dataset.  Trial counts must match exactly,
 and every float column within 1e-9 relative: the oracle forms each
-statistic directly and in one order, so only rounding may differ.
+statistic directly and in one order, so only rounding may differ.  Twelve
+named grids are checked, and two derandomized properties check generated
+synthetic and real-data grids the same way.
 """
 
 import csv
@@ -13,6 +15,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from pmtreg.cli import EXIT_OK, main
@@ -147,3 +151,83 @@ def test_real_sweep_matches_the_oracle(name, tmp_path):
     else:
         assert not any(failed)
     assert not any(math.isnan(float(row["mean_err"])) for row in cli)
+
+
+# The generated grids: every option the CLI passes to a sweep, at sizes
+# small enough that 150 synthetic and 80 real-data grids run in seconds.
+RHOS = (0.1, 0.5, 2.0, 10.0, 1000.0)
+
+
+def _values(elements):
+    return st.lists(elements, min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def _options(draw):
+    """(methods, rho, eta, trials, seed)"""
+    methods = draw(st.sampled_from([oracle.METHODS, ("DP_OLSE",), ("DP_PMTOLSE",)]))
+    rho = draw(_values(st.sampled_from(RHOS)))
+    eta = draw(st.sampled_from((0.01, 0.05, 0.3)))
+    return methods, rho, eta, draw(st.integers(1, 3)), draw(st.integers(0, 2**70))
+
+
+def _options_argv(methods, rho, eta, n_priv, n_pub, trials, seed):
+    argv = ["--methods", ",".join(methods), "--eta", repr(eta)]
+    return argv + _grid_argv(n_priv, n_pub, rho, trials, seed)
+
+
+@st.composite
+def _synthetic_grids(draw):
+    """(d, mu_scale, reference, n_priv, n_pub, options)"""
+    d = draw(st.integers(1, 6))
+    n_priv = draw(_values(st.integers(d + 1, 500)))
+    n_pub = draw(_values(st.integers(d + 1, 100)))
+    mu_scale = draw(st.sampled_from((0.0, 0.5, 2.0, 10.0)))
+    reference = draw(st.sampled_from(("true_beta", "nonprivate_olse")))
+    return d, mu_scale, reference, n_priv, n_pub, draw(_options())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(grid=_synthetic_grids())
+def test_generated_synthetic_sweep_matches_the_oracle(grid, tmp_path_factory):
+    d, mu_scale, reference, n_priv, n_pub, (methods, rho, eta, trials, seed) = grid
+    argv = ["synth", "--d", str(d), "--mu-scale", repr(mu_scale), "--reference", reference]
+    argv += _options_argv(methods, rho, eta, n_priv, n_pub, trials, seed)
+    spec = default_synthetic(d, mu_scale)
+    datasets, beta = oracle.synthetic_datasets(
+        spec.mean, spec.covariance.entries, spec.coefficients, spec.noise_std,
+        n_priv, n_pub, seed,
+    )
+    expected = oracle.sweep(
+        datasets, methods, rho, eta, trials, seed, beta if reference == "true_beta" else None
+    )
+    _assert_same_sweep(_cli_table(argv, tmp_path_factory.getbasetemp()), expected)
+
+
+@st.composite
+def _real_grids(draw):
+    """(rows_seed, n, d, split, n_priv, n_pub, options); n_priv reaches past
+    n / 2, where ``split`` forms the private sums as a complement."""
+    n, d = draw(st.integers(30, 300)), draw(st.integers(1, 5))
+    n_pub = draw(_values(st.integers(d + 1, n // 4)))
+    n_priv = draw(_values(st.integers(d + 1, n - max(n_pub))))
+    split = draw(st.sampled_from(("random", "head")))
+    return draw(st.integers(0, 2**32 - 1)), n, d, split, n_priv, n_pub, draw(_options())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(grid=_real_grids())
+def test_generated_real_sweep_matches_the_oracle(grid, tmp_path_factory):
+    rows_seed, n, d, split, n_priv, n_pub, (methods, rho, eta, trials, seed) = grid
+    rng = np.random.default_rng(rows_seed)
+    x = rng.standard_normal((n, d)) * rng.uniform(0.3, 3.0, d) + rng.uniform(-2.0, 2.0, d)
+    y = x @ rng.standard_normal(d) + 0.5 * rng.standard_normal(n)
+    path = _write_csv(tmp_path_factory.getbasetemp() / "rows.csv", x, y)
+    argv = ["real", "--data", str(path), "--split", split]
+    argv += _options_argv(methods, rho, eta, n_priv, n_pub, trials, seed)
+    data = normalize(ingest_csv(path))
+    datasets = oracle.real_datasets(
+        data.features, data.responses, n_priv, n_pub, seed, head=split == "head"
+    )
+    expected = oracle.sweep(datasets, methods, rho, eta, trials, seed)
+    _assert_same_sweep(_cli_table(argv, tmp_path_factory.getbasetemp()), expected)

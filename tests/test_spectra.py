@@ -98,14 +98,13 @@ class TestStackedSpectra:
             assert lam[k].tobytes() == one_lam.tobytes()
             assert vec[k].tobytes() == one_vec.tobytes()
 
-    @pytest.mark.parametrize("include_m", [True, False])
-    def test_shifted_spectra_match_symmetrized_sums(self, include_m, rng):
+    def test_shifted_spectra_match_symmetrized_sums(self, rng):
         from pmtreg.privacy import sample_symmetric_gaussian
 
         m = random_spd(rng, 6)
         shifts = [sample_symmetric_gaussian(6, 0.1, rng) for _ in range(3)]
-        got = shifted_diagnostics(m, shifts, include_m=include_m)
-        want = [m] * include_m + [SymmetricMatrix(m.entries + s) for s in shifts]
+        got = shifted_diagnostics(m, shifts)
+        want = [m] + [SymmetricMatrix(m.entries + s) for s in shifts]
         assert len(got) == len(want)
         for g, w in zip(got, map(diagnostics, want)):
             assert g.eigenvalues.tobytes() == w.eigenvalues.tobytes()
@@ -117,7 +116,7 @@ class TestStackedSpectra:
         # 8e307 + 1e307 is finite but twice it is not; 8e307 + 1e308 is inf
         m = SymmetricMatrix(np.full((2, 2), 8e307))
         with pytest.raises(ValueError, match=r"must be finite, and so must M \+ M\^T"):
-            shifted_diagnostics(m, [np.full((2, 2), shift)], include_m=True)
+            shifted_diagnostics(m, [np.full((2, 2), shift)])
         with pytest.raises(ValueError, match=r"must be finite, and so must M \+ M\^T"):
             SymmetricMatrix(m.entries + np.full((2, 2), shift))
 
