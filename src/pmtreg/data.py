@@ -267,13 +267,17 @@ def split(
 ):
     """Deterministic disjoint public/private split; returns (public, private).
 
-    In random mode ``seed`` is anything ``np.random.default_rng`` accepts
-    (the harness passes its per-trial key), and draws one permutation of the
-    rows: the private rows are its first n_priv and the public rows its last
-    n_pub, last first.  So for one seed each set is a prefix of any larger
-    set of its kind, and the two stay disjoint while n_pub + n_priv <= n.
-    Head mode takes the first n_pub rows as public and the next n_priv as
-    private, whatever the seed.  Neither subset's cells are scanned again.
+    One rule takes both sets from an order of the rows: the private rows are
+    its first n_priv and the public rows its last n_pub, last first.  So
+    each set is a prefix of any larger set of its kind from the same order,
+    and the two stay disjoint while n_pub + n_priv <= n; the harness splits
+    once per trial, at the grid's largest sizes, and every dataset takes
+    prefixes.  ``mode`` is a :class:`SplitMode` or its value.  In random
+    mode the order is one permutation drawn from ``seed``, anything
+    ``np.random.default_rng`` accepts (the harness passes its per-trial
+    key).  In head mode it is the rows reversed, whatever the seed: the
+    public rows are the first n_pub and the private rows the last n_priv,
+    last first.  Neither subset's cells are scanned again.
 
     When the rows the private set leaves out are fewer than its own
     (n - n_priv < n_priv), the split forms its X^T X and X^T y as a
@@ -291,13 +295,12 @@ def split(
         raise ValueError(f"split sizes must be positive, got n_pub={n_pub}, n_priv={n_priv}")
     if n_pub + n_priv > n:
         raise ValueError(f"split sizes {n_pub}+{n_priv} exceed dataset size {n}")
-    if mode is SplitMode.HEAD_TAIL:
-        pub_idx, priv_idx = np.arange(n_pub), np.arange(n_pub, n_pub + n_priv)
-        unused_idx = np.arange(n_pub + n_priv, n)
+    if SplitMode(mode) is SplitMode.HEAD_TAIL:
+        order = np.arange(n)[::-1]
     else:
-        perm = np.random.default_rng(seed).permutation(n)
-        pub_idx, priv_idx = perm[::-1][:n_pub], perm[:n_priv]
-        unused_idx = perm[n_priv : n - n_pub]
+        order = np.random.default_rng(seed).permutation(n)
+    pub_idx, priv_idx = order[::-1][:n_pub], order[:n_priv]
+    unused_idx = order[n_priv : n - n_pub]
     public, private = data.take(pub_idx), data.take(priv_idx)
     if n - n_priv >= n_priv:
         return public, private

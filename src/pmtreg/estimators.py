@@ -143,7 +143,10 @@ class LabeledDataset:
         return self.features.shape[1]
 
     def head(self, n: int) -> LabeledDataset:
-        """The first n rows: this dataset itself when it has n rows, else views."""
+        """The first n rows, 1 <= n <= the row count: this dataset itself
+        when it has n rows, else views."""
+        if not 1 <= n <= self.n:
+            raise ValueError(f"head takes 1 to {self.n} rows, the row count, got n={n}")
         if n == self.n:
             return self
         return LabeledDataset(self.features[:n], self.responses[:n], RowStatistics())

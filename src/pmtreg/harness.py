@@ -1,17 +1,20 @@
 """Multi-trial experiment orchestration and CSV emission.
 
 A grid is the cross product (method, rho, n_priv, n_pub); each cell runs
-``trials`` trials.  Trials run outermost.  Each trial's rows come from
-streams keyed by (seed, trial) alone, so a dataset does not depend on which
-other sizes the grid holds:
+``trials`` trials.  Trials run outermost, and both sources lay a trial out
+alike: its rows come from streams keyed by (seed, trial) alone, as one
+public and one private set at the grid's largest n_pub and n_priv, and
+every dataset of the trial takes the first n_pub public and the first
+n_priv private rows.  So a dataset does not depend on which other sizes the
+grid holds.  The two sets come
 
-- synthetic: one public and one private stream, keys (seed, 3, trial, 0)
-  and (seed, 3, trial, 1), each drawn once per trial at the grid's largest
-  n_pub or n_priv; every dataset of the trial takes the first n_pub public
-  and the first n_priv private rows (``generate`` makes them prefix-stable);
-- real: one permutation per (seed, trial), key (seed, 3, trial, 2); the
-  private rows come from its front and the public rows from its back, so
-  they are disjoint at every size and each set is prefix-stable in its own.
+- synthetic: from one public and one private stream, keys (seed, 3, trial, 0)
+  and (seed, 3, trial, 1), each drawn once per trial (``generate`` makes its
+  rows prefix-stable);
+- real: from one ``split`` per trial, whose random mode draws a permutation
+  keyed (seed, 3, trial, 2); the private rows come from the front of its
+  order and the public rows from its back, so they are disjoint at every
+  size.
 
 The unit of work is a dataset, keyed by (seed, n_priv, n_pub, trial): its
 reference is computed once, and every (method, rho) cell's trial runs on it.
@@ -164,9 +167,11 @@ def _trial_key(grid: ExperimentGrid, trial: int, stream: int) -> list:
     return [grid.seed & _SEED_MASK, 3, trial, stream]
 
 
-def _noise_key(grid: ExperimentGrid, n_priv: int, n_pub: int, trial: int) -> list:
-    """Seed entropy of one dataset's noise stream."""
-    return [grid.seed & _SEED_MASK, 2, n_priv, n_pub, trial]
+def _noise_rngs(grid: ExperimentGrid, sizes: list, trial: int) -> list:
+    """A trial's noise Generators, one per (n_priv, n_pub) in ``sizes``, in
+    order; a dataset's seed entropy is (seed, 2, n_priv, n_pub, trial)."""
+    seed = grid.seed & _SEED_MASK
+    return [np.random.default_rng([seed, 2, *size, trial]) for size in sizes]
 
 
 class _DrawThread:
@@ -215,9 +220,7 @@ class _DrawThread:
 
     def _draw(self, trial: int):
         grid = self._grid
-        self._rngs = [
-            np.random.default_rng(_noise_key(grid, *size, trial)) for size in self._sizes
-        ]
+        self._rngs = _noise_rngs(grid, self._sizes, trial)
         for stream, buffer in enumerate(self._buffers):
             np.random.default_rng(_trial_key(grid, trial, stream)).standard_normal(out=buffer)
 
@@ -330,10 +333,12 @@ def run_grid(
     (unstable-inversion) trials are counted per cell and excluded from the
     mean/std, never silently dropped.
 
-    A synthetic spec is drawn from once per trial and stream, a trial ahead
-    on a worker thread (see the module docstring), and each dataset takes
-    its prefix; if its coefficients are unset, beta is drawn once per grid
-    from a standard normal, using a stream keyed off the grid seed.
+    Each trial forms its largest public and private sets once, from a
+    synthetic spec's draws (a trial ahead on a worker thread) or from one
+    split of a real dataset, and each dataset takes its prefix of both (see
+    the module docstring).  If a spec's coefficients are unset, beta is
+    drawn once per grid from a standard normal, using a stream keyed off the
+    grid seed.
     """
     if isinstance(source, SyntheticModelSpec) and source.coefficients is None:
         source = replace(source, coefficients=_grid_beta(grid, source.d))
@@ -344,27 +349,27 @@ def run_grid(
     cells = list(product(grid.methods, grid.rho_values))
     # per dataset size, one list of trial outcomes per (method, rho)
     outcomes = {size: [[] for _ in cells] for size in sizes}
+    largest_pub, largest_priv = max(grid.n_pub_values), max(grid.n_priv_values)
 
-    def record(size, trial_outcomes):
-        for cell, outcome in zip(outcomes[size], trial_outcomes):
-            cell.append(outcome)
+    def run_datasets(public, private, rngs):
+        """Every dataset of one trial, on its prefixes of the trial's two sets."""
+        for (n_priv, n_pub), rng in zip(sizes, rngs):
+            rows = public.head(n_pub), private.head(n_priv)
+            for cell, outcome in zip(outcomes[n_priv, n_pub], _run_trial(grid, truth, *rows, rng)):
+                cell.append(outcome)
 
     if isinstance(source, DatasetSource):
         for trial in range(grid.trials):
-            for n_priv, n_pub in sizes:
-                key = _trial_key(grid, trial, 2)
-                rows = split(source.dataset, n_pub, n_priv, key, source.split_mode)
-                rng = np.random.default_rng(_noise_key(grid, n_priv, n_pub, trial))
-                record((n_priv, n_pub), _run_trial(grid, truth, *rows, rng))
+            key = _trial_key(grid, trial, 2)
+            rows = split(source.dataset, largest_pub, largest_priv, key, source.split_mode)
+            run_datasets(*rows, _noise_rngs(grid, sizes, trial))
     else:
         with _DrawThread(grid, source, sizes) as draws:
             for trial in range(grid.trials):
                 normals_pub, normals_priv = draws.normals()
-                public = generate(source, max(grid.n_pub_values), normals_pub)
-                private = generate(source, max(grid.n_priv_values), normals_priv)
-                for (n_priv, n_pub), rng in zip(sizes, draws.hand_back()):
-                    rows = public.head(n_pub), private.head(n_priv)
-                    record((n_priv, n_pub), _run_trial(grid, truth, *rows, rng))
+                public = generate(source, largest_pub, normals_pub)
+                private = generate(source, largest_priv, normals_priv)
+                run_datasets(public, private, draws.hand_back())
 
     results = []
     for i, (method, rho) in enumerate(cells):

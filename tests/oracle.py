@@ -17,7 +17,8 @@ The key layout (``seed`` reduced mod 2^64):
   the first n_pub public and the first n_priv private rows;
 - a trial's real-data split: ``[seed, 3, trial, 2]``, one permutation, the
   private rows its front and the public rows its back, last first; head
-  mode takes the first n_pub rows as public and the next n_priv as private;
+  mode puts the rows in reverse order in its place, so its public rows are
+  the first n_pub and its private rows the last n_priv, last first;
 - a dataset's noise: ``[seed, 2, n_priv, n_pub, trial]``, drawn for each
   method in turn (DP_OLSE, then DP_PMTOLSE) and each rho ascending: the
   matrix noise's upper triangle in row-major order, then the vector noise.
@@ -151,12 +152,12 @@ def real_datasets(features, responses, n_privs, n_pubs, seed, head=False):
     n = len(responses)
 
     def datasets(trial):
-        order = np.random.default_rng([seed & _MASK, 3, trial, 2]).permutation(n)
+        if head:
+            order = np.arange(n)[::-1]
+        else:
+            order = np.random.default_rng([seed & _MASK, 3, trial, 2]).permutation(n)
         for n_priv, n_pub in product(n_privs, n_pubs):
-            if head:
-                public, private = np.arange(n_pub), np.arange(n_pub, n_pub + n_priv)
-            else:
-                public, private = order[::-1][:n_pub], order[:n_priv]
+            public, private = order[::-1][:n_pub], order[:n_priv]
             rows = features[public], responses[public], features[private], responses[private]
             yield n_priv, n_pub, rows
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -404,10 +405,28 @@ class TestSplit:
         assert not np.array_equal(a[0].responses, b[0].responses)
 
     def test_head_tail_mode(self):
+        # the order is the rows reversed: the public rows are the first ones,
+        # the private rows the last ones, last first, whatever the seed; each
+        # set is a prefix of a larger set of its kind, whatever the other size
         data = self._data()
         pub, priv = split(data, 10, 20, 0, SplitMode.HEAD_TAIL)
         assert np.array_equal(pub.responses, np.arange(10.0))
-        assert np.array_equal(priv.responses, np.arange(10.0, 30.0))
+        assert np.array_equal(priv.responses, np.arange(99.0, 79.0, -1.0))
+        larger_pub, larger_priv = split(data, 30, 70, 5, SplitMode.HEAD_TAIL)
+        assert np.array_equal(larger_pub.features[:10], pub.features)
+        assert np.array_equal(larger_priv.features[:20], priv.features)
+
+    @pytest.mark.parametrize("mode", list(SplitMode))
+    def test_mode_given_by_its_value(self, mode):
+        data = self._data(n=20)
+        by_value, by_member = split(data, 3, 5, 0, mode.value), split(data, 3, 5, 0, mode)
+        for a, b in zip(by_value, by_member):
+            assert np.array_equal(a.responses, b.responses)
+
+    @pytest.mark.parametrize("mode", ["tail", "HEAD_TAIL", None])
+    def test_unknown_mode_rejected_naming_it(self, mode):
+        with pytest.raises(ValueError, match=re.escape(f"{mode!r} is not a valid SplitMode")):
+            split(self._data(n=20), 3, 5, 0, mode)
 
     def test_oversized_split_rejected(self):
         with pytest.raises(ValueError, match="exceed"):

@@ -110,6 +110,13 @@ class TestLabeledDataset:
                     values[0] = 0.0
         assert np.shares_memory(data.head(3).features, data.features)
 
+    @pytest.mark.parametrize("n", [0, -1, 11])
+    def test_head_refuses_a_count_outside_the_rows(self, n, rng):
+        data = LabeledDataset(rng.standard_normal((10, 3)), rng.standard_normal(10))
+        with pytest.raises(ValueError, match=f"head takes 1 to 10 rows, the row count, got n={n}"):
+            data.head(n)
+        assert data.head(10) is data and data.head(1).n == 1
+
     def test_moments_formed_once_on_first_read(self, rng):
         data = LabeledDataset(rng.standard_normal((30, 3)), rng.standard_normal(30))
         x, y = data.features, data.responses

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from dataclasses import replace
 from conftest import formed_grams
 from pmtreg import cli, harness
 from pmtreg.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
-from pmtreg.data import default_synthetic, ingest_csv, normalize
+from pmtreg.data import SplitMode, default_synthetic, ingest_csv, normalize
 from pmtreg.estimators import LabeledDataset, Method, RowStatistics
 from pmtreg.harness import (
     CellResult,
@@ -346,15 +347,18 @@ class TestDatasetSharing:
             ("synth", "--n-priv", "3000", "3000,5000,10000"),
             ("synth", "--n-pub", "20", "20,40"),
             ("real", "--n-priv", "100", "100,200"),
+            ("real", "--n-pub", "40", "40,60"),
+            ("real --split head", "--n-priv", "100", "100,200"),
         ],
     )
     def test_row_does_not_depend_on_the_grids_other_sizes(
         self, command, flag, alone, grid, tmp_path
     ):
         # every dataset of a trial is a prefix of that trial's rows
-        argv = [command, "--trials", "3", "--seed", "5", "--rho", "2,10"]
-        if command == "real":
-            argv += ["--n-pub", "40", "--data", str(write_toy_csv(tmp_path / "toy.csv"))]
+        argv = [*command.split(), "--trials", "3", "--seed", "5", "--rho", "2,10"]
+        if argv[0] == "real":
+            data = write_toy_csv(tmp_path / "toy.csv")
+            argv += ["--n-pub", "40", "--n-priv", "100", "--data", str(data)]
         lines = []
         for values in (alone, grid):
             out = tmp_path / f"{values}.csv"
@@ -380,6 +384,38 @@ class TestDatasetSharing:
         run_grid(grid, DatasetSource(data))
         assert len(datasets) == 3
         assert len(splits) == len(references) == len(datasets)
+
+    @pytest.mark.parametrize("mode", list(SplitMode))
+    def test_real_trial_split_once_and_every_dataset_takes_prefixes(
+        self, mode, monkeypatch, rng
+    ):
+        from pmtreg.harness import DatasetSource
+
+        x = rng.standard_normal((500, 3))
+        data = LabeledDataset(features=x, responses=x @ np.ones(3))
+        datasets = count_trials(monkeypatch)
+        splits, real_split = [], harness.split
+
+        def split(*args):
+            splits.append((args[1:3], real_split(*args)))
+            return splits[-1][1]
+
+        monkeypatch.setattr(harness, "split", split)
+        grid = small_grid(
+            n_priv_values=(100, 300, 450), n_pub_values=(40, 50),
+            reference=Reference.NONPRIVATE_OLSE,
+        )
+        run_grid(grid, DatasetSource(data, mode))
+        assert [sizes for sizes, _ in splits] == [(50, 450)] * grid.trials
+        assert len(datasets) == 6 * grid.trials
+        for trial, (_, (public, private)) in enumerate(splits):
+            for _, _, pub, priv, _ in datasets[6 * trial : 6 * trial + 6]:
+                assert np.array_equal(pub.features, public.features[: pub.n])
+                assert np.array_equal(pub.responses, public.responses[: pub.n])
+                assert np.array_equal(priv.features, private.features[: priv.n])
+                assert np.array_equal(priv.responses, private.responses[: priv.n])
+        sizes = [(priv.n, pub.n) for _, _, pub, priv, _ in datasets]
+        assert sizes == list(product((100, 300, 450), (40, 50))) * grid.trials
 
     @staticmethod
     def _real_grid_run(monkeypatch, rng):
@@ -473,7 +509,8 @@ class TestDatasetSharing:
 
         monkeypatch.setattr(harness, "split", split)
         shipped = run_grid(grid, source)
-        assert len(held) == 2 * grid.trials  # both sizes leave out fewer rows than they keep
+        # one split per trial, at n_priv 450, which leaves out fewer rows than it keeps
+        assert len(held) == grid.trials and all(private.n == 450 for private in held)
         for private in held:
             rows = LabeledDataset(private.features, private.responses, RowStatistics())
             for name in ("gram", "cross"):
@@ -1140,11 +1177,12 @@ class TestCli:
         assert main(args + ["--split", "head", "--out", str(head)]) == EXIT_OK
         assert main(args + ["--out", str(rand)]) == EXIT_OK
         ((row,),) = [read_rows(head)]
-        # every trial sees the same rows: the first 40 public, the next 200
-        # private, so the pre-noise conditioning is the same in each trial
+        # every trial sees the same rows: the first 40 public, the last 200
+        # private (last first), so the pre-noise conditioning is the same in
+        # each trial
         dataset = normalize(ingest_csv(data))
         public = LabeledDataset(dataset.features[:40], dataset.responses[:40])
-        private = LabeledDataset(dataset.features[40:240], dataset.responses[40:240])
+        private = LabeledDataset(dataset.features[:-201:-1], dataset.responses[:-201:-1])
         cond = dp_pmtolse(
             private, public_moments(public), 0.05, (PrivacyBudget(5.0),),
             np.random.default_rng(0),
