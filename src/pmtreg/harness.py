@@ -24,15 +24,16 @@ noise.  The grid keeps its values in a canonical order, so neither the order
 in which they are listed nor the order in which datasets run changes a
 number.
 
-A synthetic sweep draws on one worker thread, a trial ahead: while trial t's
-datasets run, the worker builds trial t + 1's noise Generators, draws its
-public and private normals into the buffers ``generate`` has finished
-reading, and signals the trial ready.  The main thread waits for that
-signal before the trial's ``generate`` calls; ``generate``'s datasets share
-no memory with the buffers.  The worker calls numpy's ``default_rng``
-and ``standard_normal`` only.  It ends with the sweep, whether the sweep
-returns or raises, and an exception in it is raised again by ``run_grid``.
-Real-data sweeps use the main thread alone.
+A synthetic sweep draws on one worker thread, a trial ahead.  The worker
+takes trial numbers from one queue and answers each on a second: it builds
+the trial's noise Generators, draws its public and private normals into the
+two buffers it refills every trial, and answers with the Generators, or
+with its exception if it raised.  The main thread asks for trial t + 1 once
+trial t's two ``generate`` calls have returned, so the draw overlaps trial
+t's datasets; ``generate``'s datasets share no memory with the buffers.
+The worker calls numpy's ``default_rng`` and ``standard_normal`` only.  It
+ends with the sweep, whether the sweep returns or raises, and its exception
+is raised again by ``run_grid``.  Real-data sweeps use the main thread alone.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 import csv
 import math
 import threading
+from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import product
@@ -156,86 +158,70 @@ class DatasetSource:
     split_mode: SplitMode = SplitMode.RANDOM_WITHOUT_REPLACEMENT
 
 
-def _grid_beta(grid: ExperimentGrid, d: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence([grid.seed & _SEED_MASK, 0]))
-    return rng.standard_normal(d)
+def _key(grid: ExperimentGrid, *key) -> list:
+    """The seed entropy of one stream, [seed, *key].  A grid's streams are
+    keyed
 
-
-def _trial_key(grid: ExperimentGrid, trial: int, stream: int) -> list:
-    """Seed entropy of one per-trial row stream: 0 public rows, 1 private
-    rows, 2 the real-data permutation."""
-    return [grid.seed & _SEED_MASK, 3, trial, stream]
-
-
-def _noise_rngs(grid: ExperimentGrid, sizes: list, trial: int) -> list:
-    """A trial's noise Generators, one per (n_priv, n_pub) in ``sizes``, in
-    order; a dataset's seed entropy is (seed, 2, n_priv, n_pub, trial)."""
-    seed = grid.seed & _SEED_MASK
-    return [np.random.default_rng([seed, 2, *size, trial]) for size in sizes]
-
-
-class _DrawThread:
-    """A synthetic sweep's worker thread, which draws each trial's rows and
-    noise Generators while the main thread runs the trial before.
-
-    For each trial it waits until the buffers are free, builds the trial's
-    noise Generators, one per dataset size, draws the public and then the
-    private normals, and releases one ready signal, as an exception in the
-    worker does too; :meth:`normals` waits for it and returns both buffers.
-    :meth:`hand_back` returns the Generators and frees the buffers.  As a
-    context manager it starts the worker, and on exit stops and joins it.
+    - (0,): its beta, when a spec leaves the coefficients unset;
+    - (2, n_priv, n_pub, trial): one dataset's noise;
+    - (3, trial, 0) and (3, trial, 1): a trial's public and private rows;
+    - (3, trial, 2): a real-data trial's split.
     """
+    return [grid.seed & _SEED_MASK, *key]
 
-    def __init__(self, grid: ExperimentGrid, spec: SyntheticModelSpec, sizes: list):
-        self._grid, self._sizes = grid, sizes
-        self._buffers = tuple(
-            np.empty(normals_shape(spec.d, max(values)))
-            for values in (grid.n_pub_values, grid.n_priv_values)
-        )
-        self._free, self._ready = threading.Semaphore(1), threading.Semaphore(0)
-        self._rngs = self._error = None
-        self._closed = False
-        self._thread = threading.Thread(target=self._work, name="pmtreg-draws")
 
-    def __enter__(self):
-        self._thread.start()
-        return self
+def _draw(grid: ExperimentGrid, sizes: list, buffers: tuple, trial: int) -> list:
+    """Fill ``buffers`` with the trial's public and then its private normals
+    (a real-data trial passes none); returns its noise Generators, one per
+    (n_priv, n_pub) in ``sizes``."""
+    rngs = [np.random.default_rng(_key(grid, 2, *size, trial)) for size in sizes]
+    for stream, buffer in enumerate(buffers):
+        np.random.default_rng(_key(grid, 3, trial, stream)).standard_normal(out=buffer)
+    return rngs
 
-    def __exit__(self, *exc_info):
-        self._closed = True
-        self._free.release()
-        self._thread.join()
 
-    def _work(self):
-        try:
-            for trial in range(self._grid.trials):
-                self._free.acquire()
-                if self._closed:
-                    return
-                self._draw(trial)
-                self._ready.release()
-        except BaseException as exc:  # raised again by the main thread's next wait
-            self._error = exc
-            self._ready.release()
+def _split_trials(grid: ExperimentGrid, source: DatasetSource, sizes: list):
+    """Each trial's (public, private) sets and noise Generators, from one split."""
+    largest = max(grid.n_pub_values), max(grid.n_priv_values)
+    for trial in range(grid.trials):
+        rows = split(source.dataset, *largest, _key(grid, 3, trial, 2), source.split_mode)
+        yield rows, _draw(grid, sizes, (), trial)
 
-    def _draw(self, trial: int):
-        grid = self._grid
-        self._rngs = _noise_rngs(grid, self._sizes, trial)
-        for stream, buffer in enumerate(self._buffers):
-            np.random.default_rng(_trial_key(grid, trial, stream)).standard_normal(out=buffer)
 
-    def normals(self) -> tuple:
-        self._ready.acquire()
-        if self._error is not None:
-            raise self._error
-        return self._buffers
+def _drawn_trials(grid: ExperimentGrid, spec: SyntheticModelSpec, sizes: list):
+    """Each trial's (public, private) sets and noise Generators, drawn a
+    trial ahead on one worker thread (see the module docstring)."""
+    largest = max(grid.n_pub_values), max(grid.n_priv_values)
+    buffers = tuple(np.empty(normals_shape(spec.d, n)) for n in largest)
+    # imported here, not with the module: a module-level import of queue
+    # raised real-data sweeps' peak RSS by about 0.8 MB, and they draw nothing
+    from queue import SimpleQueue
 
-    def hand_back(self) -> list:
-        """The trial's noise Generators, in the order of the sizes; the
-        buffers go back to the worker, which draws the next trial into them."""
-        rngs = self._rngs
-        self._free.release()
-        return rngs
+    requests, answers = SimpleQueue(), SimpleQueue()
+
+    def work():
+        for trial in iter(requests.get, None):
+            try:
+                answers.put(_draw(grid, sizes, buffers, trial))
+            except BaseException as exc:  # raised again by the main thread
+                answers.put(exc)
+                return
+
+    worker = threading.Thread(target=work, name="pmtreg-draws")
+    worker.start()
+    try:
+        requests.put(0)
+        for trial in range(grid.trials):
+            rngs = answers.get()
+            if isinstance(rngs, BaseException):
+                raise rngs
+            rows = tuple(generate(spec, n, buffer) for n, buffer in zip(largest, buffers))
+            if trial + 1 < grid.trials:  # the buffers are read: draw the next trial
+                requests.put(trial + 1)
+            yield rows, rngs
+    finally:
+        requests.put(None)
+        worker.join()
 
 
 def _validate(grid: ExperimentGrid, source):
@@ -341,7 +327,8 @@ def run_grid(
     grid seed.
     """
     if isinstance(source, SyntheticModelSpec) and source.coefficients is None:
-        source = replace(source, coefficients=_grid_beta(grid, source.d))
+        beta = np.random.default_rng(_key(grid, 0)).standard_normal(source.d)
+        source = replace(source, coefficients=beta)
     _validate(grid, source)
     truth = source.coefficients if grid.reference is Reference.TRUE_BETA else None
 
@@ -349,27 +336,16 @@ def run_grid(
     cells = list(product(grid.methods, grid.rho_values))
     # per dataset size, one list of trial outcomes per (method, rho)
     outcomes = {size: [[] for _ in cells] for size in sizes}
-    largest_pub, largest_priv = max(grid.n_pub_values), max(grid.n_priv_values)
-
-    def run_datasets(public, private, rngs):
-        """Every dataset of one trial, on its prefixes of the trial's two sets."""
-        for (n_priv, n_pub), rng in zip(sizes, rngs):
-            rows = public.head(n_pub), private.head(n_priv)
-            for cell, outcome in zip(outcomes[n_priv, n_pub], _run_trial(grid, truth, *rows, rng)):
-                cell.append(outcome)
-
     if isinstance(source, DatasetSource):
-        for trial in range(grid.trials):
-            key = _trial_key(grid, trial, 2)
-            rows = split(source.dataset, largest_pub, largest_priv, key, source.split_mode)
-            run_datasets(*rows, _noise_rngs(grid, sizes, trial))
+        trials = _split_trials(grid, source, sizes)
     else:
-        with _DrawThread(grid, source, sizes) as draws:
-            for trial in range(grid.trials):
-                normals_pub, normals_priv = draws.normals()
-                public = generate(source, largest_pub, normals_pub)
-                private = generate(source, largest_priv, normals_priv)
-                run_datasets(public, private, draws.hand_back())
+        trials = _drawn_trials(grid, source, sizes)
+    with closing(trials):
+        for (public, private), rngs in trials:
+            for (n_priv, n_pub), rng in zip(sizes, rngs):
+                per_cell = _run_trial(grid, truth, public.head(n_pub), private.head(n_priv), rng)
+                for cell, outcome in zip(outcomes[n_priv, n_pub], per_cell):
+                    cell.append(outcome)
 
     results = []
     for i, (method, rho) in enumerate(cells):

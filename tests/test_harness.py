@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import queue
 import re
 import subprocess
 import sys
@@ -605,7 +606,7 @@ def _delayed(monkeypatch, name, seconds, owner=harness):
 def _raising_at(monkeypatch, name, call, exc, owner=harness):
     """Make ``owner.name`` raise ``exc`` on its call numbered ``call`` (from
     0); with one dataset per trial, the call of ``_run_trial`` or of
-    ``_DrawThread._draw`` numbered t is trial t's."""
+    ``_draw`` numbered t is trial t's."""
     real = getattr(owner, name)
     calls = []
 
@@ -633,7 +634,7 @@ class TestDrawThread:
     def test_slow_worker_or_slow_main_thread_writes_the_same_bytes(self, tmp_path):
         plain = self._sweep(tmp_path, "plain")
         with pytest.MonkeyPatch.context() as mp:
-            _delayed(mp, "_draw", 0.02, owner=harness._DrawThread)
+            _delayed(mp, "_draw", 0.02)
             assert self._sweep(tmp_path, "slow-worker") == plain
         with pytest.MonkeyPatch.context() as mp:
             _delayed(mp, "_run_trial", 0.02)
@@ -646,27 +647,29 @@ class TestDrawThread:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("trial", [0, 2])
-    def test_worker_exception_is_raised_by_run_grid(self, monkeypatch, trial):
+    def test_worker_exception_is_raised_by_run_grid(self, trial):
         class DrawFailed(Exception):
             pass
 
-        failure = DrawFailed("no normals")
-        _raising_at(monkeypatch, "_draw", trial, failure, owner=harness._DrawThread)
-        before = threading.active_count()
-        raised = []
+        # the worker answers with any BaseException, not only an Exception
+        for failure in (DrawFailed("no normals"), KeyboardInterrupt()):
+            before = threading.active_count()
+            raised = []
 
-        def sweep():
-            try:
-                run_grid(small_grid(trials=4), default_synthetic())
-            except DrawFailed as exc:
-                raised.append(exc)
+            def sweep():
+                try:
+                    run_grid(small_grid(trials=4), default_synthetic())
+                except BaseException as exc:
+                    raised.append(exc)
 
-        caller = threading.Thread(target=sweep, daemon=True)
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive(), "run_grid hung after its worker raised"
-        assert raised == [failure] and raised[0] is failure
-        assert threading.active_count() == before
+            with pytest.MonkeyPatch.context() as mp:
+                _raising_at(mp, "_draw", trial, failure)
+                caller = threading.Thread(target=sweep, daemon=True)
+                caller.start()
+                caller.join(timeout=60)
+            assert not caller.is_alive(), "run_grid hung after its worker raised"
+            assert raised == [failure] and raised[0] is failure
+            assert threading.active_count() == before
 
     def test_worker_calls_no_traced_binding_and_waits_before_generate(
         self, monkeypatch, tmp_path
@@ -687,37 +690,72 @@ class TestDrawThread:
                     return real(*args, **kwargs)
 
                 monkeypatch.setattr(module, attr, recorded)
-        real_init = harness._DrawThread.__init__
+        main_thread = threading.get_ident()
 
-        def init(draws, *args):
-            real_init(draws, *args)
-            ready = draws._ready
-
-            class Counted:  # the worker's ready signal, each wait recorded
-                release = ready.release
-
-                def acquire(self):
-                    waits.append(threading.get_ident())
+        class Counted(queue.SimpleQueue):  # the draw queues, each wait recorded
+            def get(self, *args, **kwargs):
+                waits.append(threading.get_ident())
+                if threading.get_ident() == main_thread:
                     events.append("wait")
-                    return ready.acquire()
+                return super().get(*args, **kwargs)
 
-            draws._ready = Counted()
-
-        monkeypatch.setattr(harness._DrawThread, "__init__", init)
+        monkeypatch.setattr(queue, "SimpleQueue", Counted)
         self._sweep(tmp_path, "traced")
-        assert callers == {threading.get_ident()}
-        # one wait per trial, on the main thread, before that trial's generate calls
-        assert waits == [threading.get_ident()] * 4
+        assert callers == {main_thread}
+        # one wait per trial on the main thread, before that trial's generate
+        # calls; the worker waits for each of its 4 trials and for its stop
+        assert waits.count(main_thread) == 4 and len(waits) == 4 + 5
         assert events == ["wait", "generate", "generate"] * 4, events
 
-    def test_no_thread_outlives_run_grid(self, monkeypatch):
+    def test_next_draw_starts_after_both_generate_calls_and_before_the_datasets_end(
+        self, monkeypatch, tmp_path
+    ):
+        # the worker refills the buffers that generate reads, so it may start
+        # trial t + 1's draw only once both of trial t's generate calls have
+        # returned; it starts while trial t's datasets run, which is the
+        # overlap the worker is for
+        log = []  # appended from both threads, in the order things happen
+        real_draw, real_generate, real_trial = harness._draw, harness.generate, harness._run_trial
+
+        def draw(grid, sizes, buffers, trial):
+            log.append(("draw", trial))
+            return real_draw(grid, sizes, buffers, trial)
+
+        def generate(*args):
+            rows = real_generate(*args)
+            log.append(("generated",))
+            return rows
+
+        def run_trial(*args):
+            time.sleep(0.02)
+            outcome = real_trial(*args)
+            log.append(("dataset",))
+            return outcome
+
+        monkeypatch.setattr(harness, "_draw", draw)
+        monkeypatch.setattr(harness, "generate", generate)
+        monkeypatch.setattr(harness, "_run_trial", run_trial)
+        self._sweep(tmp_path, "hand-off")
+        draws = [i for i, event in enumerate(log) if event[0] == "draw"]
+        generated = [i for i, event in enumerate(log) if event == ("generated",)]
+        datasets = [i for i, event in enumerate(log) if event == ("dataset",)]
+        assert [log[i] for i in draws] == [("draw", t) for t in range(4)]
+        assert len(generated) == 2 * 4 and len(datasets) == 4 * 4  # 4 sizes a trial
+        for t in range(3):
+            assert generated[2 * t + 1] < draws[t + 1] < datasets[4 * t + 3], log
+
+    def test_no_thread_outlives_run_grid(self):
         before = threading.active_count()
         run_grid(small_grid(trials=3), default_synthetic())
         assert threading.active_count() == before
-        _raising_at(monkeypatch, "_run_trial", 1, RuntimeError("trial failed"))
-        with pytest.raises(RuntimeError, match="trial failed"):
-            run_grid(small_grid(trials=4), default_synthetic())
-        assert threading.active_count() == before
+        # a failure in a trial's datasets, and one in its generate calls,
+        # which run on the main thread inside the trial stream
+        for name, call in (("_run_trial", 1), ("generate", 3)):
+            with pytest.MonkeyPatch.context() as mp:
+                _raising_at(mp, name, call, RuntimeError(f"{name} failed"))
+                with pytest.raises(RuntimeError, match=f"{name} failed"):
+                    run_grid(small_grid(trials=4), default_synthetic())
+            assert threading.active_count() == before
 
     @staticmethod
     def _blas_during_trials(monkeypatch, get):
@@ -1281,10 +1319,10 @@ class TestCli:
                 raise MemoryError(f"Unable to allocate 80.0 TiB for shape {shape}")
             return real_empty(shape, *args, **kwargs)
 
-        def no_draw(draws, trial):
+        def no_draw(grid, sizes, buffers, trial):
             raise MemoryError("Unable to allocate 80.0 TiB")
 
-        monkeypatch.setattr(harness._DrawThread, "_draw", no_draw)
+        monkeypatch.setattr(harness, "_draw", no_draw)
         n_priv = "1000000000000" if where == "buffers" else "300"
         if where == "buffers":
             monkeypatch.setattr(harness.np, "empty", empty)
