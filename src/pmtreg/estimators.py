@@ -12,9 +12,11 @@ passes raw rows with radii taken from the private data's own moments.
 
 Each DP estimator takes a tuple of budgets and returns one
 :class:`EstimatorOutput`.  The work that does not depend on rho (whitening,
-clipping, the two moments) is done once, the noise is drawn per budget, and
-the pre-noise moment and the noisy ones are decomposed as one stack, in one
-eigendecomposition call.
+clipping, the two moments) is done once, and the noise is drawn per budget.
+The pre-noise moment and the noisy ones take their eigenvalues from one
+(K+1) x d x d stack, in one eigenvalues-only call: the pre-noise spectrum is
+read only for its averaged condition number, a noisy one only for the
+guard, and each budget's noisy system is then solved by LU.
 
 A :class:`LabeledDataset` is its rows and the :class:`RowStatistics` it was
 handed for them (X^T X, X^T y); what it was not handed, and the moments
@@ -203,7 +205,8 @@ class PublicMoments:
 class EstimatorOutput:
     """One DP call: a beta and a noisy spectrum per budget, in the caller's
     order (beta None where :func:`solve` refused that spectrum), and the
-    rho-independent stage once."""
+    rho-independent stage once.  Each spectrum holds the moment it came
+    from: ``post_diags[i].matrix`` is budget i's noisy X^T X / n."""
 
     betas: tuple[np.ndarray | None, ...]
     post_diags: tuple[SpectralDiagnostics, ...]
@@ -231,10 +234,11 @@ def _release(
     Clips feature rows to r_x and responses to r_y, once.  For each budget in
     order it draws the noise of :func:`noise_scales` (rho each, matrix noise
     first), so every budget is a standalone release at its rho.  The noisy
-    moments are decomposed in one :func:`shifted_diagnostics` stack, after
-    the pre-noise moment, and each budget is solved through its eigenpairs;
-    one whose noisy moment :func:`solve` refuses gets beta None, and the
-    others stand.  A clip that changes no row releases ``data`` itself, with
+    moments take their eigenvalues from one :func:`shifted_diagnostics`
+    stack, after the pre-noise moment, and each budget's system is solved by
+    :func:`solve` (the eigenvalue guard, then LU), one call per budget; one
+    whose noisy moment :func:`solve` refuses gets beta None, and the others
+    stand.  A clip that changes no row releases ``data`` itself, with
     whatever sums it holds.
     """
     n, d = data.n, data.d

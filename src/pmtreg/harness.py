@@ -14,7 +14,8 @@ grid holds.  The two sets come
 - real: from one ``split`` per trial, whose random mode draws a permutation
   keyed (seed, 3, trial, 2); the private rows come from the front of its
   order and the public rows from its back, so they are disjoint at every
-  size.
+  size.  Head mode's order is the same every trial, so it splits once per
+  sweep and every trial takes the same rows.
 
 The unit of work is a dataset, keyed by (seed, n_priv, n_pub, trial): its
 reference is computed once, and every (method, rho) cell's trial runs on it.
@@ -181,10 +182,14 @@ def _draw(grid: ExperimentGrid, sizes: list, buffers: tuple, trial: int) -> list
 
 
 def _split_trials(grid: ExperimentGrid, source: DatasetSource, sizes: list):
-    """Each trial's (public, private) sets and noise Generators, from one split."""
+    """Each trial's (public, private) sets and noise Generators, from one
+    split; head mode's order does not depend on the trial, so its one split
+    serves every trial."""
     largest = max(grid.n_pub_values), max(grid.n_priv_values)
+    head = SplitMode(source.split_mode) is SplitMode.HEAD_TAIL
     for trial in range(grid.trials):
-        rows = split(source.dataset, *largest, _key(grid, 3, trial, 2), source.split_mode)
+        if trial == 0 or not head:
+            rows = split(source.dataset, *largest, _key(grid, 3, trial, 2), source.split_mode)
         yield rows, _draw(grid, sizes, (), trial)
 
 

@@ -1,9 +1,11 @@
 """Spectral utilities for symmetric matrices.
 
-Everything downstream (preconditioning, noisy-matrix inversion, condition
-diagnostics) is built on the eigendecomposition of a symmetric matrix, so
-this module owns the symmetrization convention and all matrix functions
-derived from the spectrum.
+This module owns the symmetrization convention, the one decomposition entry
+point (:func:`eig_sym`), the matrix functions derived from a spectrum, and
+the guarded solve.  Eigenvectors are computed only where a caller reads
+them: the square roots take eigenpairs, while a condition diagnostic or the
+guard of a solve takes eigenvalues alone.  A guarded solve refuses a
+numerically singular matrix from its eigenvalues and then factors it by LU.
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ class SymmetricMatrix:
 
 @dataclass(frozen=True)
 class SpectralDiagnostics:
-    """The eigendecomposition of a symmetric matrix: eigenvalues ascending,
-    eigenvectors as the matching columns, so :func:`solve` needs no second
-    factorization.
+    """The eigenvalues of a symmetric matrix, ascending, and the exactly
+    symmetric d x d array they came from (``matrix``), which :func:`solve`
+    factors.
 
     Summary figures are derived on read.  ``avg_cond`` is the averaged
     condition number: the mean of lambda_i / lambda_min over the spectrum.
@@ -70,7 +72,7 @@ class SpectralDiagnostics:
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    matrix: np.ndarray
 
     @property
     def avg_cond(self) -> float:
@@ -98,14 +100,17 @@ class UnstableInversionError(RuntimeError):
     """A symmetric system is too close to singular to solve."""
 
 
-def eig_sym(m: SymmetricMatrix | np.ndarray):
-    """Eigendecomposition, eigenvalues ascending, eigenvectors as columns.
+def eig_sym(m: SymmetricMatrix | np.ndarray, vectors: bool = True):
+    """Eigendecomposition, eigenvalues ascending, eigenvectors as columns;
+    with ``vectors=False`` the eigenvalues alone, from a LAPACK routine that
+    forms no eigenvectors (about half the work at d = 50).
 
     ``m`` may also be a (k, d, d) stack of exactly symmetric arrays, all
     decomposed in this one call: numpy runs LAPACK on each matrix of the
     stack in turn, so each gets the same bits as from a call of its own.
     """
-    return np.linalg.eigh(m.entries if isinstance(m, SymmetricMatrix) else m)
+    a = m.entries if isinstance(m, SymmetricMatrix) else m
+    return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
 
 
 def inv_sqrt_clamped(m: SymmetricMatrix) -> SymmetricMatrix:
@@ -138,13 +143,14 @@ def sqrt_sym(m: SymmetricMatrix) -> SymmetricMatrix:
 
 
 def diagnostics(m: SymmetricMatrix) -> SpectralDiagnostics:
-    """The eigendecomposition of a symmetric matrix, as a record."""
-    return SpectralDiagnostics(*eig_sym(m))
+    """The eigenvalues of a symmetric matrix, with the matrix, as a record."""
+    return SpectralDiagnostics(eig_sym(m, vectors=False), m.entries)
 
 
 def shifted_diagnostics(m: SymmetricMatrix, shifts) -> list[SpectralDiagnostics]:
     """The spectra of m, first, and of m + s for each exactly symmetric
-    array s, from one stacked :func:`eig_sym` call.
+    array s, from one stacked eigenvalues-only :func:`eig_sym` call; each
+    record's ``matrix`` is its read-only slice of the stack.
 
     A sum of two exactly symmetric matrices is exactly symmetric, float
     addition being commutative, so the sums are not symmetrized again.  As
@@ -157,16 +163,21 @@ def shifted_diagnostics(m: SymmetricMatrix, shifts) -> list[SpectralDiagnostics]
         np.add(m.entries, s, out=out)
     if not math.isfinite(2.0 * float(np.abs(stack).max(initial=0.0))):
         raise ValueError(_NOT_FINITE)
-    lam, vec = eig_sym(stack)
-    return [SpectralDiagnostics(*pair) for pair in zip(lam, vec)]
+    stack.flags.writeable = False
+    return [SpectralDiagnostics(*pair) for pair in zip(eig_sym(stack, vectors=False), stack)]
 
 
 def solve(diag: SpectralDiagnostics, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs through M's eigenpairs: x = (V / lambda) @ (V^T rhs).
+    """Solve M x = rhs for the matrix M of ``diag``, by LU with partial
+    pivoting (LAPACK gesv).
 
     M need not be positive definite, but a numerically singular one (smallest
-    |lambda| a negligible fraction of the largest) raises
-    :class:`UnstableInversionError`.  ``rhs`` may be a vector or a matrix.
+    |lambda| at most 1e-12 of the largest) raises
+    :class:`UnstableInversionError`, as does an exactly zero pivot.  Past the
+    guard, LU and the eigenpair formula (V / lambda) @ (V^T rhs) are both
+    backward stable, so they differ by about cond(M) * eps relative: the LU
+    form is taken because it needs no eigenvectors.  ``rhs`` may be a
+    vector or a matrix.
     """
     abs_eigs = np.abs(diag.eigenvalues)
     if abs_eigs.min() <= 1e-12 * abs_eigs.max():
@@ -174,8 +185,10 @@ def solve(diag: SpectralDiagnostics, rhs: np.ndarray) -> np.ndarray:
             f"numerically singular: |lambda| range "
             f"[{abs_eigs.min():.3e}, {abs_eigs.max():.3e}]"
         )
-    vec = diag.eigenvectors
-    return (vec / diag.eigenvalues) @ (vec.T @ rhs)
+    try:
+        return np.linalg.solve(diag.matrix, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise UnstableInversionError(f"numerically singular: {exc}") from None
 
 
 def theory_bracket(d: int, n_pub: int, eta: float) -> tuple[float, float]:

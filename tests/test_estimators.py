@@ -199,11 +199,6 @@ class TestOlse:
             olse(LabeledDataset(features=x, responses=np.ones(5)))
 
 
-def rebuild(diag):
-    """The matrix a SpectralDiagnostics was computed from, V diag(lambda) V^T."""
-    return (diag.eigenvectors * diag.eigenvalues) @ diag.eigenvectors.T
-
-
 class TestDpSecondMoment:
     def test_zero_noise_outer_products(self, rng):
         # rows e1, e2, e1 + e2: the mean outer product is [[2, 1], [1, 2]] / 3
@@ -212,7 +207,8 @@ class TestDpSecondMoment:
         )
         out = dp_pmtolse(data, small_public(2), 0.05, (BUDGET,), rng)
         expected = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
-        assert np.allclose(rebuild(out.pre_diag), expected, atol=1e-12)
+        assert np.allclose(out.pre_diag.matrix, expected, atol=1e-12)
+        assert np.allclose(out.pre_diag.eigenvalues, [1.0 / 3.0, 1.0], atol=1e-12)
 
     def test_mechanism_additivity(self, rng):
         # replay: the same-seeded stream gives
@@ -246,7 +242,7 @@ class TestDpSecondMoment:
         public = small_public(10)
         for _ in range(300):
             out = dp_pmtolse(data, public, 0.05, (BUDGET,), rng)
-            draws.extend(rebuild(out.post_diags[0])[np.triu_indices(10, k=1)])
+            draws.extend(out.post_diags[0].matrix[np.triu_indices(10, k=1)])
         assert np.std(draws, ddof=1) == pytest.approx(0.11596635, rel=0.05)
 
 
@@ -467,7 +463,7 @@ def test_budgets_draw_independent_noise():
     data = LabeledDataset(features=np.zeros((1000, 10)), responses=np.zeros(1000))
     out = dp_pmtolse(data, small_public(10), 0.05, BUDGETS, np.random.default_rng(3))
     upper = np.triu_indices(10)
-    noise = [rebuild(diag)[upper] for diag in out.post_diags]
+    noise = [diag.matrix[upper] for diag in out.post_diags]
     for i in range(3):
         for j in range(i):
             assert abs(np.corrcoef(noise[i], noise[j])[0, 1]) < 0.5

@@ -407,9 +407,12 @@ class TestDatasetSharing:
             reference=Reference.NONPRIVATE_OLSE,
         )
         run_grid(grid, DatasetSource(data, mode))
-        assert [sizes for sizes, _ in splits] == [(50, 450)] * grid.trials
+        # head mode's order is the same every trial, so its one split serves all
+        head = mode is SplitMode.HEAD_TAIL
+        assert [sizes for sizes, _ in splits] == [(50, 450)] * (1 if head else grid.trials)
         assert len(datasets) == 6 * grid.trials
-        for trial, (_, (public, private)) in enumerate(splits):
+        for trial in range(grid.trials):
+            _, (public, private) = splits[0 if head else trial]
             for _, _, pub, priv, _ in datasets[6 * trial : 6 * trial + 6]:
                 assert np.array_equal(pub.features, public.features[: pub.n])
                 assert np.array_equal(pub.responses, public.responses[: pub.n])
@@ -452,21 +455,23 @@ class TestDatasetSharing:
 
     def test_real_dataset_eigendecompositions(self, monkeypatch, rng):
         # per dataset: olse, the public whitening, and one stack per method,
-        # each holding its pre-noise moment first (one call per matrix makes 10)
+        # each holding its pre-noise moment first (one call per matrix makes
+        # 10); only the whitening reads eigenvectors
         from pmtreg import spectra
 
         eigs = []
         real_eig = spectra.eig_sym
 
-        def eig_sym(m):
-            eigs.append(m)
-            return real_eig(m)
+        def eig_sym(m, vectors=True):
+            eigs.append((m, vectors))
+            return real_eig(m, vectors=vectors)
 
         monkeypatch.setattr(spectra, "eig_sym", eig_sym)
         privates, _ = self._real_grid_run(monkeypatch, rng)
         assert len(eigs) == 4 * len(privates)
-        matrices = [1 if isinstance(m, SymmetricMatrix) else len(m) for m in eigs]
+        matrices = [1 if isinstance(m, SymmetricMatrix) else len(m) for m, _ in eigs]
         assert sum(matrices) == 10 * len(privates)
+        assert sum(vectors for _, vectors in eigs) == len(privates)
 
     def test_real_private_gram_formed_once(self, monkeypatch, rng):
         # the split leaves out 200 rows of 500, fewer than the 300 private
@@ -481,7 +486,7 @@ class TestDatasetSharing:
             assert private.stats.gram is not None and private.gram is private.stats.gram
             own = diagnostics(private.second_moment)
             assert out.pre_diag.eigenvalues.tobytes() == own.eigenvalues.tobytes()
-            assert out.pre_diag.eigenvectors.tobytes() == own.eigenvectors.tobytes()
+            assert out.pre_diag.matrix.tobytes() == own.matrix.tobytes()
         # the whole dataset's, then per trial the public rows', the 150
         # unused rows' (which the complement subtracts) and the whitened rows'
         assert len(grams) == 1 + 3 * len(privates)
@@ -1228,6 +1233,36 @@ class TestCli:
         assert row.trials_ok == 3
         assert row.mean_avg_cond_pre == pytest.approx(cond, rel=1e-12)
         assert read_rows(rand)[0].mean_avg_cond_pre != row.mean_avg_cond_pre
+
+    def test_real_head_sweep_splits_once_with_a_split_per_trial_bytes(
+        self, monkeypatch, tmp_path
+    ):
+        # head mode's order does not depend on the trial, so one split serves
+        # every trial; the bytes equal those of a sweep that splits each trial
+        from pmtreg.data import split
+
+        data = write_toy_csv(tmp_path / "toy.csv")
+        args = [
+            "real", "--data", str(data), "--split", "head", "--n-pub", "40,60",
+            "--n-priv", "100,200", "--trials", "3",
+        ]
+        once, every = tmp_path / "once.csv", tmp_path / "every.csv"
+        calls = []
+        monkeypatch.setattr(harness, "split", lambda *a: calls.append(a) or split(*a))
+        assert main(args + ["--out", str(once)]) == EXIT_OK
+        assert len(calls) == 1
+
+        def split_every_trial(grid, source, sizes):
+            largest = max(grid.n_pub_values), max(grid.n_priv_values)
+            for trial in range(grid.trials):
+                key = harness._key(grid, 3, trial, 2)
+                rows = split(source.dataset, *largest, key, source.split_mode)
+                yield rows, harness._draw(grid, sizes, (), trial)
+
+        monkeypatch.setattr(harness, "_split_trials", split_every_trial)
+        assert main(args + ["--out", str(every)]) == EXIT_OK
+        assert once.read_bytes() == every.read_bytes()
+        assert len(read_rows(once)) == 2 * 4  # methods x sizes, at the one default rho
 
     def test_zero_public_responses_fail_only_dp_pmtolse(self, tmp_path):
         # the first 40 responses equal the column mean, so the head split's

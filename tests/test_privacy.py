@@ -268,9 +268,9 @@ class TestEmpiricalAudit:
         for _ in range(self.CALLS):
             out = dp_pmtolse(data, public, self.ETA, budgets, rng)
             for beta, diag in zip(out.betas, out.post_diags):
-                # the noisy matrix is V diag(lambda) V^T; the noisy vector
-                # is that matrix times the solved beta
-                matrix = (diag.eigenvectors * diag.eigenvalues) @ diag.eigenvectors.T
+                # the noisy matrix is the one the spectrum came from; the
+                # noisy vector is that matrix times the solved beta
+                matrix = diag.matrix
                 values.append(project(matrix, matrix @ beta))
         return np.array(values)
 

@@ -82,21 +82,36 @@ class TestEigSym:
 
 
 class TestStackedSpectra:
-    """The DP release decomposes its pre-noise moment and every budget's noisy
-    moment in one stacked call; its outputs are the same bits as one call per
-    matrix only because numpy runs LAPACK on each matrix of a stack alone.  A
-    BLAS or numpy for which that fails shows here first."""
+    """The DP release takes the eigenvalues of its pre-noise moment and every
+    budget's noisy moment from one stacked call; its outputs are the same
+    bits as one call per matrix only because numpy runs LAPACK on each matrix
+    of a stack alone.  A BLAS or numpy for which that fails shows here
+    first."""
 
-    @pytest.mark.parametrize("d", [1, 10, 11, 50])
-    def test_stack_matches_one_call_per_matrix_bit_for_bit(self, d):
+    @staticmethod
+    def _mats(d):
         rng = np.random.default_rng(d)
         mats = [random_spd(rng, d, max_cond=1e8).entries for _ in range(3)]
         mats.append(SymmetricMatrix(rng.standard_normal((d, d))).entries)  # indefinite
+        return mats
+
+    @pytest.mark.parametrize("d", [1, 10, 11, 50])
+    def test_stack_matches_one_call_per_matrix_bit_for_bit(self, d):
+        mats = self._mats(d)
         lam, vec = eig_sym(np.stack(mats))
         for k, m in enumerate(mats):
             one_lam, one_vec = eig_sym(SymmetricMatrix(m))
             assert lam[k].tobytes() == one_lam.tobytes()
             assert vec[k].tobytes() == one_vec.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 10, 11, 50])
+    def test_eigenvalues_only_stack_matches_one_call_per_matrix_bit_for_bit(self, d):
+        mats = self._mats(d)
+        lam = eig_sym(np.stack(mats), vectors=False)
+        assert lam.shape == (len(mats), d)
+        for k, m in enumerate(mats):
+            assert lam[k].tobytes() == eig_sym(SymmetricMatrix(m), vectors=False).tobytes()
+            assert lam[k].tobytes() == np.linalg.eigvalsh(m).tobytes()
 
     def test_shifted_spectra_match_symmetrized_sums(self, rng):
         from pmtreg.privacy import sample_symmetric_gaussian
@@ -108,7 +123,7 @@ class TestStackedSpectra:
         assert len(got) == len(want)
         for g, w in zip(got, map(diagnostics, want)):
             assert g.eigenvalues.tobytes() == w.eigenvalues.tobytes()
-            assert g.eigenvectors.tobytes() == w.eigenvectors.tobytes()
+            assert g.matrix.tobytes() == w.matrix.tobytes()
 
     @pytest.mark.parametrize("shift", [1e307, 1e308])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -276,6 +291,80 @@ class TestStableInverse:
         # the message carries the refused |lambda| range
         with pytest.raises(UnstableInversionError, match=r"\[1\.000e-14, 1\.000e\+00\]"):
             olse(LabeledDataset(features=x, responses=np.ones(2)))
+
+
+def _spectral(rng, d, kappa, definite):
+    """Q diag(lam) Q^T for a random orthogonal Q, |lam| log-spaced from 1 to
+    kappa; ``definite`` False alternates the signs of lam."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    lam = np.geomspace(1.0, kappa, d)
+    if not definite:
+        lam[::2] *= -1.0
+    return SymmetricMatrix((q * lam) @ q.T)
+
+
+class TestLuSolve:
+    """``solve`` factors the matrix by LU past the eigenvalue guard, where it
+    once applied the eigenpair formula (V / lambda) (V^T b).  Both are
+    backward stable, so they may differ by a modest multiple of cond * eps,
+    and the guard, read from eigenvalues alone, refuses what it refused."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("definite", [True, False], ids=["definite", "indefinite"])
+    @pytest.mark.parametrize("kappa", [1e2, 1e6, 1e10])
+    @pytest.mark.parametrize("d", [2, 11, 50])
+    def test_matches_the_eigenpair_formula_within_cond_eps(self, d, kappa, definite):
+        rng = np.random.default_rng([d, int(math.log10(kappa)), definite])
+        for _ in range(5):
+            m = _spectral(rng, d, kappa, definite)
+            b = rng.standard_normal(d)
+            lam, vec = np.linalg.eigh(m.entries)
+            want = (vec / lam) @ (vec.T @ b)
+            got = solve(diagnostics(m), b)
+            cond = np.abs(lam).max() / np.abs(lam).min()
+            bound = 10.0 * d * cond * self.EPS
+            assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("small", [1e-12, -1e-12, 0.0])
+    def test_guard_refuses_at_the_boundary(self, small):
+        # smallest |lambda| exactly 1e-12 of the largest is refused, as before
+        with pytest.raises(UnstableInversionError, match="numerically singular"):
+            solve(diagnostics(SymmetricMatrix(np.diag([1.0, small]))), np.ones(2))
+
+    def test_guard_passes_just_above_the_boundary(self):
+        small = np.nextafter(1e-12, 1.0)
+        x = solve(diagnostics(SymmetricMatrix(np.diag([1.0, small]))), np.ones(2))
+        assert x.tolist() == [1.0, 1.0 / small]
+
+    @pytest.mark.parametrize("definite", [True, False], ids=["definite", "indefinite"])
+    @pytest.mark.parametrize("ratio", [5e-13, 2e-12])
+    def test_guard_refuses_what_the_eigenpair_guard_refused(self, ratio, definite):
+        # rotated spectra a factor 2 either side of the boundary: the guard on
+        # eigvalsh's values refuses exactly where the one on eigh's did
+        rng = np.random.default_rng([35, definite])
+        for _ in range(10):
+            m = _spectral(rng, 6, 1.0 / ratio, definite)
+            old = np.abs(np.linalg.eigh(m.entries)[0])
+            refused_before = old.min() <= 1e-12 * old.max()
+            assert refused_before == (ratio < 1e-12)
+            try:
+                solve(diagnostics(m), np.ones(6))
+            except UnstableInversionError:
+                refused = True
+            else:
+                refused = False
+            assert refused == refused_before
+
+    def test_exactly_zero_pivot_is_an_unstable_inversion(self, monkeypatch):
+        # past the guard LU meets an exactly zero pivot only on a matrix the
+        # guard nearly refused; it is refused the same way, not as LinAlgError
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(UnstableInversionError, match="Singular matrix"):
+            solve(diagnostics(SymmetricMatrix(np.eye(2))), np.ones(2))
 
 
 @given(d=st.integers(min_value=1, max_value=12), seed=st.integers(0, 2**32 - 1))
