@@ -127,39 +127,37 @@ def generate(spec: SyntheticModelSpec, n: int, normals: np.ndarray) -> LabeledDa
     return LabeledDataset(features=x.reshape(-1, d)[:n], responses=y.reshape(-1)[:n])
 
 
-def default_synthetic(d: int = 10, mu_scale: float = 2.0) -> SyntheticModelSpec:
+def default_synthetic(d: int = 10, mu_scale: float = 2.0, psi=None) -> SyntheticModelSpec:
     """Default ill-conditioned synthetic design.
 
-    mean = mu_scale * ones and a geometric ladder of covariance eigenvalues
-    from 0.2 to 2.0; the rank-one mean term gives the second moment one
-    dominant eigenvalue, so its averaged condition number lands well above
-    10.  Coefficients are left unset (sampled per experiment).  A mu_scale
-    for which that eigenvalue, about d * mu_scale^2, or an entry of the
-    second moment overflows is refused by name.
+    mean = mu_scale * ones and covariance diag(psi), psi by default a
+    geometric ladder from 0.2 to 2.0; the rank-one mean term gives the second
+    moment one dominant eigenvalue, so its averaged condition number lands
+    well above 10.  Coefficients are left unset (sampled per experiment).  A
+    psi not finite and nonnegative is refused by name, and so is an overflow
+    of the top eigenvalue, about d * mu_scale^2, or of a second-moment entry.
     """
     if d < 1:  # checked here: d sizes the arrays before the spec sees it
         raise ValueError(f"d must be >= 1, got {d}")
     if not math.isfinite(mu_scale):  # else the spec names the mean, not mu_scale
         raise ValueError(f"mu_scale must be finite: the mean must be finite, got {mu_scale}")
-    too_large = ValueError(
-        f"mu_scale={mu_scale} is too large: the second moment "
-        "covariance + mean mean^T overflows, or its top eigenvalue d * mu_scale^2 does"
-    )
     mu = float(mu_scale)  # Python floats overflow to inf without a warning
     if not math.isfinite(d * mu * mu):  # else eigh returns inf and diagnose prints it
-        raise too_large
-    psi = np.geomspace(0.2, 2.0, d)
-    spec = SyntheticModelSpec(
-        d=d,
-        mean=np.full(d, mu_scale),
-        covariance=SymmetricMatrix(np.diag(psi)),
-    )
-    try:  # else the second moment fails unnamed, or inside eigh
-        with np.errstate(over="ignore"):
-            spec.second_moment()
-    except ValueError:
-        raise too_large from None
-    return spec
+        raise ValueError(
+            f"mu_scale={mu_scale} is too large: the second moment "
+            "covariance + mean mean^T overflows, or its top eigenvalue d * mu_scale^2 does"
+        )
+    if psi is None:
+        psi = np.geomspace(0.2, 2.0, d)
+    bad = [v for v in psi if not (math.isfinite(v) and v >= 0)]
+    if bad:
+        raise ValueError(f"synthetic design: psi must be finite and nonnegative, got {bad[0]}")
+    top = float(max(psi))  # top + mu^2 is the second moment's largest entry
+    if not math.isfinite(2 * (top + mu * mu)):  # as SymmetricMatrix requires
+        raise ValueError(
+            f"synthetic second moment overflows: max(psi) + mu_scale^2 = {top} + {mu * mu}"
+        )
+    return SyntheticModelSpec(d, np.full(d, mu_scale), SymmetricMatrix(np.diag(psi)))
 
 
 def ingest_csv(

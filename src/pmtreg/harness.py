@@ -18,7 +18,9 @@ grid holds.  The two sets come
   sweep and every trial takes the same rows.
 
 The unit of work is a dataset, keyed by (seed, n_priv, n_pub, trial): its
-reference is computed once, and every (method, rho) cell's trial runs on it.
+reference is computed once, and every (method, rho) cell's trial runs on it
+and gives one ``TrialRecord``; every CSV column is computed from a cell's
+records alone.
 One rng stream per dataset, keyed (seed, 2, n_priv, n_pub, trial), draws for
 each method and each rho in grid order the matrix noise and the vector
 noise.  The grid keeps its values in a canonical order, so neither the order
@@ -47,6 +49,7 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +68,7 @@ from .estimators import (
     dp_pmtolse,
     olse,
 )
+from .pmt import TruncationReport
 from .privacy import PrivacyBudget
 from .spectra import UnstableInversionError, diagnostics, solve
 
@@ -279,42 +283,82 @@ def _validate(grid: ExperimentGrid, source):
         )
 
 
-def _run_trial(grid, truth, public, private, rng):
+class TrialRecord(NamedTuple):
+    """One (method, rho) cell's trial on one dataset.  If it failed, ``err``
+    is nan and ``failure`` the UnstableInversionError text of a refused
+    reference or public moment, or "refused budget"; with no release, no clip
+    reports or ``avg_cond``.  A tuple, as ``RowStatistics`` is, for its cost."""
+
+    method: Method
+    rho: float
+    n_priv: int
+    n_pub: int
+    trial: int
+    err: float = math.nan
+    failure: str | None = None
+    feature_truncation: TruncationReport | None = None
+    response_truncation: TruncationReport | None = None
+    avg_cond: float = math.nan
+
+
+def _run_trial(grid, truth, public, private, rng, trial):
     """One dataset and every (method, rho) cell's trial on it.
 
     ``truth`` is the reference beta, or None to use the private rows' own
     least squares; ``rng`` is the dataset's noise Generator.  Returns one
-    outcome per cell, in the order of product(grid.methods, grid.rho_values): (err,
-    truncated fraction, pre-noise avg_cond), or None for a cell whose trial
-    failed.  A singular noisy moment fails only its own (method, rho); a
-    singular reference or public moment (or all-zero public responses) fails
-    every cell it feeds.
+    :class:`TrialRecord` per cell.  A singular noisy moment fails only its
+    own (method, rho); a singular reference or public moment (or all-zero
+    public responses) fails every cell it feeds.
     """
-    per_method = len(grid.rho_values)
-    outcomes = [None] * (len(grid.methods) * per_method)
+    key = private.n, public.n, trial
     if truth is None:
         try:
             truth = olse(private)
-        except UnstableInversionError:
-            return outcomes
+        except UnstableInversionError as exc:
+            cells = product(grid.methods, grid.rho_values)
+            return [TrialRecord(m, rho, *key, failure=str(exc)) for m, rho in cells]
 
-    for i, method in enumerate(grid.methods):
+    records = []
+    for method in grid.methods:
         try:
             if method is Method.DP_PMTOLSE:
                 out = dp_pmtolse(private, public_moments(public), grid.eta, grid.budgets, rng)
             else:
                 out = dp_olse_baseline(private, grid.eta, grid.budgets, rng)
-        except UnstableInversionError:
+        except UnstableInversionError as exc:
+            reason = str(exc)
+            records += [TrialRecord(method, rho, *key, failure=reason) for rho in grid.rho_values]
             continue
-        feat, resp = out.feature_truncation, out.response_truncation
-        frac = (feat.truncated + resp.truncated) / (feat.total + resp.total)
-        cond = out.pre_diag.avg_cond
-        for j, beta in enumerate(out.betas, i * per_method):
+        release = out.feature_truncation, out.response_truncation, out.pre_diag.avg_cond
+        for rho, beta in zip(grid.rho_values, out.betas):
+            err, failure = math.nan, "refused budget"
             if beta is not None:
                 diff = beta - truth
                 # the formula np.linalg.norm evaluates for a real vector
-                outcomes[j] = (math.sqrt(diff.dot(diff)), frac, cond)
-    return outcomes
+                err, failure = math.sqrt(diff.dot(diff)), None
+            records.append(TrialRecord(method, rho, *key, err, failure, *release))
+    return records
+
+
+def _cell_result(records: list[TrialRecord]) -> CellResult:
+    """One cell's CSV row from its trials' records alone; a failed trial is
+    counted, and left out of every mean."""
+    ok = [r for r in records if r.failure is None]
+    mean_err = std_err = mean_frac = mean_cond = math.nan
+    if ok:
+        errs = [r.err for r in ok]
+        mean_err = float(np.mean(errs))
+        std_err = float(np.std(errs, ddof=1)) if len(ok) > 1 else 0.0
+        reports = [(r.feature_truncation, r.response_truncation) for r in ok]
+        fracs = [(f.truncated + g.truncated) / (f.total + g.total) for f, g in reports]
+        mean_frac = float(np.mean(fracs))
+        mean_cond = float(np.mean([r.avg_cond for r in ok]))
+    key = records[0]
+    return CellResult(
+        method=key.method, rho=float(key.rho), n_priv=key.n_priv, n_pub=key.n_pub,
+        trials_ok=len(ok), trials_failed=len(records) - len(ok), mean_err=mean_err,
+        std_err=std_err, mean_truncated_frac=mean_frac, mean_avg_cond_pre=mean_cond,
+    )
 
 
 def run_grid(
@@ -338,44 +382,18 @@ def run_grid(
     truth = source.coefficients if grid.reference is Reference.TRUE_BETA else None
 
     sizes = list(product(grid.n_priv_values, grid.n_pub_values))
-    cells = list(product(grid.methods, grid.rho_values))
-    # per dataset size, one list of trial outcomes per (method, rho)
-    outcomes = {size: [[] for _ in cells] for size in sizes}
+    cells = {(m, rho, *size): [] for m, rho, size in product(grid.methods, grid.rho_values, sizes)}
     if isinstance(source, DatasetSource):
         trials = _split_trials(grid, source, sizes)
     else:
         trials = _drawn_trials(grid, source, sizes)
     with closing(trials):
-        for (public, private), rngs in trials:
+        for trial, ((public, private), rngs) in enumerate(trials):
             for (n_priv, n_pub), rng in zip(sizes, rngs):
-                per_cell = _run_trial(grid, truth, public.head(n_pub), private.head(n_priv), rng)
-                for cell, outcome in zip(outcomes[n_priv, n_pub], per_cell):
-                    cell.append(outcome)
-
-    results = []
-    for i, (method, rho) in enumerate(cells):
-        for n_priv, n_pub in sizes:
-            cell = outcomes[n_priv, n_pub][i]
-            done = [o for o in cell if o is not None]
-            ok = len(done)
-            if ok:
-                errs, fracs, conds = zip(*done)
-                mean_err = float(np.mean(errs))
-                std_err = float(np.std(errs, ddof=1)) if ok > 1 else 0.0
-                mean_frac = float(np.mean(fracs))
-                mean_cond = float(np.mean(conds))
-            else:
-                mean_err = std_err = mean_frac = mean_cond = math.nan
-            results.append(CellResult(
-                method=method, rho=float(rho), n_priv=int(n_priv), n_pub=int(n_pub),
-                trials_ok=ok, trials_failed=len(cell) - ok, mean_err=mean_err,
-                std_err=std_err, mean_truncated_frac=mean_frac, mean_avg_cond_pre=mean_cond,
-            ))
-    return results
-
-
-def _sort_key(r: CellResult):
-    return (r.method.value, r.rho, r.n_priv, r.n_pub)
+                datasets = public.head(n_pub), private.head(n_priv)
+                for r in _run_trial(grid, truth, *datasets, rng, trial):
+                    cells[r.method, r.rho, r.n_priv, r.n_pub].append(r)
+    return [_cell_result(records) for records in cells.values()]
 
 
 def emit_csv(results: list[CellResult], out: str | Path) -> None:
@@ -385,7 +403,7 @@ def emit_csv(results: list[CellResult], out: str | Path) -> None:
     """
     if not results:
         raise ValueError("results must be non-empty")
-    rows = sorted(results, key=_sort_key)
+    rows = sorted(results, key=lambda r: (r.method.value, r.rho, r.n_priv, r.n_pub))
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)

@@ -199,15 +199,19 @@ def sweep(datasets, methods, rhos, eta, trials, seed, beta=None):
                     if out is not None and out[0][i] is not None:
                         outcome = (np.linalg.norm(out[0][i] - ref), out[1], out[2])
                     errs.setdefault((method, rho, n_priv, n_pub), []).append(outcome)
-    table = []
-    for (method, rho, n_priv, n_pub), cell in sorted(errs.items()):
-        done = [o for o in cell if o is not None]
-        err = [o[0] for o in done]
-        table.append(dict(zip(COLUMNS, (
-            method, rho, n_priv, n_pub, len(done), len(cell) - len(done),
-            np.mean(err) if done else math.nan,
-            (np.std(err, ddof=1) if len(done) > 1 else 0.0) if done else math.nan,
-            np.mean([o[1] for o in done]) if done else math.nan,
-            np.mean([o[2] for o in done]) if done else math.nan,
-        ))))
-    return table
+    return [cell_row(key, cell) for key, cell in sorted(errs.items())]
+
+
+def cell_row(key, outcomes):
+    """One CSV row, as a dict, of the cell ``key`` = (method, rho, n_priv,
+    n_pub): its trials' outcomes, each (err, truncated fraction, avg_cond)
+    or None for a failed trial, counted and left out of every mean."""
+    done = [o for o in outcomes if o is not None]
+    err = [o[0] for o in done]
+    return dict(zip(COLUMNS, (
+        *key, len(done), len(outcomes) - len(done),
+        np.mean(err) if done else math.nan,
+        (np.std(err, ddof=1) if len(done) > 1 else 0.0) if done else math.nan,
+        np.mean([o[1] for o in done]) if done else math.nan,
+        np.mean([o[2] for o in done]) if done else math.nan,
+    )))

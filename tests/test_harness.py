@@ -3,6 +3,7 @@ import csv
 import importlib
 import importlib.util
 import json
+import math
 import os
 import queue
 import re
@@ -19,6 +20,7 @@ import pytest
 
 from dataclasses import replace
 
+import oracle
 from conftest import formed_grams
 from pmtreg import cli, harness
 from pmtreg.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
@@ -370,6 +372,34 @@ class TestDatasetSharing:
         assert len(lines[0]) == 1 + 2 * 2 and len(lines[1]) > len(lines[0])
         assert shared == lines[0][1:]
 
+    @pytest.mark.parametrize("mode", [None, *SplitMode], ids=["synthetic", "random", "head"])
+    def test_records_do_not_depend_on_the_grids_other_sizes(self, mode, monkeypatch, rng):
+        # the per-trial form of the test above: the (100, 40) dataset's
+        # records are the same alone and inside a (100, 300) x (40, 50) grid
+        from pmtreg.harness import DatasetSource
+
+        if mode is None:
+            source, reference = default_synthetic(), Reference.TRUE_BETA
+        else:
+            x = rng.standard_normal((500, 3))
+            data = LabeledDataset(features=x, responses=x @ np.ones(3) + rng.standard_normal(500))
+            source, reference = DatasetSource(data, mode), Reference.NONPRIVATE_OLSE
+        records = record_trials(monkeypatch)
+        runs = []
+        for n_priv, n_pub in (((100,), (40,)), ((100, 300), (40, 50))):
+            records.clear()
+            grid = small_grid(
+                rho_values=(2.0, 10.0), n_priv_values=n_priv, n_pub_values=n_pub,
+                reference=reference,
+            )
+            run_grid(grid, source)
+            runs.append([r for r in records if (r.n_priv, r.n_pub) == (100, 40)])
+        alone, inside = runs
+        assert len(alone) == len(inside) == 2 * 2 * grid.trials
+        assert len(records) == 4 * len(alone)
+        for a, b in zip(alone, inside):
+            assert all(x == y or x != x and y != y for x, y in zip(a, b)), (a, b)
+
     def test_real_dataset_split_once_with_one_reference(self, monkeypatch, rng):
         from pmtreg.harness import DatasetSource
 
@@ -413,12 +443,13 @@ class TestDatasetSharing:
         assert len(datasets) == 6 * grid.trials
         for trial in range(grid.trials):
             _, (public, private) = splits[0 if head else trial]
-            for _, _, pub, priv, _ in datasets[6 * trial : 6 * trial + 6]:
+            for _, _, pub, priv, _, number in datasets[6 * trial : 6 * trial + 6]:
+                assert number == trial
                 assert np.array_equal(pub.features, public.features[: pub.n])
                 assert np.array_equal(pub.responses, public.responses[: pub.n])
                 assert np.array_equal(priv.features, private.features[: priv.n])
                 assert np.array_equal(priv.responses, private.responses[: priv.n])
-        sizes = [(priv.n, pub.n) for _, _, pub, priv, _ in datasets]
+        sizes = [(priv.n, pub.n) for _, _, pub, priv, _, _ in datasets]
         assert sizes == list(product((100, 300, 450), (40, 50))) * grid.trials
 
     @staticmethod
@@ -595,6 +626,104 @@ class TestDatasetSharing:
             assert main(argv) == EXIT_OK
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestTrialRecords:
+    """A sweep's only per-trial result is one record per (method, rho, dataset),
+    and every CSV column can be computed from a cell's records alone."""
+
+    @staticmethod
+    def _synthetic(monkeypatch, tmp_path):
+        # the baseline's middle budget is refused in every release, and every
+        # other preconditioned release's public moment
+        from pmtreg.spectra import UnstableInversionError
+
+        real_baseline, real_pmtolse, calls = harness.dp_olse_baseline, harness.dp_pmtolse, []
+
+        def middle_budget_fails(*args):
+            out = real_baseline(*args)
+            first, _, last = out.betas
+            return replace(out, betas=(first, None, last))
+
+        def every_other_refused(*args):
+            calls.append(args)
+            if len(calls) % 2:
+                raise UnstableInversionError("no positive eigenvalue")
+            return real_pmtolse(*args)
+
+        monkeypatch.setattr(harness, "dp_olse_baseline", middle_budget_fails)
+        monkeypatch.setattr(harness, "dp_pmtolse", every_other_refused)
+        grid = small_grid(rho_values=(0.5, 2.0, 10.0), n_priv_values=(400, 800), trials=4)
+        failures = {Method.DP_OLSE: "refused budget", Method.DP_PMTOLSE: "no positive eigenvalue"}
+        return grid, default_synthetic(), failures
+
+    @staticmethod
+    def _flat_public_responses(monkeypatch, tmp_path):
+        # the head split's public responses normalize to exactly zero
+        x = np.random.default_rng(8).standard_normal((300, 2))
+        quality = [5.0] * 40 + [4.0, 6.0] * 130
+        path = tmp_path / "flat.csv"
+        path.write_text(
+            "a;b;quality\n" + "".join(f"{a};{b};{q}\n" for (a, b), q in zip(x, quality))
+        )
+        grid = small_grid(
+            rho_values=(5.0, 50.0), n_priv_values=(100, 200), n_pub_values=(40,),
+            reference=Reference.NONPRIVATE_OLSE,
+        )
+        source = harness.DatasetSource(normalize(ingest_csv(path)), SplitMode.HEAD_TAIL)
+        return grid, source, {Method.DP_PMTOLSE: "response_moment must be positive"}
+
+    @staticmethod
+    def _collinear(monkeypatch, tmp_path):
+        # a duplicated column: every trial's reference is refused
+        x = np.random.default_rng(9).standard_normal((500, 2))
+        x = np.column_stack([x, x[:, 0]])
+        data = LabeledDataset(features=x, responses=x @ np.ones(3))
+        grid = small_grid(
+            n_priv_values=(300,), n_pub_values=(50,), reference=Reference.NONPRIVATE_OLSE
+        )
+        failures = dict.fromkeys(Method, r"numerically singular: \|lambda\| range")
+        return grid, harness.DatasetSource(data), failures
+
+    @pytest.mark.parametrize("setup", ["_synthetic", "_flat_public_responses", "_collinear"])
+    def test_csv_recomputed_from_the_records(self, setup, monkeypatch, tmp_path):
+        grid, source, failures = getattr(self, setup)(monkeypatch, tmp_path)
+        records = record_trials(monkeypatch)
+        out = tmp_path / "sweep.csv"
+        emit_csv(run_grid(grid, source), out)
+        rows = read_rows(out)
+
+        failed = [r for r in records if r.failure is not None]
+        assert failed and {r.method for r in failed} == set(failures)
+        for r in failed:
+            assert math.isnan(r.err) and re.match(failures[r.method], r.failure), r
+            # only a refused budget comes from a release, with its clip reports
+            released = r.failure == "refused budget"
+            assert (r.feature_truncation is not None) == released
+            assert math.isnan(r.avg_cond) != released
+        assert all(math.isfinite(r.err) for r in records if r.failure is None)
+
+        cells = {}
+        for r in records:
+            cells.setdefault((r.method, r.rho, r.n_priv, r.n_pub), []).append(r)
+        keys = [(row.method, row.rho, row.n_priv, row.n_pub) for row in rows]
+        assert len(keys) == len(cells) and set(keys) == set(cells)
+        for key, row in zip(keys, rows):
+            cell = cells[key]
+            assert [r.trial for r in cell] == list(range(grid.trials))
+            outcomes = []
+            for r in cell:
+                if r.failure is not None:
+                    outcomes.append(None)
+                    continue
+                feat, resp = r.feature_truncation, r.response_truncation
+                assert feat.total == resp.total == r.n_priv
+                frac = (feat.truncated + resp.truncated) / (2 * r.n_priv)  # the oracle's
+                outcomes.append((r.err, frac, r.avg_cond))
+            want = oracle.cell_row(key, outcomes)
+            for column in COLUMNS[4:]:
+                got, expected = getattr(row, column), want[column]
+                assert got == expected or math.isnan(got) and math.isnan(expected), (column, row)
 
 
 def _delayed(monkeypatch, name, seconds, owner=harness):
@@ -998,6 +1127,20 @@ def write_toy_csv(path, n=300, delimiter=";", response="quality", seed=4):
     return path
 
 
+def record_trials(monkeypatch):
+    """Every TrialRecord that ``_run_trial`` returns, in the order returned."""
+    records = []
+    real = harness._run_trial
+
+    def recorded(*args):
+        out = real(*args)
+        records.extend(out)
+        return out
+
+    monkeypatch.setattr(harness, "_run_trial", recorded)
+    return records
+
+
 def count_trials(monkeypatch):
     calls = []
     real = harness._run_trial
@@ -1085,11 +1228,11 @@ class TestCli:
             (["diagnose", "--mu-scale", "inf"], "mean must be finite, got inf"),
             (
                 ["synth", "--d", "3", "--psi-spec", "1,2,-5"],
-                "--psi-spec values must be finite and nonnegative, got -5.0",
+                "synthetic design: psi must be finite and nonnegative, got -5.0",
             ),
             (
                 ["synth", "--d", "3", "--psi-spec", "1,2,nan"],
-                "--psi-spec values must be finite and nonnegative, got nan",
+                "synthetic design: psi must be finite and nonnegative, got nan",
             ),
             (
                 ["synth", "--n-priv", "3000,3000"],
@@ -1133,7 +1276,7 @@ class TestCli:
             (["diagnose", "--mu-scale", "5e153"], "its top eigenvalue d * mu_scale^2 does"),
             (
                 ["synth", "--d", "3", "--psi-spec", "1,2,1e308"],
-                "--psi-spec value 1e+308 is too large: the second moment",
+                "synthetic second moment overflows: max(psi) + mu_scale^2 = 1e+308 + 4.0",
             ),
             (
                 # every row is finite, but the baseline's sum of squared
@@ -1417,10 +1560,10 @@ class TestCli:
         real = pmtreg.data.sqrt_sym
         monkeypatch.setattr(pmtreg.data, "sqrt_sym", lambda m: roots.append(m) or real(m))
         argv = ["synth", "--d", "3", "--n-priv", "50,80", "--n-pub", "10"]
-        # synth builds the default spec, then run_grid its copy with beta,
-        # and --psi-spec one more copy; diagnose builds the default spec
+        # synth builds its spec (with --psi-spec's covariance, if given), then
+        # run_grid its copy with beta; diagnose builds the default spec
         for extra, specs in (
-            ([], 2), (["--psi-spec", "1,2,30"], 3), (["--reference", "nonprivate_olse"], 2)
+            ([], 2), (["--psi-spec", "1,2,30"], 2), (["--reference", "nonprivate_olse"], 2)
         ):
             for trials in ("1", "3"):
                 roots.clear()
