@@ -221,50 +221,97 @@ def olse(data: LabeledDataset) -> np.ndarray:
     return solve(diagnostics(data.second_moment), data.cross_moment)
 
 
+def _prefix_sizes(data: LabeledDataset, prefixes) -> list[int]:
+    """The prefixes' row counts, checked: strictly ascending, each above d
+    and at most the set's row count."""
+    sizes = [n for n, _ in prefixes]
+    if not sizes:
+        raise ValueError("need at least one prefix to release")
+    if sizes[0] <= data.d:
+        raise ValueError(f"need n > d private samples, got n={sizes[0]}, d={data.d}")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])) or sizes[-1] > data.n:
+        raise ValueError(
+            f"prefix sizes must ascend strictly up to the {data.n} rows, got {sizes}"
+        )
+    return sizes
+
+
+def _running_sums(data: LabeledDataset, sizes: list[int]):
+    """X^T X and X^T y of the first ``sizes[k]`` rows, for k = 0, 1, ...: a
+    running sum of the row blocks between consecutive sizes, each block
+    formed when a caller first asks past it."""
+    sums = []
+
+    def upto(k: int) -> RowStatistics:
+        while len(sums) <= k:
+            lo, hi = (sizes[len(sums) - 1] if sums else 0), sizes[len(sums)]
+            x, y = data.features[lo:hi], data.responses[lo:hi]
+            block = RowStatistics(x.T @ x, x.T @ y)
+            if sums:
+                block = RowStatistics(sums[-1].gram + block.gram, sums[-1].cross + block.cross)
+            sums.append(block)
+        return sums[k]
+
+    return upto
+
+
 def _release(
     data: LabeledDataset,
-    r_x: float,
-    r_y: float,
+    prefixes,
+    radii,
     budgets: tuple[PrivacyBudget, ...],
-    rng: np.random.Generator,
     notes: tuple = (),
-) -> EstimatorOutput:
-    """The Gaussian sufficient-statistics mechanism both DP estimators share.
+) -> tuple[EstimatorOutput, ...]:
+    """The Gaussian sufficient-statistics mechanism both DP estimators share,
+    applied to each prefix of ``data``: one :class:`EstimatorOutput` per
+    (n, rng) in ``prefixes``, released from the first n rows with the
+    (r_x, r_y) of ``radii`` at the same place.
 
-    Clips feature rows to r_x and responses to r_y, once.  For each budget in
-    order it draws the noise of :func:`noise_scales` (rho each, matrix noise
-    first), so every budget is a standalone release at its rho.  The noisy
-    moments take their eigenvalues from one :func:`shifted_diagnostics`
-    stack, after the pre-noise moment, and each budget's system is solved by
-    :func:`solve` (the eigenvalue guard, then LU), one call per budget; one
-    whose noisy moment :func:`solve` refuses gets beta None, and the others
-    stand.  A clip that changes no row releases ``data`` itself, with
-    whatever sums it holds.
+    For each prefix it clips feature rows to r_x and responses to r_y, once.
+    For each budget in order it draws the noise of :func:`noise_scales` from
+    the prefix's rng (rho each, matrix noise first), so every budget is a
+    standalone release at its rho.  The noisy moments take their eigenvalues
+    from one :func:`shifted_diagnostics` stack, after the pre-noise moment,
+    and each budget's system is solved by :func:`solve` (the eigenvalue
+    guard, then LU), one call per budget; one whose noisy moment
+    :func:`solve` refuses gets beta None, and the others stand.
+
+    A prefix whose clips change no row releases its rows' own sums: those
+    ``data`` holds, for its full-size prefix, and otherwise a running sum of
+    the row blocks between consecutive prefix sizes, so each row enters one
+    block however many prefixes hold it.  A prefix that clips forms its sums
+    from the clipped rows.
     """
-    n, d = data.n, data.d
-    if n <= d:
-        raise ValueError(f"need n > d private samples, got n={n}, d={d}")
-    x, feat_report = pmt.clip_rows(data.features, r_x)
-    y, resp_report = pmt.clip_rows(data.responses[:, None], r_y)
-    if feat_report.truncated or resp_report.truncated:
-        data = LabeledDataset(x, y[:, 0], RowStatistics())
+    sizes = _prefix_sizes(data, prefixes)
+    running = _running_sums(data, sizes)
+    outs = []
+    for k, ((n, rng), (r_x, r_y)) in enumerate(zip(prefixes, radii)):
+        rows = data.head(n)
+        x, feat_report = pmt.clip_rows(rows.features, r_x)
+        y, resp_report = pmt.clip_rows(rows.responses[:, None], r_y)
+        if feat_report.truncated or resp_report.truncated:
+            rows = LabeledDataset(x, y[:, 0], RowStatistics())
+        elif rows is not data or data.stats.gram is None:
+            rows = LabeledDataset(rows.features, rows.responses, running(k))
 
-    noise = []
-    for budget in budgets:
-        sigma1, sigma2 = noise_scales(r_x, r_y, n, budget)
-        noise.append(
-            (sample_symmetric_gaussian(d, sigma1, rng), sample_gaussian_vector(d, sigma2, rng))
-        )
-    pre_diag, *post_diags = shifted_diagnostics(data.second_moment, [mat for mat, _ in noise])
-    betas = []
-    for post_diag, (_, vec) in zip(post_diags, noise):
-        try:
-            betas.append(solve(post_diag, data.cross_moment + vec))
-        except UnstableInversionError:
-            betas.append(None)
-    return EstimatorOutput(
-        tuple(betas), tuple(post_diags), feat_report, resp_report, pre_diag, notes=notes
-    )
+        noise = []
+        for budget in budgets:
+            sigma1, sigma2 = noise_scales(r_x, r_y, n, budget)
+            noise.append(
+                (sample_symmetric_gaussian(data.d, sigma1, rng),
+                 sample_gaussian_vector(data.d, sigma2, rng))
+            )
+        pre_diag, *post_diags = shifted_diagnostics(rows.second_moment, [m for m, _ in noise])
+        betas = []
+        for post_diag, (_, vec) in zip(post_diags, noise):
+            try:
+                betas.append(solve(post_diag, rows.cross_moment + vec))
+            except UnstableInversionError:
+                betas.append(None)
+        outs.append(EstimatorOutput(
+            tuple(betas), tuple(post_diags), feat_report, resp_report, pre_diag, notes=notes
+        ))
+    return tuple(outs)
 
 
 def dp_pmtolse(
@@ -272,19 +319,24 @@ def dp_pmtolse(
     public: PublicMoments,
     eta: float,
     budgets: tuple[PrivacyBudget, ...],
-    rng: np.random.Generator,
-) -> EstimatorOutput:
-    """DP least squares with public-moment preconditioning.
+    prefixes,
+) -> tuple[EstimatorOutput, ...]:
+    """DP least squares with public-moment preconditioning, one release per
+    (n, rng) in ``prefixes``: the first n rows of ``data``, noised from rng.
 
     Whitens features by the public feature moment and rescales responses by
     the public response moment, releases the two sufficient statistics with
     radii sqrt(d (1 + ln(2n/eta))) and sqrt(1 + ln(2n/eta)) (rho each, 2 rho
-    per budget), and maps each whitened solution back.  The whitening and
-    clipping are done once for all budgets; see :func:`_release`.  A public
-    sample with all responses zero raises :class:`UnstableInversionError`.
+    per budget), and maps each whitened solution back.  The whitening is
+    done once for every prefix, and each prefix's clipping once for all its
+    budgets; see :func:`_release`.  A public sample with all responses zero
+    raises :class:`UnstableInversionError`.
     """
-    n, d = data.n, data.d
-    r_x, r_y = pmt.truncation_radius(d, n, eta), pmt.truncation_radius(1, n, eta)
+    d = data.d
+    radii = [
+        (pmt.truncation_radius(d, n, eta), pmt.truncation_radius(1, n, eta))
+        for n in _prefix_sizes(data, prefixes)
+    ]
     if public.n_pub <= d:
         raise ValueError(
             f"need n_pub > d for the preconditioner, got n_pub={public.n_pub}, d={d}"
@@ -294,11 +346,11 @@ def dp_pmtolse(
 
     pre = inv_sqrt_clamped(public.feature_moment)
     x, y = pmt.transform(data.features, pre), data.responses / public.response_moment
-    out = _release(LabeledDataset(x, y, RowStatistics()), r_x, r_y, budgets, rng)
-    sigma_b = public.response_moment
-    return replace(
-        out,
-        betas=tuple(None if b is None else sigma_b * (pre.entries @ b) for b in out.betas),
+    outs = _release(LabeledDataset(x, y, RowStatistics()), prefixes, radii, budgets)
+    sigma_b, p = public.response_moment, pre.entries
+    return tuple(
+        replace(out, betas=tuple(None if b is None else sigma_b * (p @ b) for b in out.betas))
+        for out in outs
     )
 
 
@@ -306,25 +358,30 @@ def dp_olse_baseline(
     data: LabeledDataset,
     eta: float,
     budgets: tuple[PrivacyBudget, ...],
-    rng: np.random.Generator,
-) -> EstimatorOutput:
-    """Private-data-only DP least squares baseline.
+    prefixes,
+) -> tuple[EstimatorOutput, ...]:
+    """Private-data-only DP least squares baseline, one release per (n, rng)
+    in ``prefixes``: the first n rows of ``data``, noised from rng.
 
     Releases the raw rows' sufficient statistics with radii
     R_x^2 = tr + d ln(2n/eta) and R_y^2 = sigma_y^2 + ln(2n/eta), where tr and
     sigma_y^2 are the mean squared feature-row norm and response of the
-    untruncated private data, computed without privatization.  That is this
-    baseline's known caveat, recorded in ``notes``.  See :func:`_release`.
+    prefix's untruncated rows, computed without privatization.  That is this
+    baseline's known caveat, recorded in ``notes``.  The rows are squared
+    once for every prefix; see :func:`_release`.
     """
-    n, d = data.n, data.d
-    log_term = pmt.truncation_radius(1, n, eta) ** 2 - 1.0  # ln(2n/eta), eta checked
+    d = data.d
+    sizes = _prefix_sizes(data, prefixes)
     # tr is summed over the cells, not the row norms: README, "Rejected designs"
-    trace_a = float(np.sum(data.features**2)) / n
-    sigma_a_sq = float(np.mean(data.responses * data.responses))
+    squares, y_squares = data.features**2, data.responses * data.responses
+    radii = []
+    for n in sizes:
+        log_term = pmt.truncation_radius(1, n, eta) ** 2 - 1.0  # ln(2n/eta), eta checked
+        trace_a = float(np.sum(squares[:n])) / n
+        sigma_a_sq = float(np.mean(y_squares[:n]))
+        radii.append((math.sqrt(trace_a + d * log_term), math.sqrt(sigma_a_sq + log_term)))
+    del squares  # n x d floats, not needed through the releases
     return _release(
-        data,
-        math.sqrt(trace_a + d * log_term),
-        math.sqrt(sigma_a_sq + log_term),
-        budgets, rng,
+        data, prefixes, radii, budgets,
         notes=("truncation radii derived from unprivatized private moments",),
     )

@@ -301,42 +301,63 @@ class TrialRecord(NamedTuple):
     avg_cond: float = math.nan
 
 
-def _run_trial(grid, truth, public, private, rng, trial):
-    """One dataset and every (method, rho) cell's trial on it.
+def _run_trial(grid, truth, public, private, rngs, trial):
+    """One trial's datasets at one n_pub, and every (method, rho) cell's
+    trial on each.
 
-    ``truth`` is the reference beta, or None to use the private rows' own
-    least squares; ``rng`` is the dataset's noise Generator.  Returns one
-    :class:`TrialRecord` per cell.  A singular noisy moment fails only its
-    own (method, rho); a singular reference or public moment (or all-zero
-    public responses) fails every cell it feeds.
+    ``public`` holds the n_pub public rows and ``private`` the trial's
+    largest private set, whose first n_priv rows are the dataset of each
+    n_priv in the grid; ``rngs`` holds those datasets' noise Generators, in
+    the same order.  ``truth`` is the reference beta, or None to use each
+    dataset's own least squares.  Each method releases every dataset in one
+    call, and each noise stream draws DP_OLSE's budgets before DP_PMTOLSE's.
+    Returns one :class:`TrialRecord` per cell, ordered by method, rho, then
+    n_priv.  A singular noisy moment fails only its own (method, rho,
+    n_priv); a singular reference fails its dataset's cells, and a singular
+    public moment (or all-zero public responses) every n_priv of its method.
     """
-    key = private.n, public.n, trial
-    if truth is None:
+    refused = {}  # n_priv -> the reason its reference was refused
+    prefixes, references = [], []
+    for n_priv, rng in zip(grid.n_priv_values, rngs):
         try:
-            truth = olse(private)
+            references.append(olse(private.head(n_priv)) if truth is None else truth)
         except UnstableInversionError as exc:
-            cells = product(grid.methods, grid.rho_values)
-            return [TrialRecord(m, rho, *key, failure=str(exc)) for m, rho in cells]
+            refused[n_priv] = str(exc)
+        else:
+            prefixes.append((n_priv, rng))
 
     records = []
     for method in grid.methods:
+        failure = None
         try:
-            if method is Method.DP_PMTOLSE:
-                out = dp_pmtolse(private, public_moments(public), grid.eta, grid.budgets, rng)
+            if not prefixes:
+                outs = ()
+            elif method is Method.DP_PMTOLSE:
+                moments = public_moments(public)
+                outs = dp_pmtolse(private, moments, grid.eta, grid.budgets, prefixes)
             else:
-                out = dp_olse_baseline(private, grid.eta, grid.budgets, rng)
+                outs = dp_olse_baseline(private, grid.eta, grid.budgets, prefixes)
         except UnstableInversionError as exc:
-            reason = str(exc)
-            records += [TrialRecord(method, rho, *key, failure=reason) for rho in grid.rho_values]
-            continue
-        release = out.feature_truncation, out.response_truncation, out.pre_diag.avg_cond
-        for rho, beta in zip(grid.rho_values, out.betas):
-            err, failure = math.nan, "refused budget"
-            if beta is not None:
-                diff = beta - truth
+            failure, outs = str(exc), ()
+        released = {n_priv: out for (n_priv, _), out in zip(prefixes, outs)}
+        truths = dict(zip((n for n, _ in prefixes), references))
+        for i, rho in enumerate(grid.rho_values):
+            for n_priv in grid.n_priv_values:
+                key = method, rho, n_priv, public.n, trial
+                out = released.get(n_priv)
+                if out is None:
+                    reason = refused.get(n_priv, failure)
+                    records.append(TrialRecord(*key, failure=reason))
+                    continue
+                beta, release = out.betas[i], (
+                    out.feature_truncation, out.response_truncation, out.pre_diag.avg_cond
+                )
+                if beta is None:
+                    records.append(TrialRecord(*key, math.nan, "refused budget", *release))
+                    continue
+                diff = beta - truths[n_priv]
                 # the formula np.linalg.norm evaluates for a real vector
-                err, failure = math.sqrt(diff.dot(diff)), None
-            records.append(TrialRecord(method, rho, *key, err, failure, *release))
+                records.append(TrialRecord(*key, math.sqrt(diff.dot(diff)), None, *release))
     return records
 
 
@@ -382,18 +403,23 @@ def run_grid(
     truth = source.coefficients if grid.reference is Reference.TRUE_BETA else None
 
     sizes = list(product(grid.n_priv_values, grid.n_pub_values))
-    cells = {(m, rho, *size): [] for m, rho, size in product(grid.methods, grid.rho_values, sizes)}
+    # one list per cell, ordered by method, rho, n_priv, then n_pub: the
+    # cells of n_pub j are every len(n_pub_values)-th list from the j-th,
+    # in the order _run_trial returns their records
+    cells = [[] for _ in product(grid.methods, grid.rho_values, sizes)]
     if isinstance(source, DatasetSource):
         trials = _split_trials(grid, source, sizes)
     else:
         trials = _drawn_trials(grid, source, sizes)
+    step = len(grid.n_pub_values)
     with closing(trials):
         for trial, ((public, private), rngs) in enumerate(trials):
-            for (n_priv, n_pub), rng in zip(sizes, rngs):
-                datasets = public.head(n_pub), private.head(n_priv)
-                for r in _run_trial(grid, truth, *datasets, rng, trial):
-                    cells[r.method, r.rho, r.n_priv, r.n_pub].append(r)
-    return [_cell_result(records) for records in cells.values()]
+            for j, n_pub in enumerate(grid.n_pub_values):
+                rows = public.head(n_pub), private
+                records = _run_trial(grid, truth, *rows, rngs[j::step], trial)
+                for cell, record in zip(cells[j::step], records):
+                    cell.append(record)
+    return [_cell_result(records) for records in cells]
 
 
 def emit_csv(results: list[CellResult], out: str | Path) -> None:

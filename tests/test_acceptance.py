@@ -94,7 +94,7 @@ def test_criterion_1_affine_invariance(no_noise):
             ref = olse(data)
         except UnstableInversionError:
             continue
-        out = dp_pmtolse(data, public, 0.05, (budget,), rng)
+        out = dp_pmtolse(data, public, 0.05, (budget,), [(data.n, rng)])[0]
         assert out.feature_truncation.truncated == 0
         rel = float(
             np.linalg.norm(out.betas[0] - ref) / max(np.linalg.norm(ref), 1e-300)
@@ -141,8 +141,10 @@ def test_criterion_3_budget_accounting():
     rho, n = 1.25, private.n
     spends = []
     for release in (
-        lambda: dp_pmtolse(private, public_moments(public), 0.05, (PrivacyBudget(rho),), rng),
-        lambda: dp_olse_baseline(private, 0.05, (PrivacyBudget(rho),), rng),
+        lambda: dp_pmtolse(
+            private, public_moments(public), 0.05, (PrivacyBudget(rho),), [(n, rng)]
+        )[0],
+        lambda: dp_olse_baseline(private, 0.05, (PrivacyBudget(rho),), [(n, rng)])[0],
     ):
         with recorded_spend() as spend:
             release()
@@ -180,7 +182,9 @@ def test_criterion_4_no_truncation():
         trial_spec = replace(spec, coefficients=rng.standard_normal(10))
         public = generate_from(trial_spec, 40, rng)
         private = generate_from(trial_spec, 2000, rng)
-        out = dp_pmtolse(private, public_moments(public), eta, (PrivacyBudget(2.0),), rng)
+        out = dp_pmtolse(
+            private, public_moments(public), eta, (PrivacyBudget(2.0),), [(private.n, rng)]
+        )[0]
         report = out.feature_truncation
         fracs.append(report.truncated / report.total)
         zero_count += report.truncated == 0
@@ -209,8 +213,8 @@ def test_criterion_5_conditioning_improvement():
             public = generate_from(trial_spec, n_pub, rng)
             private = generate_from(trial_spec, 2000, rng)
             out = dp_pmtolse(
-                private, public_moments(public), 0.05, (PrivacyBudget(2.0),), rng
-            )
+                private, public_moments(public), 0.05, (PrivacyBudget(2.0),), [(private.n, rng)]
+            )[0]
             conds.append(out.pre_diag.avg_cond)
         medians[n_pub] = float(np.median(conds))
     ok = medians[40] <= 3.5 and medians[135] <= 2.5
@@ -285,8 +289,9 @@ def test_criterion_7_wine_regime():
         split(dataset, n_pub, n_priv, 0)[0]
     )
     transformed_cond = dp_pmtolse(
-        private_probe, pm, 0.05, (PrivacyBudget(5.0),), np.random.default_rng(0)
-    ).pre_diag.avg_cond
+        private_probe, pm, 0.05, (PrivacyBudget(5.0),),
+        [(private_probe.n, np.random.default_rng(0))],
+    )[0].pre_diag.avg_cond
 
     from pmtreg.harness import DatasetSource
 

@@ -136,9 +136,9 @@ def test_bad_eta_rejected_by_both_estimators(method, eta, rng):
     )
     with pytest.raises(ValueError, match="eta"):
         if method is Method.DP_PMTOLSE:
-            dp_pmtolse(data, small_public(3), eta, (BUDGET,), rng)
+            dp_pmtolse(data, small_public(3), eta, (BUDGET,), [(data.n, rng)])[0]
         else:
-            dp_olse_baseline(data, eta, (BUDGET,), rng)
+            dp_olse_baseline(data, eta, (BUDGET,), [(data.n, rng)])[0]
 
 
 @pytest.mark.parametrize("method", [Method.DP_PMTOLSE, Method.DP_OLSE])
@@ -146,9 +146,9 @@ def test_too_few_private_rows_rejected_by_both_estimators(method, rng):
     data = LabeledDataset(features=rng.standard_normal((3, 3)), responses=np.ones(3))
     with pytest.raises(ValueError, match="need n > d private samples, got n=3, d=3"):
         if method is Method.DP_PMTOLSE:
-            dp_pmtolse(data, small_public(3), 0.05, (BUDGET,), rng)
+            dp_pmtolse(data, small_public(3), 0.05, (BUDGET,), [(data.n, rng)])[0]
         else:
-            dp_olse_baseline(data, 0.05, (BUDGET,), rng)
+            dp_olse_baseline(data, 0.05, (BUDGET,), [(data.n, rng)])[0]
 
 
 RADII = "truncation radii derived from unprivatized private moments"
@@ -158,9 +158,9 @@ def test_only_the_baseline_notes_a_caveat_and_both_book_two_rho(rng):
     spec = replace(default_synthetic(), coefficients=np.ones(10))
     public, private = generate_from(spec, 40, rng), generate_from(spec, 400, rng)
     with recorded_spend() as pmt_spend:
-        pmt_out = dp_pmtolse(private, public_moments(public), 0.05, (BUDGET,), rng)
+        (pmt_out,) = dp_pmtolse(private, public_moments(public), 0.05, (BUDGET,), [(400, rng)])
     with recorded_spend() as base_spend:
-        base_out = dp_olse_baseline(private, 0.05, (BUDGET,), rng)
+        (base_out,) = dp_olse_baseline(private, 0.05, (BUDGET,), [(400, rng)])
     assert pmt_out.notes == ()
     assert base_out.notes == (RADII,)
     for spend in (pmt_spend, base_spend):  # rho for each of the two statistics
@@ -205,7 +205,7 @@ class TestDpSecondMoment:
         data = LabeledDataset(
             features=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), responses=np.ones(3)
         )
-        out = dp_pmtolse(data, small_public(2), 0.05, (BUDGET,), rng)
+        out = dp_pmtolse(data, small_public(2), 0.05, (BUDGET,), [(data.n, rng)])[0]
         expected = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
         assert np.allclose(out.pre_diag.matrix, expected, atol=1e-12)
         assert np.allclose(out.pre_diag.eigenvalues, [1.0 / 3.0, 1.0], atol=1e-12)
@@ -219,8 +219,8 @@ class TestDpSecondMoment:
         public = PublicMoments(feature_moment=moment, response_moment=1.7, n_pub=20)
         out = dp_pmtolse(
             LabeledDataset(features=x, responses=y), public, 0.05, (BUDGET,),
-            np.random.default_rng(9),
-        )
+            [(100, np.random.default_rng(9))],
+        )[0]
 
         pre = inv_sqrt_clamped(moment)
         r_x, r_y = truncation_radius(4, 100, 0.05), truncation_radius(1, 100, 0.05)
@@ -241,7 +241,7 @@ class TestDpSecondMoment:
         data = LabeledDataset(features=np.zeros((1000, 10)), responses=np.zeros(1000))
         public = small_public(10)
         for _ in range(300):
-            out = dp_pmtolse(data, public, 0.05, (BUDGET,), rng)
+            out = dp_pmtolse(data, public, 0.05, (BUDGET,), [(data.n, rng)])[0]
             draws.extend(out.post_diags[0].matrix[np.triu_indices(10, k=1)])
         assert np.std(draws, ddof=1) == pytest.approx(0.11596635, rel=0.05)
 
@@ -252,7 +252,7 @@ class TestDpPmtolse:
         public = generate_from(spec, 60, rng)
         private = generate_from(spec, 800, rng)
         ref = olse(private)
-        out = dp_pmtolse(private, public_moments(public), 0.05, (BUDGET,), rng)
+        out = dp_pmtolse(private, public_moments(public), 0.05, (BUDGET,), [(private.n, rng)])[0]
         assert np.linalg.norm(out.betas[0] - ref) <= 1e-8 * np.linalg.norm(ref)
         assert out.feature_truncation.truncated == 0
 
@@ -263,7 +263,8 @@ class TestDpPmtolse:
         public = PublicMoments(
             feature_moment=SymmetricMatrix([[1.0]]), response_moment=2.0, n_pub=2
         )
-        (beta,) = dp_pmtolse(data, public, 0.05, (BUDGET,), np.random.default_rng(0)).betas
+        (out,) = dp_pmtolse(data, public, 0.05, (BUDGET,), [(data.n, np.random.default_rng(0))])
+        (beta,) = out.betas
         assert beta[0] == pytest.approx(2.0, rel=1e-12)
         assert beta[0] == pytest.approx(olse(data)[0], rel=1e-12)
 
@@ -272,8 +273,8 @@ class TestDpPmtolse:
         public = generate_from(spec, 50, rng)
         private = generate_from(spec, 300, rng)
         pm = public_moments(public)
-        a = dp_pmtolse(private, pm, 0.05, (BUDGET,), np.random.default_rng(77))
-        b = dp_pmtolse(private, pm, 0.05, (BUDGET,), np.random.default_rng(77))
+        a = dp_pmtolse(private, pm, 0.05, (BUDGET,), [(private.n, np.random.default_rng(77))])[0]
+        b = dp_pmtolse(private, pm, 0.05, (BUDGET,), [(private.n, np.random.default_rng(77))])[0]
         assert np.array_equal(a.betas[0], b.betas[0])
         assert a.pre_diag.eigenvalues.tolist() == b.pre_diag.eigenvalues.tolist()
 
@@ -282,7 +283,7 @@ class TestDpPmtolse:
         public = generate_from(spec, 50, rng)
         private = generate_from(spec, 300, rng)
         with recorded_spend() as spend:
-            dp_pmtolse(private, public_moments(public), 0.05, (PrivacyBudget(0.7),), rng)
+            dp_pmtolse(private, public_moments(public), 0.05, (PrivacyBudget(0.7),), [(300, rng)])
         r_x, r_y = assert_calibrated(spend, 300, (PrivacyBudget(0.7),))
         assert (r_x, r_y) == (truncation_radius(10, 300, 0.05), truncation_radius(1, 300, 0.05))
 
@@ -294,7 +295,7 @@ class TestDpPmtolse:
             feature_moment=SymmetricMatrix(np.eye(3)), response_moment=1.0, n_pub=3
         )
         with pytest.raises(ValueError):
-            dp_pmtolse(data, public, 0.05, (BUDGET,), rng)
+            dp_pmtolse(data, public, 0.05, (BUDGET,), [(data.n, rng)])[0]
 
     def test_zero_public_responses_fail_as_unstable(self, rng):
         # sigma_B = 0 cannot rescale responses: the same failure as a public
@@ -305,7 +306,7 @@ class TestDpPmtolse:
         )
         public = replace(small_public(3), response_moment=0.0)
         with pytest.raises(UnstableInversionError, match="response_moment"):
-            dp_pmtolse(data, public, 0.05, (BUDGET,), rng)
+            dp_pmtolse(data, public, 0.05, (BUDGET,), [(data.n, rng)])[0]
 
     def test_unstable_inversion_carries_diag(self, no_noise):
         # public moment clamped from a rank-deficient matrix makes the whitened
@@ -314,7 +315,7 @@ class TestDpPmtolse:
             features=np.zeros((5, 2)) + 1e-200, responses=np.zeros(5)
         )
         public = small_public(2)
-        out = dp_pmtolse(data, public, 0.05, (BUDGET,), np.random.default_rng(1))
+        out = dp_pmtolse(data, public, 0.05, (BUDGET,), [(data.n, np.random.default_rng(1))])[0]
         assert out.betas == (None,)
         lam = np.abs(out.post_diags[0].eigenvalues)  # the refused spectrum
         assert lam.min() <= 1e-12 * lam.max()
@@ -328,7 +329,7 @@ class TestDpOlseBaseline:
         beta = 0.2 * rng.standard_normal(10)
         data = LabeledDataset(features=x, responses=x @ beta)
         ref = olse(data)
-        out = dp_olse_baseline(data, 0.05, (BUDGET,), rng)
+        out = dp_olse_baseline(data, 0.05, (BUDGET,), [(data.n, rng)])[0]
         assert out.feature_truncation.truncated == 0
         assert out.response_truncation.truncated == 0
         assert np.linalg.norm(out.betas[0] - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -346,7 +347,7 @@ class TestDpOlseBaseline:
         x = rng.standard_normal((100, 3)) * 5.0
         y = rng.standard_normal(100) * 3.0
         data = LabeledDataset(features=x, responses=y)
-        out = dp_olse_baseline(data, 0.05, (BUDGET,), rng)
+        out = dp_olse_baseline(data, 0.05, (BUDGET,), [(data.n, rng)])[0]
         trace = float(np.sum(x**2)) / 100.0
         radius = math.sqrt(trace + 3.0 * math.log(4000.0))
         norms = np.linalg.norm(x, axis=1)
@@ -357,7 +358,7 @@ class TestDpOlseBaseline:
         spec = replace(default_synthetic(), coefficients=np.ones(10))
         private = generate_from(spec, 300, rng)
         with recorded_spend() as spend:
-            dp_olse_baseline(private, 0.05, (PrivacyBudget(5.0),), rng)
+            dp_olse_baseline(private, 0.05, (PrivacyBudget(5.0),), [(private.n, rng)])[0]
         r_x, r_y = assert_calibrated(spend, 300, (PrivacyBudget(5.0),))
         log_term = math.log(2 * 300 / 0.05)
         trace = float(np.sum(private.features**2)) / 300
@@ -390,7 +391,7 @@ def test_affine_invariance_property(seed):
     except UnstableInversionError:
         return
     with noiseless():
-        out = dp_pmtolse(data, public, 0.05, (BUDGET,), rng)
+        out = dp_pmtolse(data, public, 0.05, (BUDGET,), [(data.n, rng)])[0]
     assert out.feature_truncation.truncated == 0
     assert np.linalg.norm(out.betas[0] - ref) <= 1e-8 * max(np.linalg.norm(ref), 1e-12)
 
@@ -408,8 +409,8 @@ def _identity_design(d=4, copies=2):
 @pytest.mark.parametrize(
     "release",
     [
-        lambda data, rng: dp_pmtolse(data, small_public(4), 0.05, BUDGETS, rng),
-        lambda data, rng: dp_olse_baseline(data, 0.05, BUDGETS, rng),
+        lambda data, rng: dp_pmtolse(data, small_public(4), 0.05, BUDGETS, [(data.n, rng)])[0],
+        lambda data, rng: dp_olse_baseline(data, 0.05, BUDGETS, [(data.n, rng)])[0],
     ],
     ids=["dp_pmtolse", "dp_olse_baseline"],
 )
@@ -444,8 +445,8 @@ def test_rho_independent_stage_shared_by_all_budgets(rng):
     spec = replace(default_synthetic(), coefficients=np.ones(10))
     public, private = generate_from(spec, 40, rng), generate_from(spec, 400, rng)
     for release in (
-        lambda: dp_pmtolse(private, public_moments(public), 0.05, BUDGETS, rng),
-        lambda: dp_olse_baseline(private, 0.05, BUDGETS, rng),
+        lambda: dp_pmtolse(private, public_moments(public), 0.05, BUDGETS, [(private.n, rng)])[0],
+        lambda: dp_olse_baseline(private, 0.05, BUDGETS, [(private.n, rng)])[0],
     ):
         with recorded_spend() as spend:
             out = release()
@@ -461,7 +462,7 @@ def test_budgets_draw_independent_noise():
     # Scaling one draw by sigma(rho) would make them perfectly correlated,
     # and the rows together would give the exact statistic away.
     data = LabeledDataset(features=np.zeros((1000, 10)), responses=np.zeros(1000))
-    out = dp_pmtolse(data, small_public(10), 0.05, BUDGETS, np.random.default_rng(3))
+    (out,) = dp_pmtolse(data, small_public(10), 0.05, BUDGETS, [(1000, np.random.default_rng(3))])
     upper = np.triu_indices(10)
     noise = [diag.matrix[upper] for diag in out.post_diags]
     for i in range(3):
@@ -509,7 +510,7 @@ def test_design_norm_error_is_flat_across_the_condition_number(seed):
             public = generate_from(spec, 40, [seed, 3, t, 0])
             private = generate_from(spec, 5000, [seed, 3, t, 1])
             rng = np.random.default_rng([seed, 2, t])
-            out = dp_pmtolse(private, public_moments(public), 0.05, budgets, rng)
+            out = dp_pmtolse(private, public_moments(public), 0.05, budgets, [(private.n, rng)])[0]
             errors.append([math.sqrt((b - beta) @ moment @ (b - beta)) for b in out.betas])
         medians.append(np.median(errors, axis=0))
     spread = np.max(medians, axis=0) / np.min(medians, axis=0)
@@ -520,8 +521,10 @@ def test_design_norm_error_is_flat_across_the_condition_number(seed):
     "release",
     [
         lambda data, rng: _olse_refusal(data),
-        lambda data, rng: _refusal(dp_pmtolse(data, small_public(3), 0.05, (BUDGET,), rng)),
-        lambda data, rng: _refusal(dp_olse_baseline(data, 0.05, (BUDGET,), rng)),
+        lambda data, rng: _refusal(
+            dp_pmtolse(data, small_public(3), 0.05, (BUDGET,), [(data.n, rng)])[0]
+        ),
+        lambda data, rng: _refusal(dp_olse_baseline(data, 0.05, (BUDGET,), [(data.n, rng)])[0]),
     ],
     ids=["olse", "dp_pmtolse", "dp_olse_baseline"],
 )

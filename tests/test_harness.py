@@ -297,11 +297,18 @@ class TestDatasetSharing:
         return calls
 
     def test_synthetic_dataset_drawn_once(self, monkeypatch):
-        datasets = count_trials(monkeypatch)
+        calls = count_trials(monkeypatch)
         generated = self._count(monkeypatch, "generate")
-        grid = small_grid(rho_values=(2.0, 10.0), n_priv_values=(400, 800), trials=3)
+        grid = small_grid(
+            rho_values=(2.0, 10.0), n_priv_values=(400, 800), n_pub_values=(20, 40), trials=3
+        )
         run_grid(grid, default_synthetic())
-        assert len(datasets) == 2 * 3  # n_priv x trials, not x methods x rho
+        # one call per (trial, n_pub), not x n_priv, methods or rho: each is
+        # handed the trial's largest private set and one Generator per n_priv
+        assert len(calls) == 3 * 2
+        assert [(pub.n, priv.n, len(rngs)) for _, _, pub, priv, rngs, _ in calls] == [
+            (20, 800, 2), (40, 800, 2)
+        ] * grid.trials
         assert len(generated) == 2 * grid.trials  # per trial: public, then private
 
     def test_rows_already_checked_are_never_scanned_again(self, monkeypatch, rng):
@@ -424,14 +431,20 @@ class TestDatasetSharing:
 
         x = rng.standard_normal((500, 3))
         data = LabeledDataset(features=x, responses=x @ np.ones(3))
-        datasets = count_trials(monkeypatch)
+        calls = count_trials(monkeypatch)
         splits, real_split = [], harness.split
+        releases, real_baseline = [], harness.dp_olse_baseline
 
         def split(*args):
             splits.append((args[1:3], real_split(*args)))
             return splits[-1][1]
 
+        def baseline(private, eta, budgets, prefixes):
+            releases.append((private, [n for n, _ in prefixes]))
+            return real_baseline(private, eta, budgets, prefixes)
+
         monkeypatch.setattr(harness, "split", split)
+        monkeypatch.setattr(harness, "dp_olse_baseline", baseline)
         grid = small_grid(
             n_priv_values=(100, 300, 450), n_pub_values=(40, 50),
             reference=Reference.NONPRIVATE_OLSE,
@@ -440,17 +453,18 @@ class TestDatasetSharing:
         # head mode's order is the same every trial, so its one split serves all
         head = mode is SplitMode.HEAD_TAIL
         assert [sizes for sizes, _ in splits] == [(50, 450)] * (1 if head else grid.trials)
-        assert len(datasets) == 6 * grid.trials
+        # one call per (trial, n_pub), each with the split's public prefix
+        # and its whole private set, whose every dataset is a prefix
+        assert len(calls) == len(releases) == 2 * grid.trials
         for trial in range(grid.trials):
             _, (public, private) = splits[0 if head else trial]
-            for _, _, pub, priv, _, number in datasets[6 * trial : 6 * trial + 6]:
-                assert number == trial
+            for _, _, pub, priv, rngs, number in calls[2 * trial : 2 * trial + 2]:
+                assert number == trial and priv is private and len(rngs) == 3
                 assert np.array_equal(pub.features, public.features[: pub.n])
                 assert np.array_equal(pub.responses, public.responses[: pub.n])
-                assert np.array_equal(priv.features, private.features[: priv.n])
-                assert np.array_equal(priv.responses, private.responses[: priv.n])
-        sizes = [(priv.n, pub.n) for _, _, pub, priv, _, _ in datasets]
-        assert sizes == list(product((100, 300, 450), (40, 50))) * grid.trials
+            for priv, sizes in releases[2 * trial : 2 * trial + 2]:
+                assert priv is private and sizes == [100, 300, 450]
+        assert [pub.n for _, _, pub, _, _, _ in calls] == [40, 50] * grid.trials
 
     @staticmethod
     def _real_grid_run(monkeypatch, rng):
@@ -469,8 +483,9 @@ class TestDatasetSharing:
             return public, private
 
         def baseline(*args):
-            baselines.append(real_baseline(*args))
-            return baselines[-1]
+            outs = real_baseline(*args)
+            baselines.extend(outs)
+            return outs
 
         monkeypatch.setattr(harness, "split", split)
         monkeypatch.setattr(harness, "dp_olse_baseline", baseline)
@@ -511,6 +526,13 @@ class TestDatasetSharing:
         # releases the private rows themselves, so its pre-noise spectrum is
         # the one olse decomposes, from that Gram
         grams = formed_grams(monkeypatch)
+        whitened, real_pmtolse = [], harness.dp_pmtolse
+
+        def pmtolse(*args):
+            whitened.extend(real_pmtolse(*args))
+            return whitened[-1:]
+
+        monkeypatch.setattr(harness, "dp_pmtolse", pmtolse)
         privates, baselines = self._real_grid_run(monkeypatch, rng)
         for private, out in zip(privates, baselines):
             assert not any(rows is private for rows in grams)
@@ -518,10 +540,15 @@ class TestDatasetSharing:
             own = diagnostics(private.second_moment)
             assert out.pre_diag.eigenvalues.tobytes() == own.eigenvalues.tobytes()
             assert out.pre_diag.matrix.tobytes() == own.matrix.tobytes()
-        # the whole dataset's, then per trial the public rows', the 150
-        # unused rows' (which the complement subtracts) and the whitened rows'
-        assert len(grams) == 1 + 3 * len(privates)
-        assert [rows.n for rows in grams] == [500] + [50, 150, 300] * len(privates)
+        # the whole dataset's, then per trial the public rows' and the 150
+        # unused rows' (which the complement subtracts); the whitened rows
+        # form theirs from rows only where the clip changed one, and else
+        # from one block, which no LabeledDataset forms
+        clipped = [out.feature_truncation.truncated + out.response_truncation.truncated > 0
+                   for out in whitened]
+        assert len(whitened) == len(privates) and 0 < sum(clipped) < len(privates)
+        want = [500] + [n for c in clipped for n in [50, 150] + [300] * c]
+        assert [rows.n for rows in grams] == want
 
     def test_complement_moments_only_save_time(self, monkeypatch, rng):
         # the same real 3-rho grid with the private moments formed from the
@@ -570,20 +597,22 @@ class TestDatasetSharing:
                 assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12, abs=0)
 
     def test_failed_budget_fails_only_its_cell(self, monkeypatch):
-        grid = small_grid(rho_values=(0.5, 2.0, 10.0), trials=4)
+        # the middle budget of the baseline's release at n_priv 800 is refused
+        grid = small_grid(rho_values=(0.5, 2.0, 10.0), n_priv_values=(400, 800), trials=4)
         spec = default_synthetic()
         plain = run_grid(grid, spec)
         real = harness.dp_olse_baseline
 
         def middle_budget_fails(*args, **kwargs):
-            out = real(*args, **kwargs)
-            first, _, last = out.betas
-            return replace(out, betas=(first, None, last))
+            small, large = real(*args, **kwargs)
+            first, _, last = large.betas
+            return small, replace(large, betas=(first, None, last))
 
         monkeypatch.setattr(harness, "dp_olse_baseline", middle_budget_fails)
         patched = run_grid(grid, spec)
+        assert len(plain) == len(patched) == 2 * 3 * 2
         for before, after in zip(plain, patched):
-            if (before.method, before.rho) == (Method.DP_OLSE, 2.0):
+            if (before.method, before.rho, before.n_priv) == (Method.DP_OLSE, 2.0, 800):
                 assert (after.trials_ok, after.trials_failed) == (0, 4)
                 assert np.isnan(after.mean_err)
             else:
@@ -592,17 +621,25 @@ class TestDatasetSharing:
     def test_failed_method_fails_all_its_cells(self, monkeypatch):
         from pmtreg.spectra import UnstableInversionError
 
-        grid = small_grid(rho_values=(2.0, 10.0), trials=3)
+        # the public moment at n_pub 20 is refused: every n_priv of
+        # DP_PMTOLSE at that n_pub fails, and nothing else moves
+        grid = small_grid(
+            rho_values=(2.0, 10.0), n_priv_values=(400, 800), n_pub_values=(20, 40), trials=3
+        )
         spec = default_synthetic()
         plain = run_grid(grid, spec)
+        real = harness.dp_pmtolse
 
-        def no_positive_eigenvalue(*args, **kwargs):
-            raise UnstableInversionError("no positive eigenvalue")
+        def no_positive_eigenvalue(private, public, *args):
+            if public.n_pub == 20:
+                raise UnstableInversionError("no positive eigenvalue")
+            return real(private, public, *args)
 
         monkeypatch.setattr(harness, "dp_pmtolse", no_positive_eigenvalue)
         patched = run_grid(grid, spec)
+        assert len(plain) == len(patched) == 2 * 2 * 2 * 2
         for before, after in zip(plain, patched):
-            if before.method is Method.DP_PMTOLSE:
+            if (before.method, before.n_pub) == (Method.DP_PMTOLSE, 20):
                 assert (after.trials_ok, after.trials_failed) == (0, 3)
             else:
                 # DP_OLSE draws its noise first, so its rows do not move
@@ -641,9 +678,10 @@ class TestTrialRecords:
         real_baseline, real_pmtolse, calls = harness.dp_olse_baseline, harness.dp_pmtolse, []
 
         def middle_budget_fails(*args):
-            out = real_baseline(*args)
-            first, _, last = out.betas
-            return replace(out, betas=(first, None, last))
+            return tuple(
+                replace(out, betas=(out.betas[0], None, out.betas[2]))
+                for out in real_baseline(*args)
+            )
 
         def every_other_refused(*args):
             calls.append(args)
@@ -874,9 +912,9 @@ class TestDrawThread:
         generated = [i for i, event in enumerate(log) if event == ("generated",)]
         datasets = [i for i, event in enumerate(log) if event == ("dataset",)]
         assert [log[i] for i in draws] == [("draw", t) for t in range(4)]
-        assert len(generated) == 2 * 4 and len(datasets) == 4 * 4  # 4 sizes a trial
+        assert len(generated) == 2 * 4 and len(datasets) == 2 * 4  # 2 n_pub a trial
         for t in range(3):
-            assert generated[2 * t + 1] < draws[t + 1] < datasets[4 * t + 3], log
+            assert generated[2 * t + 1] < draws[t + 1] < datasets[2 * t + 1], log
 
     def test_no_thread_outlives_run_grid(self):
         before = threading.active_count()
@@ -909,7 +947,7 @@ class TestDrawThread:
         get, set_ = openblas
         seen = self._blas_during_trials(monkeypatch, get)
         self._sweep(tmp_path, "synth")
-        assert len(seen) == 4 * 4 and set(seen) == {1}
+        assert len(seen) == 2 * 4 and set(seen) == {1}
         # the setting is the process's: main sets it again, and never restores it
         seen.clear()
         set_(2)
@@ -955,7 +993,7 @@ class TestDrawThread:
         first.join(timeout=60)
         second.join(timeout=60)
         assert list(done) == [3, 5] and done == lone
-        assert len(seen) == 4 * (3 + 5) and set(seen) == {1}
+        assert len(seen) == 2 * (3 + 5) and set(seen) == {1}
 
     def test_concurrent_sweeps_keep_blas_pinned_until_the_last_ends(
         self, monkeypatch, tmp_path, openblas
@@ -985,7 +1023,7 @@ class TestDrawThread:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert written == [lone] * 4 * 3
-        assert len(seen) == 4 * 3 * 2 * 4 and set(seen) == {1}
+        assert len(seen) == 4 * 3 * 2 * 2 and set(seen) == {1}
 
     def test_sweep_without_openblas_leaves_blas_alone(self, monkeypatch, tmp_path):
         plain = self._sweep(tmp_path, "plain")
@@ -1369,10 +1407,11 @@ class TestCli:
         dataset = normalize(ingest_csv(data))
         public = LabeledDataset(dataset.features[:40], dataset.responses[:40])
         private = LabeledDataset(dataset.features[:-201:-1], dataset.responses[:-201:-1])
-        cond = dp_pmtolse(
+        (out,) = dp_pmtolse(
             private, public_moments(public), 0.05, (PrivacyBudget(5.0),),
-            np.random.default_rng(0),
-        ).pre_diag.avg_cond
+            [(200, np.random.default_rng(0))],
+        )
+        cond = out.pre_diag.avg_cond
         assert row.trials_ok == 3
         assert row.mean_avg_cond_pre == pytest.approx(cond, rel=1e-12)
         assert read_rows(rand)[0].mean_avg_cond_pre != row.mean_avg_cond_pre

@@ -177,7 +177,7 @@ class TestPipeline:
         moment = random_spd(rng, 4, max_cond=50.0)
         data = LabeledDataset(features=samples, responses=np.ones(40))
         public = PublicMoments(feature_moment=moment, response_moment=1.0, n_pub=40)
-        out = dp_pmtolse(data, public, 0.05, (PrivacyBudget(1.0),), rng)
+        out = dp_pmtolse(data, public, 0.05, (PrivacyBudget(1.0),), [(data.n, rng)])[0]
         _, via_steps = clip_rows(
             transform(samples, inv_sqrt_clamped(moment)), truncation_radius(4, 40, 0.05)
         )
@@ -194,7 +194,9 @@ def test_no_truncation_statistical():
         beta_spec = replace(spec, coefficients=np.zeros(spec.d))
         public = generate_from(beta_spec, 4 * spec.d, rng)
         private = generate_from(beta_spec, 500, rng)
-        out = dp_pmtolse(private, public_moments(public), 0.05, (PrivacyBudget(1.0),), rng)
+        (out,) = dp_pmtolse(
+            private, public_moments(public), 0.05, (PrivacyBudget(1.0),), [(500, rng)]
+        )
         report = out.feature_truncation
         truncated_counts.append(report.truncated / report.total)
     assert np.mean(truncated_counts) <= 0.05

@@ -207,7 +207,7 @@ def _spend(budgets):
     """What one DP call on a tiny dataset (n = 6) spends, in order."""
     data = LabeledDataset(np.vstack([np.eye(2)] * 3), np.ones(6))
     with recorded_spend() as spend:
-        dp_olse_baseline(data, 0.05, tuple(budgets), np.random.default_rng(0))
+        dp_olse_baseline(data, 0.05, tuple(budgets), [(data.n, np.random.default_rng(0))])[0]
     return spend
 
 
@@ -266,7 +266,7 @@ class TestEmpiricalAudit:
         rng = np.random.default_rng(seed)
         values = []
         for _ in range(self.CALLS):
-            out = dp_pmtolse(data, public, self.ETA, budgets, rng)
+            out = dp_pmtolse(data, public, self.ETA, budgets, [(data.n, rng)])[0]
             for beta, diag in zip(out.betas, out.post_diags):
                 # the noisy matrix is the one the spectrum came from; the
                 # noisy vector is that matrix times the solved beta
