@@ -10,9 +10,14 @@ truncation radius and the condition number of the matrix being inverted,
 and undoes the change of variables on the solved coefficients.  The baseline
 passes raw rows with radii taken from the private data's own moments.
 
-Each DP estimator takes a tuple of budgets and returns one
-:class:`EstimatorOutput`.  The work that does not depend on rho (whitening,
-clipping, the two moments) is done once, and the noise is drawn per budget.
+Each DP estimator takes a trial's largest private set, a tuple of budgets
+and an ascending sequence of (n, rng) prefixes, and returns one
+:class:`EstimatorOutput` per prefix, released from its first n rows; a lone
+release is one prefix of the whole set.  The whitening and the baseline's
+squares are formed once for every prefix.  The work that does not depend on
+rho (clipping, the two moments) is done once per prefix, and the noise is
+drawn per budget.  A prefix whose clips change no row takes its sums as a
+running sum of row blocks, so each row enters one block.
 The pre-noise moment and the noisy ones take their eigenvalues from one
 (K+1) x d x d stack, in one eigenvalues-only call: the pre-noise spectrum is
 read only for its averaged condition number, a noisy one only for the
@@ -23,10 +28,11 @@ handed for them (X^T X, X^T y); what it was not handed, and the moments
 derived from them, it forms on first read.  Each other statistic is formed
 where it is read: the clip's squared row norms in :func:`pmt.clip_rows`, a
 spectrum in the call that decomposes it.  A clip that changes no row hands
-back the same rows, so :func:`olse` and a baseline release that clips
-nothing share one Gram.  Designs not taken (P G P, the summation order of
-mean ||x||^2, carried row norms, one spectrum for two readers): README,
-"Rejected designs".
+back the same rows, so :func:`olse` and a baseline release of a set that
+holds its sums and clips nothing share one Gram.  Designs not taken (P G P,
+the summation order of mean ||x||^2, carried row norms, one spectrum for two
+readers, a clipped prefix's Gram as a correction, fixed-size row blocks):
+README, "Rejected designs".
 """
 
 from __future__ import annotations
@@ -311,6 +317,7 @@ def _release(
         outs.append(EstimatorOutput(
             tuple(betas), tuple(post_diags), feat_report, resp_report, pre_diag, notes=notes
         ))
+        del rows, x, y  # free a clipped copy before the next prefix makes its own
     return tuple(outs)
 
 

@@ -5,8 +5,11 @@ A grid is the cross product (method, rho, n_priv, n_pub); each cell runs
 alike: its rows come from streams keyed by (seed, trial) alone, as one
 public and one private set at the grid's largest n_pub and n_priv, and
 every dataset of the trial takes the first n_pub public and the first
-n_priv private rows.  So a dataset does not depend on which other sizes the
-grid holds.  The two sets come
+n_priv private rows.  So a dataset's rows do not depend on which other
+sizes the grid holds, and its sums agree to rounding: a size that is not
+the grid's smallest takes X^T X and X^T y as a running sum of row blocks
+(see ``estimators._release``), and a real private set at the grid's
+largest n_priv as ``split``'s complement.  The two sets come
 
 - synthetic: from one public and one private stream, keys (seed, 3, trial, 0)
   and (seed, 3, trial, 1), each drawn once per trial (``generate`` makes its
@@ -17,12 +20,13 @@ grid holds.  The two sets come
   size.  Head mode's order is the same every trial, so it splits once per
   sweep and every trial takes the same rows.
 
-The unit of work is a dataset, keyed by (seed, n_priv, n_pub, trial): its
-reference is computed once, and every (method, rho) cell's trial runs on it
-and gives one ``TrialRecord``; every CSV column is computed from a cell's
-records alone.
-One rng stream per dataset, keyed (seed, 2, n_priv, n_pub, trial), draws for
-each method and each rho in grid order the matrix noise and the vector
+The unit of work is a (trial, n_pub) pair: each method releases every
+n_priv prefix of the trial's private set in one call, and every (method,
+rho) cell's trial on each dataset gives one ``TrialRecord``, filed by its
+position; every CSV column is computed from a cell's records alone.  A
+dataset, keyed by (seed, n_priv, n_pub, trial), has its reference computed
+once and one rng stream, keyed (seed, 2, n_priv, n_pub, trial), which draws
+for each method and each rho in grid order the matrix noise and the vector
 noise.  The grid keeps its values in a canonical order, so neither the order
 in which they are listed nor the order in which datasets run changes a
 number.

@@ -379,6 +379,37 @@ class TestDatasetSharing:
         assert len(lines[0]) == 1 + 2 * 2 and len(lines[1]) > len(lines[0])
         assert shared == lines[0][1:]
 
+    @pytest.mark.parametrize(
+        "command, alone, grid",
+        [
+            ("synth --trials 10 --rho 2,10", "5000", "3000,5000,10000"),
+            # real-csv's stand-in: 3000 is not the grid's largest n_priv, so
+            # its sums come from rows, where alone they are split's complement
+            ("real --trials 20 --rho 5 --n-pub 249", "3000", "3000,4649"),
+        ],
+        ids=["synthetic", "real-complement"],
+    )
+    def test_sums_of_a_larger_size_agree_to_rounding(self, command, alone, grid, tmp_path):
+        # the rows of a size that is not the grid's smallest do not depend on
+        # the grid's other sizes, but its sums are a running sum of blocks
+        # (or a complement): every count agrees, every value within 1e-12
+        argv = [*command.split(), "--seed", "0"]
+        if argv[0] == "real":
+            data = tmp_path / "wine.csv"
+            _bench_module("wine").write_wine_csv(data, 0)
+            argv += ["--data", str(data)]
+        rows = []
+        for values in (alone, grid):
+            out = tmp_path / f"{values}.csv"
+            assert main(argv + ["--n-priv", values, "--out", str(out)]) == EXIT_OK
+            rows.append([r for r in read_rows(out) if r.n_priv == int(alone)])
+        assert len(rows[0]) == len(rows[1]) == 2 * len(argv[argv.index("--rho") + 1].split(","))
+        for a, b in zip(*rows):
+            assert (a.method, a.rho, a.n_pub) == (b.method, b.rho, b.n_pub)
+            assert (a.trials_ok, a.trials_failed) == (b.trials_ok, b.trials_failed)
+            for name in ("mean_err", "std_err", "mean_truncated_frac", "mean_avg_cond_pre"):
+                assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("mode", [None, *SplitMode], ids=["synthetic", "random", "head"])
     def test_records_do_not_depend_on_the_grids_other_sizes(self, mode, monkeypatch, rng):
         # the per-trial form of the test above: the (100, 40) dataset's

@@ -4,7 +4,7 @@ what a sweep computes.
 Each grid runs through ``pmtreg.cli.main`` and through the oracle, from the
 same spec fields or normalized dataset.  Trial counts must match exactly,
 and every float column within 1e-9 relative: the oracle forms each
-statistic directly and in one order, so only rounding may differ.  Twelve
+statistic directly and in one order, so only rounding may differ.  Thirteen
 named grids are checked, and two derandomized properties check generated
 synthetic and real-data grids the same way.
 """
@@ -65,6 +65,10 @@ SYNTHETIC = {
     "ill-conditioned": (10, 20.0, ILL, "true_beta", (3000,), (20, 40), (2.0, 10.0), 20, 64),
     "ill-conditioned-olse": (
         10, 20.0, ILL, "nonprivate_olse", (3000,), (20,), (2.0, 10.0), 20, 64,
+    ),
+    # block sums on the design whose kappa ~1.5e8 amplifies rounding
+    "ill-conditioned-prefixes": (
+        10, 20.0, ILL, "true_beta", (3000, 5000), (20,), (2.0, 10.0), 20, 64,
     ),
 }
 # (methods, eta) of the grids that do not run both methods at eta 0.05: a
