@@ -320,48 +320,45 @@ def _run_trial(grid, truth, public, private, rngs, trial):
     n_priv); a singular reference fails its dataset's cells, and a singular
     public moment (or all-zero public responses) every n_priv of its method.
     """
-    refused = {}  # n_priv -> the reason its reference was refused
-    prefixes, references = [], []
-    for n_priv, rng in zip(grid.n_priv_values, rngs):
+    refused, truths = {}, {}  # n_priv -> its reference's refusal, or its reference
+    for n_priv in grid.n_priv_values:
         try:
-            references.append(olse(private.head(n_priv)) if truth is None else truth)
+            truths[n_priv] = olse(private.head(n_priv)) if truth is None else truth
         except UnstableInversionError as exc:
             refused[n_priv] = str(exc)
-        else:
-            prefixes.append((n_priv, rng))
+    prefixes = [(n_priv, rng) for n_priv, rng in zip(grid.n_priv_values, rngs) if n_priv in truths]
 
-    records = []
+    records, rhos = [], grid.rho_values
     for method in grid.methods:
-        failure = None
+        failed, outs = refused, ()
         try:
-            if not prefixes:
-                outs = ()
-            elif method is Method.DP_PMTOLSE:
+            if prefixes and method is Method.DP_PMTOLSE:
                 moments = public_moments(public)
                 outs = dp_pmtolse(private, moments, grid.eta, grid.budgets, prefixes)
-            else:
+            elif prefixes:
                 outs = dp_olse_baseline(private, grid.eta, grid.budgets, prefixes)
         except UnstableInversionError as exc:
-            failure, outs = str(exc), ()
-        released = {n_priv: out for (n_priv, _), out in zip(prefixes, outs)}
-        truths = dict(zip((n for n, _ in prefixes), references))
-        for i, rho in enumerate(grid.rho_values):
-            for n_priv in grid.n_priv_values:
-                key = method, rho, n_priv, public.n, trial
-                out = released.get(n_priv)
-                if out is None:
-                    reason = refused.get(n_priv, failure)
-                    records.append(TrialRecord(*key, failure=reason))
-                    continue
-                beta, release = out.betas[i], (
-                    out.feature_truncation, out.response_truncation, out.pre_diag.avg_cond
-                )
-                if beta is None:
-                    records.append(TrialRecord(*key, math.nan, "refused budget", *release))
-                    continue
-                diff = beta - truths[n_priv]
-                # the formula np.linalg.norm evaluates for a real vector
-                records.append(TrialRecord(*key, math.sqrt(diff.dot(diff)), None, *release))
+            failed = dict.fromkeys(truths, str(exc)) | refused
+        released = dict(zip(truths, outs))
+        columns = []  # per n_priv, its record per rho
+        for n_priv in grid.n_priv_values:
+            key = n_priv, public.n, trial
+            out = released.get(n_priv)
+            if out is None:
+                reason = failed[n_priv]
+                columns.append([TrialRecord(method, rho, *key, failure=reason) for rho in rhos])
+                continue
+            release = out.feature_truncation, out.response_truncation, out.pre_diag.avg_cond
+            column = []
+            for rho, beta in zip(rhos, out.betas):
+                err, failure = math.nan, "refused budget"
+                if beta is not None:
+                    diff = beta - truths[n_priv]
+                    # the formula np.linalg.norm evaluates for a real vector
+                    err, failure = math.sqrt(diff.dot(diff)), None
+                column.append(TrialRecord(method, rho, *key, err, failure, *release))
+            columns.append(column)
+        records += [record for row in zip(*columns) for record in row]
     return records
 
 
