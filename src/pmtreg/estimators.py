@@ -246,11 +246,10 @@ def _running_sums(data: LabeledDataset, sizes: list[int]):
     """X^T X and X^T y of the first ``sizes[k]`` rows, for k = 0, 1, ...: a
     running sum of the row blocks between consecutive sizes, each block
     formed when a caller first asks past it."""
-    sums = []
+    blocks, sums = list(zip([0, *sizes], sizes)), []
 
     def upto(k: int) -> RowStatistics:
-        while len(sums) <= k:
-            lo, hi = (sizes[len(sums) - 1] if sums else 0), sizes[len(sums)]
+        for lo, hi in blocks[len(sums) : k + 1]:
             x, y = data.features[lo:hi], data.responses[lo:hi]
             block = RowStatistics(x.T @ x, x.T @ y)
             if sums:
@@ -288,8 +287,7 @@ def _release(
     block however many prefixes hold it.  A prefix that clips forms its sums
     from the clipped rows.
     """
-    sizes = _prefix_sizes(data, prefixes)
-    running = _running_sums(data, sizes)
+    running = _running_sums(data, [n for n, _ in prefixes])
     outs = []
     for k, ((n, rng), (r_x, r_y)) in enumerate(zip(prefixes, radii)):
         rows = data.head(n)
