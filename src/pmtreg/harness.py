@@ -315,8 +315,8 @@ def _run_trial(grid, truth, public, private, rngs, trial):
     the same order.  ``truth`` is the reference beta, or None to use each
     dataset's own least squares.  Each method releases every dataset in one
     call, and each noise stream draws DP_OLSE's budgets before DP_PMTOLSE's.
-    Returns one :class:`TrialRecord` per cell, ordered by method, rho, then
-    n_priv.  A singular noisy moment fails only its own (method, rho,
+    Returns one :class:`TrialRecord` per cell, ordered by method, n_priv,
+    then rho.  A singular noisy moment fails only its own (method, rho,
     n_priv); a singular reference fails its dataset's cells, and a singular
     public moment (or all-zero public responses) every n_priv of its method.
     """
@@ -340,25 +340,21 @@ def _run_trial(grid, truth, public, private, rngs, trial):
         except UnstableInversionError as exc:
             failed = dict.fromkeys(truths, str(exc)) | refused
         released = dict(zip(truths, outs))
-        columns = []  # per n_priv, its record per rho
         for n_priv in grid.n_priv_values:
             key = n_priv, public.n, trial
             out = released.get(n_priv)
             if out is None:
                 reason = failed[n_priv]
-                columns.append([TrialRecord(method, rho, *key, failure=reason) for rho in rhos])
+                records += [TrialRecord(method, rho, *key, failure=reason) for rho in rhos]
                 continue
             release = out.feature_truncation, out.response_truncation, out.pre_diag.avg_cond
-            column = []
             for rho, beta in zip(rhos, out.betas):
                 err, failure = math.nan, "refused budget"
                 if beta is not None:
                     diff = beta - truths[n_priv]
                     # the formula np.linalg.norm evaluates for a real vector
                     err, failure = math.sqrt(diff.dot(diff)), None
-                column.append(TrialRecord(method, rho, *key, err, failure, *release))
-            columns.append(column)
-        records += [record for row in zip(*columns) for record in row]
+                records.append(TrialRecord(method, rho, *key, err, failure, *release))
     return records
 
 
@@ -404,10 +400,11 @@ def run_grid(
     truth = source.coefficients if grid.reference is Reference.TRUE_BETA else None
 
     sizes = list(product(grid.n_priv_values, grid.n_pub_values))
-    # one list per cell, ordered by method, rho, n_priv, then n_pub: the
+    # one list per cell, ordered by method, n_priv, rho, then n_pub: the
     # cells of n_pub j are every len(n_pub_values)-th list from the j-th,
     # in the order _run_trial returns their records
-    cells = [[] for _ in product(grid.methods, grid.rho_values, sizes)]
+    axes = grid.methods, grid.n_priv_values, grid.rho_values, grid.n_pub_values
+    cells = [[] for _ in product(*axes)]
     if isinstance(source, DatasetSource):
         trials = _split_trials(grid, source, sizes)
     else:
