@@ -16,8 +16,7 @@ and an ascending sequence of (n, rng) prefixes, and returns one
 release is one prefix of the whole set.  The whitening and the baseline's
 squares are formed once for every prefix.  The work that does not depend on
 rho (clipping, the two moments) is done once per prefix, and the noise is
-drawn per budget.  A prefix whose clips change no row takes its sums as a
-running sum of row blocks, so each row enters one block.
+drawn per budget.
 The pre-noise moment and the noisy ones take their eigenvalues from one
 (K+1) x d x d stack, in one eigenvalues-only call: the pre-noise spectrum is
 read only for its averaged condition number, a noisy one only for the
@@ -31,7 +30,7 @@ spectrum in the call that decomposes it.  A clip that changes no row hands
 back the same rows, so :func:`olse` and a baseline release of a set that
 holds its sums and clips nothing share one Gram.  Designs not taken (P G P,
 the summation order of mean ||x||^2, carried row norms, one spectrum for two
-readers, a clipped prefix's Gram as a correction, fixed-size row blocks):
+readers, prefix sums as a running sum of row blocks):
 README, "Rejected designs".
 """
 
@@ -242,24 +241,6 @@ def _prefix_sizes(data: LabeledDataset, prefixes) -> list[int]:
     return sizes
 
 
-def _running_sums(data: LabeledDataset, sizes: list[int]):
-    """X^T X and X^T y of the first ``sizes[k]`` rows, for k = 0, 1, ...: a
-    running sum of the row blocks between consecutive sizes, each block
-    formed when a caller first asks past it."""
-    blocks, sums = list(zip([0, *sizes], sizes)), []
-
-    def upto(k: int) -> RowStatistics:
-        for lo, hi in blocks[len(sums) : k + 1]:
-            x, y = data.features[lo:hi], data.responses[lo:hi]
-            block = RowStatistics(x.T @ x, x.T @ y)
-            if sums:
-                block = RowStatistics(sums[-1].gram + block.gram, sums[-1].cross + block.cross)
-            sums.append(block)
-        return sums[k]
-
-    return upto
-
-
 def _release(
     data: LabeledDataset,
     prefixes,
@@ -281,22 +262,17 @@ def _release(
     guard, then LU), one call per budget; one whose noisy moment
     :func:`solve` refuses gets beta None, and the others stand.
 
-    A prefix whose clips change no row releases its rows' own sums: those
-    ``data`` holds, for its full-size prefix, and otherwise a running sum of
-    the row blocks between consecutive prefix sizes, so each row enters one
-    block however many prefixes hold it.  A prefix that clips forms its sums
-    from the clipped rows.
+    A prefix whose clips change no row releases :meth:`LabeledDataset.head`
+    of ``data``, with the sums ``data`` holds for its full-size prefix; a
+    prefix that clips forms its sums from the clipped rows.
     """
-    running = _running_sums(data, [n for n, _ in prefixes])
     outs = []
-    for k, ((n, rng), (r_x, r_y)) in enumerate(zip(prefixes, radii)):
+    for (n, rng), (r_x, r_y) in zip(prefixes, radii):
         rows = data.head(n)
         x, feat_report = pmt.clip_rows(rows.features, r_x)
         y, resp_report = pmt.clip_rows(rows.responses[:, None], r_y)
         if feat_report.truncated or resp_report.truncated:
             rows = LabeledDataset(x, y[:, 0], RowStatistics())
-        elif rows is not data or data.stats.gram is None:
-            rows = LabeledDataset(rows.features, rows.responses, running(k))
 
         noise = []
         for budget in budgets:

@@ -6,10 +6,9 @@ alike: its rows come from streams keyed by (seed, trial) alone, as one
 public and one private set at the grid's largest n_pub and n_priv, and
 every dataset of the trial takes the first n_pub public and the first
 n_priv private rows.  So a dataset's rows do not depend on which other
-sizes the grid holds, and its sums agree to rounding: a size that is not
-the grid's smallest takes X^T X and X^T y as a running sum of row blocks
-(see ``estimators._release``), and a real private set at the grid's
-largest n_priv as ``split``'s complement.  The two sets come
+sizes the grid holds, and neither do its sums, with one exception that
+agrees to rounding: a real private set at the grid's largest n_priv takes
+X^T X and X^T y as ``split``'s complement.  The two sets come
 
 - synthetic: from one public and one private stream, keys (seed, 3, trial, 0)
   and (seed, 3, trial, 1), each drawn once per trial (``generate`` makes its
@@ -23,7 +22,8 @@ largest n_priv as ``split``'s complement.  The two sets come
 The unit of work is a (trial, n_pub) pair: each method releases every
 n_priv prefix of the trial's private set in one call, and every (method,
 rho) cell's trial on each dataset gives one ``TrialRecord``, filed by its
-position; every CSV column is computed from a cell's records alone.  A
+dataset and its position there; every CSV column is computed from a cell's
+records alone.  A
 dataset, keyed by (seed, n_priv, n_pub, trial), has its reference computed
 once and one rng stream, keyed (seed, 2, n_priv, n_pub, trial), which draws
 for each method and each rho in grid order the matrix noise and the vector
@@ -51,7 +51,6 @@ import threading
 from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from itertools import product
 from pathlib import Path
 from typing import NamedTuple
 
@@ -182,8 +181,10 @@ def _key(grid: ExperimentGrid, *key) -> list:
 def _draw(grid: ExperimentGrid, sizes: list, buffers: tuple, trial: int) -> list:
     """Fill ``buffers`` with the trial's public and then its private normals
     (a real-data trial passes none); returns its noise Generators, one per
-    (n_priv, n_pub) in ``sizes``."""
-    rngs = [np.random.default_rng(_key(grid, 2, *size, trial)) for size in sizes]
+    (n_priv, n_pub) in ``sizes``, in its lists."""
+    rngs = [
+        [np.random.default_rng(_key(grid, 2, *size, trial)) for size in group] for group in sizes
+    ]
     for stream, buffer in enumerate(buffers):
         np.random.default_rng(_key(grid, 3, trial, stream)).standard_normal(out=buffer)
     return rngs
@@ -315,20 +316,23 @@ def _run_trial(grid, truth, public, private, rngs, trial):
     the same order.  ``truth`` is the reference beta, or None to use each
     dataset's own least squares.  Each method releases every dataset in one
     call, and each noise stream draws DP_OLSE's budgets before DP_PMTOLSE's.
-    Returns one :class:`TrialRecord` per cell, ordered by method, n_priv,
-    then rho.  A singular noisy moment fails only its own (method, rho,
-    n_priv); a singular reference fails its dataset's cells, and a singular
-    public moment (or all-zero public responses) every n_priv of its method.
+    Returns each dataset's records, in the grid's n_priv order: one
+    :class:`TrialRecord` per (method, rho), in grid order.  A singular noisy
+    moment fails only its own (method, rho, n_priv); a singular reference
+    fails its dataset's cells, and a singular public moment (or all-zero
+    public responses) every n_priv of its method.
     """
-    refused, truths = {}, {}  # n_priv -> its reference's refusal, or its reference
-    for n_priv in grid.n_priv_values:
-        try:
-            truths[n_priv] = olse(private.head(n_priv)) if truth is None else truth
-        except UnstableInversionError as exc:
-            refused[n_priv] = str(exc)
-    prefixes = [(n_priv, rng) for n_priv, rng in zip(grid.n_priv_values, rngs) if n_priv in truths]
+    n_privs, rhos = grid.n_priv_values, grid.rho_values
+    refs, refused = [truth] * len(n_privs), [None] * len(n_privs)
+    if truth is None:
+        for i, n_priv in enumerate(n_privs):
+            try:
+                refs[i] = olse(private.head(n_priv))
+            except UnstableInversionError as exc:
+                refused[i] = str(exc)
+    prefixes = [(n, rng) for n, rng, reason in zip(n_privs, rngs, refused) if reason is None]
 
-    records, rhos = [], grid.rho_values
+    datasets = [[] for _ in n_privs]
     for method in grid.methods:
         failed, outs = refused, ()
         try:
@@ -338,24 +342,23 @@ def _run_trial(grid, truth, public, private, rngs, trial):
             elif prefixes:
                 outs = dp_olse_baseline(private, grid.eta, grid.budgets, prefixes)
         except UnstableInversionError as exc:
-            failed = dict.fromkeys(truths, str(exc)) | refused
-        released = dict(zip(truths, outs))
-        for n_priv in grid.n_priv_values:
+            failed = [str(exc) if reason is None else reason for reason in refused]
+        outs = iter(outs)
+        for records, n_priv, ref, reason in zip(datasets, n_privs, refs, failed):
             key = n_priv, public.n, trial
-            out = released.get(n_priv)
-            if out is None:
-                reason = failed[n_priv]
+            if reason is not None:
                 records += [TrialRecord(method, rho, *key, failure=reason) for rho in rhos]
                 continue
+            out = next(outs)
             release = out.feature_truncation, out.response_truncation, out.pre_diag.avg_cond
             for rho, beta in zip(rhos, out.betas):
                 err, failure = math.nan, "refused budget"
                 if beta is not None:
-                    diff = beta - truths[n_priv]
+                    diff = beta - ref
                     # the formula np.linalg.norm evaluates for a real vector
                     err, failure = math.sqrt(diff.dot(diff)), None
                 records.append(TrialRecord(method, rho, *key, err, failure, *release))
-    return records
+    return datasets
 
 
 def _cell_result(records: list[TrialRecord]) -> CellResult:
@@ -399,25 +402,23 @@ def run_grid(
     _validate(grid, source)
     truth = source.coefficients if grid.reference is Reference.TRUE_BETA else None
 
-    sizes = list(product(grid.n_priv_values, grid.n_pub_values))
-    # one list per cell, ordered by method, n_priv, rho, then n_pub: the
-    # cells of n_pub j are every len(n_pub_values)-th list from the j-th,
-    # in the order _run_trial returns their records
-    axes = grid.methods, grid.n_priv_values, grid.rho_values, grid.n_pub_values
-    cells = [[] for _ in product(*axes)]
+    # the datasets of one (trial, n_pub), in the grid's n_priv order
+    sizes = [[(n_priv, n_pub) for n_priv in grid.n_priv_values] for n_pub in grid.n_pub_values]
+    # each dataset's cells, in the order _run_trial returns its records
+    per_dataset = len(grid.methods) * len(grid.rho_values)
+    cells = {size: [[] for _ in range(per_dataset)] for group in sizes for size in group}
     if isinstance(source, DatasetSource):
         trials = _split_trials(grid, source, sizes)
     else:
         trials = _drawn_trials(grid, source, sizes)
-    step = len(grid.n_pub_values)
     with closing(trials):
         for trial, ((public, private), rngs) in enumerate(trials):
-            for j, n_pub in enumerate(grid.n_pub_values):
-                rows = public.head(n_pub), private
-                records = _run_trial(grid, truth, *rows, rngs[j::step], trial)
-                for cell, record in zip(cells[j::step], records):
-                    cell.append(record)
-    return [_cell_result(records) for records in cells]
+            for n_pub, group, group_rngs in zip(grid.n_pub_values, sizes, rngs):
+                datasets = _run_trial(grid, truth, public.head(n_pub), private, group_rngs, trial)
+                for size, records in zip(group, datasets):
+                    for cell, record in zip(cells[size], records):
+                        cell.append(record)
+    return [_cell_result(records) for dataset in cells.values() for records in dataset]
 
 
 def emit_csv(results: list[CellResult], out: str | Path) -> None:

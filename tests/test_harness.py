@@ -380,19 +380,21 @@ class TestDatasetSharing:
         assert shared == lines[0][1:]
 
     @pytest.mark.parametrize(
-        "command, alone, grid",
+        "command, alone, grid, rel",
         [
-            ("synth --trials 10 --rho 2,10", "5000", "3000,5000,10000"),
+            # a synthetic prefix forms its sums from its own rows: exact
+            ("synth --trials 10 --rho 2,10", "5000", "3000,5000,10000", 0.0),
             # real-csv's stand-in: 3000 is not the grid's largest n_priv, so
             # its sums come from rows, where alone they are split's complement
-            ("real --trials 20 --rho 5 --n-pub 249", "3000", "3000,4649"),
+            ("real --trials 20 --rho 5 --n-pub 249", "3000", "3000,4649", 1e-12),
         ],
         ids=["synthetic", "real-complement"],
     )
-    def test_sums_of_a_larger_size_agree_to_rounding(self, command, alone, grid, tmp_path):
+    def test_sums_of_a_larger_size_agree_to_rounding(self, command, alone, grid, rel, tmp_path):
         # the rows of a size that is not the grid's smallest do not depend on
-        # the grid's other sizes, but its sums are a running sum of blocks
-        # (or a complement): every count agrees, every value within 1e-12
+        # the grid's other sizes; its sums agree exactly, or to rounding where
+        # one side takes split's complement: every count agrees, every value
+        # within rel
         argv = [*command.split(), "--seed", "0"]
         if argv[0] == "real":
             data = tmp_path / "wine.csv"
@@ -408,7 +410,7 @@ class TestDatasetSharing:
             assert (a.method, a.rho, a.n_pub) == (b.method, b.rho, b.n_pub)
             assert (a.trials_ok, a.trials_failed) == (b.trials_ok, b.trials_failed)
             for name in ("mean_err", "std_err", "mean_truncated_frac", "mean_avg_cond_pre"):
-                assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12, abs=0)
+                assert getattr(a, name) == pytest.approx(getattr(b, name), rel=rel, abs=0)
 
     @pytest.mark.parametrize("mode", [None, *SplitMode], ids=["synthetic", "random", "head"])
     def test_records_do_not_depend_on_the_grids_other_sizes(self, mode, monkeypatch, rng):
@@ -557,13 +559,6 @@ class TestDatasetSharing:
         # releases the private rows themselves, so its pre-noise spectrum is
         # the one olse decomposes, from that Gram
         grams = formed_grams(monkeypatch)
-        whitened, real_pmtolse = [], harness.dp_pmtolse
-
-        def pmtolse(*args):
-            whitened.extend(real_pmtolse(*args))
-            return whitened[-1:]
-
-        monkeypatch.setattr(harness, "dp_pmtolse", pmtolse)
         privates, baselines = self._real_grid_run(monkeypatch, rng)
         for private, out in zip(privates, baselines):
             assert not any(rows is private for rows in grams)
@@ -571,15 +566,10 @@ class TestDatasetSharing:
             own = diagnostics(private.second_moment)
             assert out.pre_diag.eigenvalues.tobytes() == own.eigenvalues.tobytes()
             assert out.pre_diag.matrix.tobytes() == own.matrix.tobytes()
-        # the whole dataset's, then per trial the public rows' and the 150
-        # unused rows' (which the complement subtracts); the whitened rows
-        # form theirs from rows only where the clip changed one, and else
-        # from one block, which no LabeledDataset forms
-        clipped = [out.feature_truncation.truncated + out.response_truncation.truncated > 0
-                   for out in whitened]
-        assert len(whitened) == len(privates) and 0 < sum(clipped) < len(privates)
-        want = [500] + [n for c in clipped for n in [50, 150] + [300] * c]
-        assert [rows.n for rows in grams] == want
+        # the whole dataset's, then per trial the public rows', the 150
+        # unused rows' (which the complement subtracts) and the whitened rows'
+        assert len(grams) == 1 + 3 * len(privates)
+        assert [rows.n for rows in grams] == [500] + [50, 150, 300] * len(privates)
 
     def test_complement_moments_only_save_time(self, monkeypatch, rng):
         # the same real 3-rho grid with the private moments formed from the
@@ -1203,7 +1193,7 @@ def record_trials(monkeypatch):
 
     def recorded(*args):
         out = real(*args)
-        records.extend(out)
+        records.extend(record for dataset in out for record in dataset)
         return out
 
     monkeypatch.setattr(harness, "_run_trial", recorded)

@@ -66,7 +66,8 @@ SYNTHETIC = {
     "ill-conditioned-olse": (
         10, 20.0, ILL, "nonprivate_olse", (3000,), (20,), (2.0, 10.0), 20, 64,
     ),
-    # block sums on the design whose kappa ~1.5e8 amplifies rounding
+    # prefix releases of one whitened set on the design whose kappa ~1.5e8
+    # amplifies rounding
     "ill-conditioned-prefixes": (
         10, 20.0, ILL, "true_beta", (3000, 5000), (20,), (2.0, 10.0), 20, 64,
     ),
