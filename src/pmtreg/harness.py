@@ -23,13 +23,12 @@ The unit of work is a (trial, n_pub) pair: each method releases every
 n_priv prefix of the trial's private set in one call, and every (method,
 rho) cell's trial on each dataset gives one ``TrialRecord``, filed by its
 dataset and its position there; every CSV column is computed from a cell's
-records alone.  A
-dataset, keyed by (seed, n_priv, n_pub, trial), has its reference computed
-once and one rng stream, keyed (seed, 2, n_priv, n_pub, trial), which draws
-for each method and each rho in grid order the matrix noise and the vector
-noise.  The grid keeps its values in a canonical order, so neither the order
-in which they are listed nor the order in which datasets run changes a
-number.
+records alone.  A dataset, keyed by (seed, n_priv, n_pub, trial), has its
+reference computed once and one rng stream, keyed (seed, 2, n_priv, n_pub,
+trial), which draws for each method and each rho in grid order the matrix
+noise and the vector noise.  The grid keeps its values in a canonical
+order, so neither the order in which they are listed nor the order in which
+datasets run changes a number.
 
 A synthetic sweep draws on one worker thread, a trial ahead.  The worker
 takes trial numbers from one queue and answers each on a second: it builds
@@ -181,7 +180,7 @@ def _key(grid: ExperimentGrid, *key) -> list:
 def _draw(grid: ExperimentGrid, sizes: list, buffers: tuple, trial: int) -> list:
     """Fill ``buffers`` with the trial's public and then its private normals
     (a real-data trial passes none); returns its noise Generators, one per
-    (n_priv, n_pub) in ``sizes``, in its lists."""
+    (n_priv, n_pub) in ``sizes``, in lists shaped as its lists are."""
     rngs = [
         [np.random.default_rng(_key(grid, 2, *size, trial)) for size in group] for group in sizes
     ]
