@@ -348,18 +348,20 @@ def dp_olse_baseline(
     R_x^2 = tr + d ln(2n/eta) and R_y^2 = sigma_y^2 + ln(2n/eta), where tr and
     sigma_y^2 are the mean squared feature-row norm and response of the
     prefix's untruncated rows, computed without privatization.  That is this
-    baseline's known caveat, recorded in ``notes``.  The rows are squared
-    once for every prefix; see :func:`_release`.
+    baseline's known caveat, recorded in ``notes``.  The feature rows are
+    squared once for every prefix; see :func:`_release`.
     """
     d = data.d
     sizes = _prefix_sizes(data, prefixes)
     # tr is summed over the cells, not the row norms: README, "Rejected designs"
-    squares, y_squares = data.features**2, data.responses * data.responses
+    squares = data.features**2
     radii = []
     for n in sizes:
         log_term = pmt.truncation_radius(1, n, eta) ** 2 - 1.0  # ln(2n/eta), eta checked
         trace_a = float(np.sum(squares[:n])) / n
-        sigma_a_sq = float(np.mean(y_squares[:n]))
+        # squared per prefix: a vector of them kept beside the n x d squares
+        # could leave a heap hole that raised synth-wide's peak RSS 0.9 MB
+        sigma_a_sq = float(np.mean(data.responses[:n] ** 2))
         radii.append((math.sqrt(trace_a + d * log_term), math.sqrt(sigma_a_sq + log_term)))
     del squares  # n x d floats, not needed through the releases
     return _release(
