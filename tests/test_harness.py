@@ -11,7 +11,6 @@ import subprocess
 import sys
 import threading
 import time
-from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
